@@ -181,7 +181,7 @@ def run_bias_experiment(
     g = build_counterexample(spec)
     a = g.sym_matrix()
     log_haf = math.lgamma(spec.n_center + 1)
-    log_dets, _ = sample_log_dets(a, num_samples, seed, threads=threads)
+    log_dets = sample_log_dets(a, num_samples, seed, threads=threads)
     total = spec.total_vertices
     shifted = log_dets - log_haf
     fraction_below = {float(c): float(np.mean(shifted <= -c * total)) for c in c_grid}

@@ -3,9 +3,14 @@
 A sample is the skew-symmetric matrix W with W[i, j] = g_ij * sqrt(A[i, j])
 for i < j, where the g_ij are standard normals drawn from the counter-based
 stream keyed by (seed, sample index); det(W) is an unbiased estimator of
-haf(A).  Determinants are evaluated in log domain through the Pfaffian and
-aggregated with log-sum-exp, since the values span hundreds of orders of
-magnitude once n is large.
+haf(A).  Batches of W are evaluated in log domain by LAPACK's LU
+(``np.linalg.slogdet``) and aggregated with log-sum-exp, since the values
+span hundreds of orders of magnitude once n is large.  Whether det(W) is
+zero is decided exactly, once per matrix, by a perfect-matching check on
+the support of A: rounding leaves tiny nonzero pivots where the true
+determinant vanishes, so no floating-point kernel can decide it.  The
+Parlett-Reid Pfaffian in ``sample_log_det`` is the single-sample oracle
+that carries the sign.
 
 Sampling is embarrassingly parallel: indices are processed in fixed-size
 chunks whose boundaries do not depend on the worker count, and aggregation
@@ -23,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import SkewMatrix, SymMatrix, pfaffian_log, pfaffian_log_stack, spectrum
+from .exact import matching_exists
+from .graphs import large_entries_graph
+from .linalg import SkewMatrix, SymMatrix, pfaffian_log, spectrum
 from .rng import check_seed, gaussian_block, gaussian_blocks
 
 __all__ = [
@@ -65,6 +72,9 @@ class EstimatorSummary:
     over samples); by Jensen it dominates ``logdet_mean``.  Samples with
     det = 0 enter the quantile pool as -inf and are tallied in
     ``num_zero_det``; ``logdet_std`` is taken over the finite samples.
+    Zeros are decided exactly by matching: ``num_zero_det`` equals
+    ``num_samples`` when the support of A has no perfect matching, and is
+    0 otherwise (a singular draw has probability zero).
     """
 
     n: int
@@ -99,37 +109,40 @@ def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
     return SkewMatrix(w)
 
 
-def _logdet_chunk(sqrt_tri: np.ndarray, n: int, seed: int, first: int, count: int):
-    g = gaussian_blocks(seed, first, count, sqrt_tri.size)
+def _logdet_chunk(sqrt_tri: np.ndarray, n: int, seed: int, first: int, count: int) -> np.ndarray:
+    x = gaussian_blocks(seed, first, count, sqrt_tri.size)
+    x *= sqrt_tri
     iu, ju = _triangle(n)
     ws = np.zeros((count, n, n))
-    ws[:, iu, ju] = g * sqrt_tri
-    ws -= np.transpose(ws, (0, 2, 1))
-    log_pf, sign = pfaffian_log_stack(ws)
-    return 2.0 * log_pf, sign
+    ws[:, iu, ju] = x
+    ws[:, ju, iu] = np.negative(x, out=x)  # in place: no stack-sized temporary
+    # det(W) = Pf(W)^2 >= 0; the absolute value absorbs signs flipped by rounding
+    return np.linalg.slogdet(ws)[1]
 
 
-def sample_log_dets(
-    a: SymMatrix, num_samples: int, seed: int, threads: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """log det(W) and Pfaffian sign for sample indices 0..num_samples-1."""
+def sample_log_dets(a: SymMatrix, num_samples: int, seed: int, threads: int = 1) -> np.ndarray:
+    """log det(W) for sample indices 0..num_samples-1.
+
+    A support without a perfect matching (or an odd dimension) makes every
+    det(W) exactly zero: that is decided once, by a matching check, and the
+    result is all -inf without drawing any samples.
+    """
     seed = check_seed(seed)
     if num_samples < 1:
         raise InputError("num_samples must be >= 1")
     if threads < 1:
         raise InputError("threads must be >= 1")
     n = a.n
+    if n % 2 != 0 or not matching_exists(large_entries_graph(a, 0.0)):
+        return np.full(num_samples, -np.inf)
     iu, ju = _triangle(n)
     sqrt_tri = np.sqrt(a.entries[iu, ju])
     log_dets = np.empty(num_samples)
-    signs = np.empty(num_samples)
     starts = list(range(0, num_samples, _CHUNK))
 
     def work(first: int):
         count = min(_CHUNK, num_samples - first)
-        ld, sg = _logdet_chunk(sqrt_tri, n, seed, first, count)
-        log_dets[first : first + count] = ld
-        signs[first : first + count] = sg
+        log_dets[first : first + count] = _logdet_chunk(sqrt_tri, n, seed, first, count)
 
     if threads == 1 or len(starts) == 1:
         for first in starts:
@@ -137,7 +150,7 @@ def sample_log_dets(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, starts))
-    return log_dets, signs
+    return log_dets
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -183,8 +196,8 @@ def estimate(
     for q in quantiles:
         if not (0.0 < q < 1.0):
             raise InputError(f"quantiles must lie in (0, 1), got {q}")
-    log_dets, signs = sample_log_dets(a, num_samples, seed, threads=threads)
-    num_zero = int(np.sum(signs == 0))
+    log_dets = sample_log_dets(a, num_samples, seed, threads=threads)
+    num_zero = int(np.sum(log_dets == -np.inf))
     mean_det_log = _logsumexp(log_dets) - math.log(num_samples)
     finite = log_dets[np.isfinite(log_dets)]
     if num_zero > 0:

@@ -248,7 +248,7 @@ def concentration_error(
         raise InputError("samples_per_member must be >= 1")
     rows = []
     for member in members:
-        log_dets, _ = sample_log_dets(member.matrix, samples_per_member, seed, threads=threads)
+        log_dets = sample_log_dets(member.matrix, samples_per_member, seed, threads=threads)
         if member.exact_log_haf is not None:
             signed = log_dets - member.exact_log_haf
             median_signed = float(np.median(signed))

@@ -7,9 +7,11 @@ the zero diagonal and sign constraints are checked with ``==``, not with a
 tolerance, so a matrix that parses is a matrix whose invariants hold
 bit-for-bit.
 
-Determinants of skew-symmetric matrices are evaluated through the Pfaffian
-(det = Pf^2 >= 0) with log-domain accumulation, so dimensions in the
-hundreds do not overflow.
+The Parlett-Reid Pfaffian (det = Pf^2 >= 0), accumulated in log domain so
+dimensions in the hundreds do not overflow, is the oracle for skew
+determinants and the only source of their sign.  Bulk sampling in
+``estimator`` takes log|det| from batched LAPACK LU instead and is checked
+against it.
 """
 
 from __future__ import annotations

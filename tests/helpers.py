@@ -140,3 +140,32 @@ def random_skew(rng, n, zero_frac=0.0) -> np.ndarray:
     w[iu] = vals
     w -= w.T
     return w
+
+
+def tutte_barrier_support(rng, n, s, p=0.7) -> np.ndarray:
+    """Weighted support with no perfect matching, certified by a Tutte barrier.
+
+    Vertices are split into a barrier of s vertices and s + 2 parts of odd
+    size with no edge between two parts.  Removing the barrier leaves at
+    least s + 2 odd components, more than s, so by Tutte's theorem the graph
+    has no perfect matching whatever the other edges are.  Every allowed
+    pair is an edge with probability p and gets a weight in [0.1, 2).
+    """
+    assert n % 2 == 0 and n >= 2 * s + 2
+    sizes = [1] * (s + 2)
+    for _ in range((n - 2 * s - 2) // 2):
+        sizes[int(rng.integers(s + 2))] += 2
+    perm = [int(v) for v in rng.permutation(n)]
+    barrier = perm[:s]
+    part_of = {}
+    pos = s
+    for k, size in enumerate(sizes):
+        for v in perm[pos:pos + size]:
+            part_of[v] = k
+        pos += size
+    a = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        allowed = i in barrier or j in barrier or part_of[i] == part_of[j]
+        if allowed and rng.random() < p:
+            a[i, j] = a[j, i] = rng.uniform(0.1, 2.0)
+    return a

@@ -81,12 +81,12 @@ def test_criterion_02_counterexample_counts():
 def test_criterion_03_unbiasedness_k8():
     started = time.monotonic()
     k8 = complete_graph(8).sym_matrix()
-    log_dets, signs = sample_log_dets(k8, 1_000_000, seed=SEED, threads=1)
+    log_dets = sample_log_dets(k8, 1_000_000, seed=SEED, threads=1)
     elapsed = time.monotonic() - started
     dets = np.exp(log_dets)
     mean = float(np.mean(dets))
     se = float(np.std(dets)) / math.sqrt(dets.size)
-    assert np.all(signs != 0)
+    assert np.all(np.isfinite(log_dets))
     assert abs(mean - 105.0) <= 4.0 * se
     assert elapsed < 60.0
     _pass(3, f"K_8 mean det = {mean:.3f} within {abs(mean-105)/se:.2f} SE of 105 in {elapsed:.1f}s")

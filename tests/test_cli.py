@@ -104,6 +104,18 @@ def test_estimate_threads_do_not_change_bytes(runner, files):
     assert strip_timing(out1) == strip_timing(out4)
 
 
+def test_estimate_star_prints_minus_inf(runner, files):
+    res = runner.invoke(
+        main, ["estimate", "--matrix", str(files / "star.mat"), "--samples", "300", "--seed", "3"]
+    )
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert doc["mean_det_log"] == "-inf"
+    assert doc["logdet_mean"] == "-inf"
+    assert doc["num_zero_det"] == 300
+    assert all(v == "-inf" for v in doc["logdet_quantiles"].values())
+
+
 def test_estimate_bad_quantiles(runner, files):
     res = runner.invoke(
         main,

@@ -14,6 +14,7 @@ from hafkit import (
     sample_log_dets,
     sample_w,
 )
+from hafkit.estimator import _CHUNK
 from hafkit.linalg import pfaffian_log_stack
 
 
@@ -70,7 +71,7 @@ def test_estimator_mean_still_unbiased_at_small_size():
     # M = 10: mean of det over 1e6 samples brackets 4! within 4 standard errors
     spec = CounterexampleSpec(delta=0.1, n_center=4, m_pairs=1)
     a = build_counterexample(spec).sym_matrix()
-    log_dets, _ = sample_log_dets(a, 1_000_000, seed=77)
+    log_dets = sample_log_dets(a, 1_000_000, seed=77)
     dets = np.exp(log_dets)
     mean = float(np.mean(dets))
     se = float(np.std(dets)) / math.sqrt(dets.size)
@@ -149,3 +150,24 @@ def test_bias_negative_median_at_moderate_size():
     spec = CounterexampleSpec(delta=0.12, n_center=15)
     rep = run_bias_experiment(spec, 500, seed=9)
     assert rep.median_signed_error < 0
+
+
+@pytest.mark.parametrize("n_center", [10, 15, 19, 24])
+def test_sampled_log_dets_agree_with_pfaffian_at_sampling_sizes(n_center):
+    # the LU path against the Parlett-Reid oracle on the same W, M = 20..50,
+    # to the bound of acceptance criterion 04
+    a = build_counterexample(CounterexampleSpec(delta=0.12, n_center=n_center)).sym_matrix()
+    num = 2048
+    log_dets = sample_log_dets(a, num, seed=41)
+    ws = np.stack([sample_w(a, 41, i).entries for i in range(num)])
+    log_pf, sign = pfaffian_log_stack(ws)
+    assert np.all(sign != 0)
+    assert float(np.max(np.abs(log_dets - 2.0 * log_pf))) <= 1e-8
+
+
+def test_bias_report_identical_across_threads():
+    spec = CounterexampleSpec(delta=0.12, n_center=10)
+    num = 2 * _CHUNK + 100  # three chunks, so two threads really split the work
+    one = run_bias_experiment(spec, num, seed=12, threads=1)
+    two = run_bias_experiment(spec, num, seed=12, threads=2)
+    assert one == two
