@@ -18,14 +18,11 @@ from .counterexample import (
 from .errors import InputError, NumericalError
 from .estimator import (
     EstimatorSummary,
-    SkewSample,
     barvinok_envelope,
     estimate,
     sample_log_det,
     sample_log_dets,
     sample_w,
-    truncated_log_det,
-    truncation_schedule,
 )
 from .exact import HafnianValue, count_perfect_matchings, hafnian_exact, matching_exists
 from .experiments import (
@@ -51,7 +48,6 @@ from .linalg import (
     SkewMatrix,
     SpectrumReport,
     SymMatrix,
-    eig_symmetric,
     log_det_skew,
     pfaffian_log,
     pfaffian_log_stack,
@@ -60,10 +56,8 @@ from .linalg import (
 from .scaling import (
     ScalingAudit,
     ScalingResult,
-    SpectralGapReport,
     audit_entry_bounds,
     scale_symmetric,
-    spectral_gap,
 )
 
 __all__ = [
@@ -77,26 +71,20 @@ __all__ = [
     "pfaffian_log_stack",
     "log_det_skew",
     "spectrum",
-    "eig_symmetric",
     "HafnianValue",
     "hafnian_exact",
     "count_perfect_matchings",
     "matching_exists",
-    "SkewSample",
     "EstimatorSummary",
     "sample_w",
     "sample_log_det",
     "sample_log_dets",
     "estimate",
-    "truncated_log_det",
-    "truncation_schedule",
     "barvinok_envelope",
     "ScalingResult",
     "ScalingAudit",
-    "SpectralGapReport",
     "scale_symmetric",
     "audit_entry_bounds",
-    "spectral_gap",
     "GraphEdgeList",
     "ExpansionReport",
     "HypothesisReport",

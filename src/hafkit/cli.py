@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import sys
 import time
 
@@ -254,13 +253,6 @@ def scale_cmd(matrix_path, residual, max_iter, theta, nu, emit_b):
         audit = scaling.audit_entry_bounds(
             result, theta if theta is not None else 1.0, nu if nu is not None else 1.0
         )
-    logn = math.log(a.n) if a.n > 1 else 1.0
-    observed = (
-        -math.log(result.max_entry) / logn if result.max_entry > 0 else None,
-        -math.log(result.min_positive_entry) / (2 * logn)
-        if math.isfinite(result.min_positive_entry)
-        else None,
-    )
     config = {
         "matrix": str(matrix_path),
         "residual": residual if residual is not None else 1.0 / a.n,
@@ -277,7 +269,7 @@ def scale_cmd(matrix_path, residual, max_iter, theta, nu, emit_b):
         "residual": result.residual,
         "max_entry": result.max_entry,
         "min_positive_entry": result.min_positive_entry,
-        "observed_exponents": list(observed),
+        "observed_exponents": list(result.observed_exponents),
         "d": result.d,
     }
     if audit is not None:

@@ -112,23 +112,14 @@ def check_weak_expansion_structural(
     level = total // 2
     checked = 0
 
-    def report(holds, witness):
-        return ExpansionReport(
-            kappa=float(kappa),
-            level=level,
-            holds=holds,
-            witness=tuple(sorted(witness)) if witness is not None else None,
-            checked_mode="exhaustive",
-            sets_checked=checked,
-            delta=float(delta),
-        )
+    def report(witness=None):
+        return ExpansionReport.verdict(kappa, level, "exhaustive", checked, witness, delta)
 
     # J meets the center: Con(J) = 1 and boundary(J) = complement of J
     for size in range(1, level + 1):
         checked += 1
         if (total - size) - (1.0 - delta) * 1.0 - kappa * size < 0:
-            witness = list(range(size))
-            return report(False, witness)
+            return report(range(size))
     # J avoids the center: boundary = center + partners of singly-hit pairs
     for a in range(0, n + 1):
         for b in range(0, m + 1):
@@ -143,8 +134,8 @@ def check_weak_expansion_structural(
                     witness += [2 * n + 2 * t for t in range(b)]
                     for t in range(c):
                         witness += [2 * n + 2 * (b + t), 2 * n + 2 * (b + t) + 1]
-                    return report(False, witness)
-    return report(True, None)
+                    return report(witness)
+    return report()
 
 
 @dataclass(frozen=True)

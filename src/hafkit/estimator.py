@@ -30,32 +30,24 @@ import numpy as np
 from .errors import InputError
 from .exact import matching_exists
 from .graphs import large_entries_graph
-from .linalg import SkewMatrix, SymMatrix, pfaffian_log, spectrum
+from .linalg import SkewMatrix, SymMatrix, pfaffian_log
 from .rng import check_seed, gaussian_block, gaussian_blocks
 
 __all__ = [
-    "SkewSample",
     "ErrorStats",
     "EstimatorSummary",
     "sample_w",
     "sample_log_det",
     "sample_log_dets",
     "estimate",
-    "truncated_log_det",
-    "truncation_schedule",
     "barvinok_envelope",
 ]
 
 log = logging.getLogger(__name__)
 
-_CHUNK = 4096  # fixed chunk size; must not depend on thread count
-
-
-@dataclass(frozen=True)
-class SkewSample:
-    seed_index: int
-    log_det: float
-    sign_pf: int
+# fixed chunk size; must not depend on thread count.  It bounds what each
+# pool thread holds: the W stack and normals of one n=50 chunk take 29 MiB.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -229,45 +221,10 @@ def estimate(
     )
 
 
-def sample_log_det(a: SymMatrix, seed: int, index: int) -> SkewSample:
-    """Single-sample convenience wrapper returning the SkewSample record."""
-    w = sample_w(a, seed, index)
-    log_pf, sign = pfaffian_log(w)
-    return SkewSample(seed_index=index, log_det=2.0 * log_pf, sign_pf=sign)
-
-
-def truncation_schedule(n: int, theta: float, c: float = 1.0, m0: int | None = None) -> np.ndarray:
-    """Floor schedule for the truncated log-determinant.
-
-    Index k (0-based, k-th smallest singular value) gets floor c*m0/n below
-    m0 and c*k/n from m0 on.  The default m0 = ceil(n^(1 - theta/2)) and
-    c = 1 are tuning knobs, not canonical values.
-    """
-    if m0 is None:
-        m0 = math.ceil(n ** (1.0 - theta / 2.0))
-    m0 = max(1, min(int(m0), n))
-    k = np.arange(n, dtype=np.float64)
-    eps = np.where(k < m0, c * m0 / n, c * k / n)
-    return eps
-
-
-def truncated_log_det(w: SkewMatrix, floor_schedule) -> float:
-    """Sum of log(s_(k) v floor_k) over singular values, smallest first.
-
-    With all floors zero and nonsingular W this is exactly log det(W); with
-    positive floors it is a Lipschitz surrogate that ignores how deep the
-    lowest singular values sink.  Diagnostic only.
-    """
-    eps = np.asarray(floor_schedule, dtype=np.float64)
-    if eps.ndim != 1 or eps.size != w.n:
-        raise InputError(f"floor schedule must have length n={w.n}, got {eps.size}")
-    if np.any(eps < 0):
-        raise InputError("floor schedule entries must be nonnegative")
-    ascending = spectrum(w).singular_values[::-1]
-    vals = np.maximum(ascending, eps)
-    if np.any(vals == 0.0):
-        return -math.inf
-    return float(np.sum(np.log(vals)))
+def sample_log_det(a: SymMatrix, seed: int, index: int) -> tuple[float, int]:
+    """``(log det W, sign Pf W)`` of sample ``index``, from the Pfaffian oracle."""
+    log_pf, sign = pfaffian_log(sample_w(a, seed, index))
+    return 2.0 * log_pf, sign
 
 
 def barvinok_envelope(

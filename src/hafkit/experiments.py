@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counterexample import CounterexampleSpec, build_counterexample
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .estimator import sample_log_dets, sample_w
 from .exact import DEFAULT_CAP, hafnian_exact
 from .graphs import GraphEdgeList
@@ -106,8 +106,6 @@ def matrix_from_source(source: dict) -> SymMatrix:
     if source.get("scaled"):
         res = _scaling.scale_symmetric(a, residual_target=1e-10, max_iterations=100_000)
         if not res.converged:
-            from .errors import NumericalError
-
             raise NumericalError("matrix source did not scale", residual=res.residual)
         a = res.b
     return a

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .linalg import SymMatrix
 from . import scaling as _scaling
 
@@ -101,6 +101,19 @@ class ExpansionReport:
     sets_checked: int
     delta: float | None = None
 
+    @classmethod
+    def verdict(cls, kappa, level, mode, checked, witness=None, delta=None) -> "ExpansionReport":
+        """Report that holds exactly when no violating ``witness`` set was found."""
+        return cls(
+            kappa=float(kappa),
+            level=level,
+            holds=witness is None,
+            witness=tuple(sorted(witness)) if witness is not None else None,
+            checked_mode=mode,
+            sets_checked=checked,
+            delta=None if delta is None else float(delta),
+        )
+
 
 def large_entries_graph(a: SymMatrix, theta: float) -> GraphEdgeList:
     """Graph with an edge (i, j) exactly when a[i, j] > theta (strict)."""
@@ -121,35 +134,35 @@ def _check_subset(g: GraphEdgeList, j) -> frozenset:
     return js
 
 
-def boundary(g: GraphEdgeList, j) -> frozenset:
-    """External boundary: vertices outside J adjacent to some vertex of J."""
-    js = _check_subset(g, j)
-    adj = g.adjacency_sets()
+def _boundary(adj, js: frozenset) -> set:
     out = set()
     for v in js:
         out |= adj[v]
-    return frozenset(out - js)
+    out -= js
+    return out
+
+
+def _components(adj, js: frozenset) -> int:
+    left = set(js)
+    comps = 0
+    while left:
+        comps += 1
+        stack = [left.pop()]
+        while stack:
+            nbrs = adj[stack.pop()] & left
+            left -= nbrs
+            stack.extend(nbrs)
+    return comps
+
+
+def boundary(g: GraphEdgeList, j) -> frozenset:
+    """External boundary: vertices outside J adjacent to some vertex of J."""
+    return frozenset(_boundary(g.adjacency_sets(), _check_subset(g, j)))
 
 
 def connected_components_within(g: GraphEdgeList, j) -> int:
     """Number of connected components of the subgraph induced on J."""
-    js = _check_subset(g, j)
-    adj = g.adjacency_sets()
-    seen = set()
-    comps = 0
-    for start in js:
-        if start in seen:
-            continue
-        comps += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w in js and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return comps
+    return _components(g.adjacency_sets(), _check_subset(g, j))
 
 
 def min_degree(g: GraphEdgeList) -> int:
@@ -158,25 +171,7 @@ def min_degree(g: GraphEdgeList) -> int:
 
 def _deficit(adj, js, kappa: float, delta: float) -> float:
     """|boundary(J)| - (1-delta)*|Con(J)| - kappa*|J| (negative = violation)."""
-    bound = set()
-    for v in js:
-        bound |= adj[v]
-    bound -= js
-    seen = set()
-    comps = 0
-    for start in js:
-        if start in seen:
-            continue
-        comps += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w in js and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return len(bound) - (1.0 - delta) * comps - kappa * len(js)
+    return len(_boundary(adj, js)) - (1.0 - delta) * _components(adj, js) - kappa * len(js)
 
 
 def _adversarial_candidates(g: GraphEdgeList, level: int):
@@ -228,15 +223,9 @@ def _check_expansion(g, kappa, delta, level, mode, budget, seed):
     adj = g.adjacency_sets()
     checked = 0
 
-    def report(holds, witness):
-        return ExpansionReport(
-            kappa=float(kappa),
-            level=level,
-            holds=holds,
-            witness=tuple(sorted(witness)) if witness is not None else None,
-            checked_mode=mode,
-            sets_checked=checked,
-            delta=None if delta == 0.0 else float(delta),
+    def report(witness=None):
+        return ExpansionReport.verdict(
+            kappa, level, mode, checked, witness, None if delta == 0.0 else delta
         )
 
     total = sum(math.comb(g.n, k) for k in range(1, level + 1))
@@ -247,8 +236,8 @@ def _check_expansion(g, kappa, delta, level, mode, budget, seed):
             for j in itertools.combinations(range(g.n), k):
                 checked += 1
                 if _deficit(adj, frozenset(j), kappa, delta) < 0:
-                    return report(False, j)
-        return report(True, None)
+                    return report(j)
+        return report()
 
     if mode == "exhaustive":
         if total > budget:
@@ -264,15 +253,15 @@ def _check_expansion(g, kappa, delta, level, mode, budget, seed):
     for j in _adversarial_candidates(g, level):
         checked += 1
         if _deficit(adj, j, kappa, delta) < 0:
-            return report(False, j)
+            return report(j)
     rng = np.random.default_rng(seed)
     for _ in range(budget):
         k = int(rng.integers(1, level + 1))
         j = frozenset(rng.choice(g.n, size=k, replace=False).tolist())
         checked += 1
         if _deficit(adj, j, kappa, delta) < 0:
-            return report(False, j)
-    return report(True, None)
+            return report(j)
+    return report()
 
 
 def check_strong_expansion(
@@ -352,8 +341,6 @@ def check_theorem_hypotheses(
     if scale:
         res = _scaling.scale_symmetric(a)
         if not res.converged:
-            from .errors import NumericalError
-
             raise NumericalError(
                 "doubly stochastic scaling did not converge; hypotheses undefined",
                 residual=res.residual,

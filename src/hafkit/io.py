@@ -12,11 +12,10 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import GraphEdgeList
-from .linalg import SkewMatrix, SymMatrix
+from .linalg import SymMatrix
 
 __all__ = [
     "read_symmetric_matrix",
-    "read_skew_matrix",
     "write_matrix",
     "read_edge_list",
     "write_edge_list",
@@ -53,10 +52,6 @@ def _read_matrix_array(path) -> np.ndarray:
 
 def read_symmetric_matrix(path) -> SymMatrix:
     return SymMatrix(_read_matrix_array(path))
-
-
-def read_skew_matrix(path) -> SkewMatrix:
-    return SkewMatrix(_read_matrix_array(path))
 
 
 def write_matrix(path, matrix) -> None:

@@ -11,7 +11,9 @@ The Parlett-Reid Pfaffian (det = Pf^2 >= 0), accumulated in log domain so
 dimensions in the hundreds do not overflow, is the oracle for skew
 determinants and the only source of their sign.  Bulk sampling in
 ``estimator`` takes log|det| from batched LAPACK LU instead and is checked
-against it.
+against it.  Spectra come from one LAPACK SVD: for skew W the eigenvalues
+of the Hermitian iW are the singular values with signs attached in +/-
+pairs, so they are derived rather than computed again.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ __all__ = [
     "pfaffian_log",
     "pfaffian_log_stack",
     "log_det_skew",
-    "log_det_skew_stack",
     "spectrum",
-    "eig_symmetric",
 ]
 
 
@@ -74,10 +74,6 @@ class SymMatrix:
     def require_even(self):
         if self.n % 2 != 0:
             raise InputError(f"dimension must be even for hafnian-type operations, got n={self.n}")
-
-    def sqrt_entries(self) -> np.ndarray:
-        """Element-wise square root (variance profile -> amplitude profile)."""
-        return np.sqrt(self.entries)
 
 
 @dataclass(frozen=True)
@@ -192,32 +188,19 @@ def log_det_skew(w: SkewMatrix) -> float:
     return 2.0 * log_abs
 
 
-def log_det_skew_stack(ws: np.ndarray) -> np.ndarray:
-    log_abs, _ = pfaffian_log_stack(ws)
-    return 2.0 * log_abs
-
-
 def spectrum(w: SkewMatrix) -> SpectrumReport:
     """Eigenvalues of the Hermitian matrix iW plus the singular values of W.
 
-    The singular values are computed independently (LAPACK SVD of the real
-    matrix) rather than as |eigenvalues|, so the two views cross-check each
-    other in the invariants.
+    One LAPACK SVD of the real matrix gives both.  The singular values of
+    skew W come in equal pairs (plus a zero for odd n) and the eigenvalues
+    of iW are +/- those pairs, so the descending eigenvalues are the even-
+    indexed singular values followed by the negated odd-indexed ones in
+    reverse.  The tests cross-check this against ``eigvalsh(1j * W)``.
     """
-    arr = w.entries
-    eig = np.linalg.eigvalsh(1j * arr)[::-1].copy()  # descending
-    sv = np.linalg.svd(arr, compute_uv=False)
+    sv = np.linalg.svd(w.entries, compute_uv=False)
     return SpectrumReport(
-        eigenvalues_iw=eig,
+        eigenvalues_iw=np.concatenate([sv[0::2], -sv[1::2][::-1]]),
         singular_values=sv,
         smallest_singular=float(sv[-1]),
         operator_norm=float(sv[0]),
     )
-
-
-def eig_symmetric(s: SymMatrix | np.ndarray) -> np.ndarray:
-    """Full real spectrum of a symmetric matrix, sorted descending."""
-    arr = s.entries if isinstance(s, SymMatrix) else np.asarray(s, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise InputError("symmetric eigensolve requires finite entries")
-    return np.linalg.eigvalsh(arr)[::-1].copy()

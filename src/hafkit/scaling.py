@@ -5,27 +5,26 @@ A_ij d_j): both sides of the scaling are updated at once, so every iterate
 is exactly symmetric.  Convergence requires the support of A to contain a
 perfect matching; when it does not, the iteration stalls and the result is
 returned with ``converged=False`` instead of raising, because
-non-scalability is a legitimate verdict the CLI reports.
+non-scalability is a legitimate verdict the CLI reports.  The entry-size
+audit compares the scaled entries with the n^-theta / n^-2nu bounds of the
+concentration theorem.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .linalg import SymMatrix, eig_symmetric
+from .linalg import SymMatrix
 
 __all__ = [
     "ScalingResult",
     "ScalingAudit",
-    "SpectralGapReport",
     "scale_symmetric",
     "audit_entry_bounds",
-    "spectral_gap",
 ]
 
 
@@ -43,6 +42,20 @@ class ScalingResult:
         d = np.asarray(self.d, dtype=np.float64)
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
+
+    @property
+    def observed_exponents(self) -> tuple:
+        """``(theta, nu)`` with max entry = n^-theta and min positive entry = n^-2nu.
+
+        A component is None when its entry is not a positive finite number.
+        """
+        logn = math.log(self.b.n)
+        return (
+            -math.log(self.max_entry) / logn if self.max_entry > 0 else None,
+            -math.log(self.min_positive_entry) / (2.0 * logn)
+            if math.isfinite(self.min_positive_entry)
+            else None,
+        )
 
 
 def scale_symmetric(
@@ -137,77 +150,8 @@ def audit_entry_bounds(result: ScalingResult, theta: float, nu: float) -> Scalin
     if not result.converged:
         raise InputError("entry-bound audit requires a converged scaling result")
     n = result.b.n
-    logn = math.log(n)
-    max_exp = -math.log(result.max_entry) / logn if result.max_entry > 0 else math.inf
-    min_exp = (
-        -math.log(result.min_positive_entry) / (2.0 * logn)
-        if math.isfinite(result.min_positive_entry)
-        else math.inf
-    )
     return ScalingAudit(
         max_ok=bool(result.max_entry <= n ** (-theta)),
         min_ok=bool(result.min_positive_entry >= n ** (-2.0 * nu)),
-        observed_exponents=(max_exp, min_exp),
-    )
-
-
-@dataclass(frozen=True)
-class SpectralGapReport:
-    has_gap: bool
-    gap_witness: float | None
-    reducible: bool
-    delta: float
-
-
-_GAP_EDGE_TOL = 1e-9
-
-
-def _support_components(arr: np.ndarray) -> int:
-    n = arr.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    comps = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        comps += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            nbrs = np.nonzero(arr[v] > 0)[0]
-            for w in nbrs:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-    return comps
-
-
-def spectral_gap(b: SymMatrix, delta: float, stochastic_tol: float = 1e-6) -> SpectralGapReport:
-    """Check that no eigenvalue of stochastic B falls in (-1,-1+delta) u (1-delta,1).
-
-    Eigenvalues within 1e-9 of +-1 count as sitting exactly at the edge.
-    A reducible B (disconnected support) makes multiplicities at +-1
-    uninformative; this is reported, not rejected.
-    """
-    if delta <= 0:
-        raise InputError("delta must be positive")
-    rows = b.entries.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > stochastic_tol:
-        raise InputError(
-            f"matrix is not stochastic within {stochastic_tol} (max row-sum deviation "
-            f"{np.max(np.abs(rows - 1.0)):.3g})"
-        )
-    eig = eig_symmetric(b)
-    mags = np.abs(eig)
-    interior = mags < 1.0 - _GAP_EDGE_TOL
-    forbidden = interior & (mags > 1.0 - delta)
-    reducible = _support_components(b.entries) > 1
-    if reducible:
-        warnings.warn("stochastic matrix is reducible; +-1 eigenvalues are per-block", stacklevel=2)
-    witness = float(mags[interior].max()) if np.any(interior) else None
-    return SpectralGapReport(
-        has_gap=bool(not np.any(forbidden)),
-        gap_witness=witness,
-        reducible=reducible,
-        delta=float(delta),
+        observed_exponents=result.observed_exponents,
     )

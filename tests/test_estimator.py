@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 
 from hafkit import (
+    CounterexampleSpec,
     InputError,
-    SkewMatrix,
     SymMatrix,
     barvinok_envelope,
+    build_counterexample,
     complete_graph,
     estimate,
     hafnian_exact,
-    log_det_skew,
     sample_log_det,
     sample_log_dets,
     sample_w,
-    spectrum,
-    truncated_log_det,
-    truncation_schedule,
 )
+from hafkit import estimator
 from hafkit.estimator import _quantiles
 from hafkit.rng import gaussian_block, gaussian_blocks
 
@@ -70,10 +68,9 @@ def test_sample_w_reproduces_golden_matrix():
     w = sample_w(golden_matrix(), seed=7, index=0)
     tri = w.entries[np.triu_indices(6, 1)]
     assert np.array_equal(tri, GOLDEN_TRIANGLE)
-    s = sample_log_det(golden_matrix(), 7, 0)
-    assert s.log_det == GOLDEN_LOG_DET
-    assert s.sign_pf == GOLDEN_SIGN
-    assert s.seed_index == 0
+    log_det, sign_pf = sample_log_det(golden_matrix(), 7, 0)
+    assert log_det == GOLDEN_LOG_DET
+    assert sign_pf == GOLDEN_SIGN
 
 
 def test_sample_w_structure():
@@ -220,9 +217,26 @@ def test_diagonal_scaling_shifts_log_det_exactly():
     d = rng.uniform(0.5, 2.0, size=6)
     scaled = SymMatrix(np.outer(d, d) * a.entries)
     for idx in range(5):
-        base = sample_log_det(a, 17, idx).log_det
-        shifted = sample_log_det(scaled, 17, idx).log_det
+        base, _ = sample_log_det(a, 17, idx)
+        shifted, _ = sample_log_det(scaled, 17, idx)
         assert math.isclose(shifted, base + float(np.sum(np.log(d))), abs_tol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        complete_graph(8).sym_matrix(),
+        build_counterexample(CounterexampleSpec(delta=0.12, n_center=10)).sym_matrix(),
+    ],
+    ids=["k8", "counterexample_10"],
+)
+def test_chunk_size_does_not_change_log_dets(monkeypatch, a):
+    num = 4500  # not a multiple of 1000, the default chunk or 4096
+    want = sample_log_dets(a, num, seed=21)
+    for chunk in (estimator._CHUNK, 4096, 1000, 1):
+        monkeypatch.setattr(estimator, "_CHUNK", chunk)
+        for threads in (1, 2):
+            assert np.array_equal(sample_log_dets(a, num, seed=21, threads=threads), want)
 
 
 def test_quantile_helper_handles_minus_inf():
@@ -254,43 +268,6 @@ def test_estimate_input_validation():
         estimate(SymMatrix(np.zeros((3, 3))), 10, seed=1)
     with pytest.raises(InputError):
         sample_log_dets(a, 10, seed=1, threads=0)
-
-
-def test_truncated_log_det_inactive_floors():
-    rng = np.random.default_rng(33)
-    w = sample_w(complete_graph(8).sym_matrix(), 3, 0)
-    val = truncated_log_det(w, np.zeros(8))
-    assert math.isclose(val, log_det_skew(w), rel_tol=1e-9)
-    del rng
-
-
-def test_truncated_log_det_zero_matrix():
-    w = SkewMatrix(np.zeros((4, 4)))
-    eps = 0.125
-    assert math.isclose(truncated_log_det(w, [eps] * 4), 4 * math.log(eps))
-    assert truncated_log_det(w, np.zeros(4)) == -math.inf
-
-
-def test_truncated_log_det_dominates_and_gap_accounted():
-    w = sample_w(complete_graph(8).sym_matrix(), 4, 1)
-    eps = truncation_schedule(8, theta=0.5)
-    val = truncated_log_det(w, eps)
-    ld = log_det_skew(w)
-    assert val >= ld - 1e-12
-    sv = spectrum(w).singular_values[::-1]
-    gap = float(np.sum(np.log(np.maximum(sv, eps)) - np.log(sv)))
-    assert math.isclose(val, ld + gap, rel_tol=1e-9)
-
-
-def test_truncation_schedule_shape():
-    eps = truncation_schedule(10, theta=0.5, c=2.0, m0=4)
-    assert eps.shape == (10,)
-    assert np.all(eps[:4] == 2.0 * 4 / 10)
-    assert np.allclose(eps[4:], 2.0 * np.arange(4, 10) / 10)
-    with pytest.raises(InputError):
-        truncated_log_det(SkewMatrix(np.zeros((4, 4))), eps)  # wrong length
-    with pytest.raises(InputError):
-        truncated_log_det(SkewMatrix(np.zeros((4, 4))), [-1, 0, 0, 0])
 
 
 def test_barvinok_envelope_at_n12():

@@ -98,6 +98,19 @@ def test_density_monotone_in_eta_per_trial():
     assert means == sorted(means)
 
 
+def test_density_counts_match_independent_hermitian_eigensolve():
+    b = scale_symmetric(complete_graph(60).sym_matrix(), residual_target=1e-10).b
+    trials = 40
+    rep = eigenvalue_density(b, trials=trials, seed=9)
+    etas = np.array([row[0] for row in rep.rows])
+    mags = np.abs([np.linalg.eigvalsh(1j * sample_w(b, 9, t).entries) for t in range(trials)])
+    counts = (mags[:, :, None] < etas).sum(axis=1)
+    assert counts[:, 0].max() > 0  # the smallest eta sees eigenvalues
+    for k, (eta, mean_count, max_count, _) in enumerate(rep.rows):
+        assert mean_count == float(np.mean(counts[:, k]))
+        assert max_count == int(np.max(counts[:, k]))
+
+
 def test_density_regular_graph_comparable_to_complete_baseline():
     g = random_regular_graph(100, 3, seed=11)
     b3 = scale_symmetric(g.sym_matrix(), residual_target=1e-10).b

@@ -29,13 +29,6 @@ def test_matrix_roundtrip_preserves_floats(tmp_path):
     assert np.array_equal(back.entries, a)  # 17 significant digits round-trip
 
 
-def test_skew_matrix_read(tmp_path):
-    path = tmp_path / "s.mat"
-    path.write_text("2\n0 1.5\n-1.5 0\n")
-    w = io.read_skew_matrix(path)
-    assert w.entries[0, 1] == 1.5
-
-
 def test_matrix_parse_errors(tmp_path):
     cases = [
         "",  # empty

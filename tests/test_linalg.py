@@ -7,13 +7,11 @@ from hafkit import (
     InputError,
     SkewMatrix,
     SymMatrix,
-    eig_symmetric,
     log_det_skew,
     pfaffian_log,
     pfaffian_log_stack,
     spectrum,
 )
-from hafkit.linalg import log_det_skew_stack
 
 from helpers import naive_pfaffian, random_skew
 
@@ -90,9 +88,7 @@ def test_det_nonnegative_and_pfaffian_consistent_bulk():
         ws[:, iu[0], iu[1]] = vals
         ws -= np.transpose(ws, (0, 2, 1))
         log_abs, sign = pfaffian_log_stack(ws)
-        ld = log_det_skew_stack(ws)
         assert np.all(np.isin(sign, (-1.0, 0.0, 1.0)))
-        assert np.array_equal(ld, 2.0 * log_abs)
         np_sign, np_ld = np.linalg.slogdet(ws)
         dead = sign == 0
         assert np.all(log_abs[dead] == -np.inf)
@@ -100,7 +96,7 @@ def test_det_nonnegative_and_pfaffian_consistent_bulk():
         assert np.all((np_sign[dead] == 0) | (np_ld[dead] < -20))
         live = ~dead
         assert np.all(np_sign[live] > 0)
-        assert np.allclose(ld[live], np_ld[live], rtol=0, atol=1e-8)
+        assert np.allclose(2.0 * log_abs[live], np_ld[live], rtol=0, atol=1e-8)
 
 
 def test_pfaffian_log_domain_survives_extreme_scales():
@@ -150,13 +146,14 @@ def test_spectrum_trace_identity():
 
 def test_spectrum_plus_minus_pairs():
     rng = np.random.default_rng(11)
-    for n in (4, 8, 10):
+    for n in (4, 5, 7, 8, 10):
         w = random_skew(rng, n)
         rep = spectrum(SkewMatrix(w))
         eig = rep.eigenvalues_iw
         assert np.allclose(eig, -eig[::-1], atol=1e-8 * rep.operator_norm)
-        # singular values are the eigenvalue magnitudes
-        assert np.allclose(np.sort(np.abs(eig)), np.sort(rep.singular_values), atol=1e-8 * max(1.0, rep.operator_norm))
+        # the eigenvalues derived from the SVD match an independent Hermitian eigensolve
+        want = np.linalg.eigvalsh(1j * w)[::-1]
+        assert np.allclose(eig, want, rtol=0, atol=1e-12 * rep.operator_norm)
 
 
 def test_negative_second_moment_identity():
@@ -176,22 +173,6 @@ def test_negative_second_moment_identity():
         assert math.isclose(total, hs2, rel_tol=1e-6)
 
 
-def test_eig_symmetric_complete_graph_stochastic():
-    n = 4
-    b = (np.ones((n, n)) - np.eye(n)) / (n - 1)
-    eig = eig_symmetric(b)
-    assert np.allclose(eig, [1.0, -1 / 3, -1 / 3, -1 / 3])
-
-
-def test_eig_symmetric_matching_blocks():
-    n = 6
-    b = np.zeros((n, n))
-    for t in range(3):
-        b[2 * t, 2 * t + 1] = b[2 * t + 1, 2 * t] = 1.0
-    eig = eig_symmetric(b)
-    assert np.allclose(eig, [1, 1, 1, -1, -1, -1])
-
-
 def test_eig_symmetric_stochastic_perron_root():
     from hafkit import scale_symmetric
 
@@ -202,26 +183,8 @@ def test_eig_symmetric_stochastic_perron_root():
     a[iu] = rng.random(iu[0].size) + 0.05
     a += a.T
     b = scale_symmetric(SymMatrix(a), residual_target=1e-12, max_iterations=100_000).b
-    eig = eig_symmetric(b)
-    assert abs(eig[0] - 1.0) < 1e-10
-
-
-def test_eig_symmetric_residuals_small():
-    rng = np.random.default_rng(14)
-    a = np.zeros((8, 8))
-    iu = np.triu_indices(8, 1)
-    a[iu] = rng.random(iu[0].size)
-    a += a.T
-    s = SymMatrix(a)
-    eig = eig_symmetric(s)
-    import scipy.linalg
-
-    vals, vecs = scipy.linalg.eigh(a)
-    assert np.allclose(np.sort(eig), np.sort(vals), atol=1e-10)
-    norm = np.linalg.norm(a, 2)
-    for k in range(8):
-        resid = np.linalg.norm(a @ vecs[:, k] - vals[k] * vecs[:, k])
-        assert resid <= 1e-10 * max(1.0, norm)
+    eig = np.linalg.eigvalsh(b.entries)
+    assert abs(eig[-1] - 1.0) < 1e-10
 
 
 def test_sym_matrix_validation():

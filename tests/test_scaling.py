@@ -8,11 +8,9 @@ from hafkit import (
     SymMatrix,
     audit_entry_bounds,
     complete_graph,
-    eig_symmetric,
     hafnian_exact,
     random_regular_graph,
     scale_symmetric,
-    spectral_gap,
 )
 
 from helpers import scalable_graph
@@ -109,7 +107,7 @@ def test_converged_spectrum_in_unit_interval():
     n = 12
     edges = scalable_graph(rng, n, extra_p=0.5)
     res = scale_symmetric(adjacency(edges, n), residual_target=1e-12, max_iterations=100_000)
-    eig = eig_symmetric(res.b)
+    eig = np.linalg.eigvalsh(res.b.entries)
     assert np.all(eig <= 1.0 + 1e-8)
     assert np.all(eig >= -1.0 - 1e-8)
 
@@ -155,42 +153,3 @@ def test_counterexample_audit_regression_goldens():
     # at a tight target the missing total support shows up as non-convergence
     tight = scale_symmetric(a, residual_target=1e-12, max_iterations=50_000)
     assert not tight.converged
-
-
-def test_spectral_gap_complete_graph():
-    n = 6
-    b = SymMatrix((np.ones((n, n)) - np.eye(n)) / (n - 1))
-    rep = spectral_gap(b, delta=0.5)
-    assert rep.has_gap
-    assert not rep.reducible
-    assert math.isclose(rep.gap_witness, 0.2, abs_tol=1e-10)
-    # a delta just above the witness margin flips the verdict
-    rep2 = spectral_gap(b, delta=0.85)
-    assert not rep2.has_gap
-
-
-def test_spectral_gap_matching_blocks_reducible():
-    n = 6
-    b = np.zeros((n, n))
-    for t in range(3):
-        b[2 * t, 2 * t + 1] = b[2 * t + 1, 2 * t] = 1.0
-    with pytest.warns(UserWarning):
-        rep = spectral_gap(SymMatrix(b), delta=0.9)
-    assert rep.has_gap  # all eigenvalues sit exactly at +-1
-    assert rep.reducible
-    assert rep.gap_witness is None
-
-
-def test_spectral_gap_random_regular():
-    g = random_regular_graph(50, 3, seed=7)
-    b = SymMatrix(g.adjacency_matrix() / 3.0)
-    rep = spectral_gap(b, delta=0.05)
-    assert rep.has_gap
-    assert rep.gap_witness < 0.95
-
-
-def test_spectral_gap_requires_stochastic():
-    with pytest.raises(InputError):
-        spectral_gap(SymMatrix([[0, 2], [2, 0]]), delta=0.1)
-    with pytest.raises(InputError):
-        spectral_gap(SymMatrix([[0, 1], [1, 0]]), delta=0.0)
