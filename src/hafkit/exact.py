@@ -1,14 +1,17 @@
 """Exact hafnian and perfect-matching oracles for small dimensions.
 
-The hafnian is computed by dynamic programming over vertex subsets: with
-``i`` the lowest remaining vertex,
+The hafnian follows the recursion that removes the lowest live vertex ``i``
+together with each partner ``j``:
 
-    haf(A, S) = sum over j in S, j != i of A[i, j] * haf(A, S \\ {i, j}).
+    haf(A, S) = sum over j in S with A[i, j] != 0 of A[i, j] * haf(A, S \\ {i, j}).
 
-The table is staged by subset popcount and every stage is evaluated with
-vectorized gathers, so the default cap of n = 24 (a 16M-entry table) runs
-in seconds.  For 0/1 inputs up to that cap all intermediate values are
-integers below 2^53, so counts are exact.
+From the full vertex set it reaches only F(n + 1) subsets on K_n (75,025 at
+n = 24, against 2^24) and far fewer on sparse graphs, so time and memory
+grow with the states reached, not with 2^n.  These are found level by level
+as sorted int64 bit masks; values are then pulled up from the empty set,
+each state adding its terms in ascending ``j``.  Integer inputs are counted
+exactly in int64 whenever no partial sum can reach 2^63; other inputs, and
+integer ones past that bound, are summed in float64.
 
 Perfect-matching existence is decided separately by an augmenting-path
 matcher with blossom contraction, usable far beyond the hafnian cap.
@@ -36,82 +39,98 @@ __all__ = [
 
 DEFAULT_CAP = 24
 
-# float64 stays exact for integer values below 2^53; above ~1e300 exp overflows
+# vertex sets are int64 bit masks, whatever the cap
+_MAX_N = 62
+# float64 holds every integer below 2^53; int64 every integer below 2^63
+_FLOAT_EXACT = 2**53
+_INT64_LIMIT = 2**63
+# above ~1e300 exp overflows
 _MAX_EXACT_LOG = 700.0
 
 
 @dataclass(frozen=True)
 class HafnianValue:
-    """Hafnian in log form, with the plain value when it is representable."""
+    """Hafnian in log form, with the plain value when it is representable.
+
+    ``value_if_small`` is a float, except for integer counts of 2^53 and
+    more, which are exact Python ints.
+    """
 
     log_value: float
-    value_if_small: float | None
+    value_if_small: float | int | None
     n: int
 
     def is_zero(self) -> bool:
         return self.log_value == -math.inf
 
 
-def _popcounts(masks: np.ndarray) -> np.ndarray:
-    # SWAR popcount on int64 masks (n <= 24 so 32 bits suffice, 64 used anyway)
-    v = masks.astype(np.uint64)
-    v = v - ((v >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    v = (v & np.uint64(0x3333333333333333)) + ((v >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    v = (v + (v >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((v * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
+def _moves(masks: np.ndarray, nbrs: np.ndarray):
+    """Yield ``(j, parents, i, children)`` for every partner ``j``, ascending.
+
+    ``i`` is the lowest live vertex of each parent mask and ``children`` are
+    the parents with ``i`` and ``j`` removed.
+    """
+    low = masks & -masks
+    lowest = np.frexp(low.astype(np.float64))[1] - 1  # exact: low is a power of two
+    partners = masks & nbrs[lowest]
+    for j in range(nbrs.size):
+        parents = np.flatnonzero((partners >> j) & 1)
+        if parents.size:
+            yield j, parents, lowest[parents], masks[parents] ^ low[parents] ^ (1 << j)
 
 
-def _hafnian_dp(a: np.ndarray) -> float:
-    """Subset-DP hafnian of a dense symmetric matrix with zero diagonal."""
+def _hafnian_dp(a: np.ndarray) -> float | int | None:
+    """Hafnian over the reachable states; None if an int64 sum could overflow."""
     n = a.shape[0]
-    full = 1 << n
-    table = np.zeros(full)
-    table[0] = 1.0
-    masks_all = np.arange(full, dtype=np.int64)
-    pc = _popcounts(masks_all)
-    for p in range(2, n + 1, 2):
-        masks = masks_all[pc == p]
-        low = masks & -masks
-        low_idx = np.log2(low.astype(np.float64)).astype(np.int64)
-        acc = np.zeros(masks.shape[0])
-        for j in range(1, n):
-            sel = (((masks >> j) & 1) == 1) & (low_idx != j)
-            if not np.any(sel):
-                continue
-            sub = masks[sel] ^ low[sel] ^ (1 << j)
-            acc[sel] += a[low_idx[sel], j] * table[sub]
-        table[masks] = acc
-    return float(table[full - 1])
+    nbrs = np.array([sum(1 << int(j) for j in np.flatnonzero(row)) for row in a], dtype=np.int64)
+    levels = [np.array([(1 << n) - 1], dtype=np.int64)]
+    for _ in range(n // 2):
+        children = [kids for *_, kids in _moves(levels[-1], nbrs)]
+        if not children:
+            return 0
+        levels.append(np.unique(np.concatenate(children)))
+    row_max = int(a.sum(axis=1).max())
+    val = np.ones(1, dtype=a.dtype)
+    for masks, below in zip(levels[-2::-1], levels[:0:-1]):
+        if a.dtype == np.int64 and int(val.max()) * row_max >= _INT64_LIMIT:
+            return None
+        acc = np.zeros(masks.size, dtype=a.dtype)
+        for j, parents, i, kids in _moves(masks, nbrs):
+            acc[parents] += a[i, j] * val[np.searchsorted(below, kids)]
+        val = acc
+    return val[0].item()
 
 
 def hafnian_exact(a: SymMatrix, cap: int = DEFAULT_CAP) -> HafnianValue:
     """Exact hafnian of a nonnegative symmetric matrix of even dimension.
 
     For a 0/1 adjacency matrix this is the number of perfect matchings.
-    Dimensions above ``cap`` are refused (the table is 2^n entries).  When
-    entries are large enough that the raw DP could overflow, the matrix is
-    normalized by its maximum entry and only the log value is guaranteed;
-    otherwise the plain value is exact-in-float.
+    Dimensions above ``cap``, or above 62 whatever the cap, are refused.
+    Integer inputs are counted exactly while every partial sum fits in
+    int64.  Otherwise, when entries are large enough that the float DP
+    could overflow, the matrix is normalized by its maximum entry and only
+    the log value is guaranteed; else the plain value is exact-in-float.
     """
     a.require_even()
     n = a.n
+    if n > _MAX_N:
+        raise InputError(f"exact hafnian needs n <= {_MAX_N} (int64 vertex masks), got n={n}")
     if n > cap:
         raise InputError(f"hafnian cap is {cap}, got n={n}")
     m = n // 2
     c = float(a.entries.max())
-    if c == 0.0:
-        return HafnianValue(log_value=-math.inf, value_if_small=0.0, n=n)
+    if c < _FLOAT_EXACT and np.array_equal(a.entries, np.floor(a.entries)):
+        count = _hafnian_dp(a.entries.astype(np.int64))
+        if count is not None:
+            value = float(count) if count < _FLOAT_EXACT else count
+            return HafnianValue(log_value=math.log(count) if count else -math.inf, value_if_small=value, n=n)
     # (n-1)!! bounds the number of terms; worst-case magnitude c^m * (n-1)!!
     log_worst = m * math.log(c) + math.lgamma(n) - math.lgamma(m) - (m - 1) * math.log(2.0)
     if log_worst < _MAX_EXACT_LOG:
-        val = _hafnian_dp(a.entries)
-        if val == 0.0:
-            return HafnianValue(log_value=-math.inf, value_if_small=0.0, n=n)
-        return HafnianValue(log_value=math.log(val), value_if_small=val, n=n)
-    scaled = _hafnian_dp(a.entries / c)
-    if scaled == 0.0:
-        return HafnianValue(log_value=-math.inf, value_if_small=0.0, n=n)
-    log_value = math.log(scaled) + m * math.log(c)
+        val = float(_hafnian_dp(a.entries))
+        return HafnianValue(log_value=math.log(val) if val else -math.inf, value_if_small=val, n=n)
+    scaled = float(_hafnian_dp(a.entries / c))
+    log_value = math.log(scaled) + m * math.log(c) if scaled else -math.inf
     value = math.exp(log_value) if log_value < _MAX_EXACT_LOG else None
     return HafnianValue(log_value=log_value, value_if_small=value, n=n)
 

@@ -29,6 +29,36 @@ def naive_hafnian(a: np.ndarray) -> float:
     return rec(tuple(range(n)))
 
 
+def memo_matchings(n: int, edges) -> int:
+    """Perfect matchings of a simple graph, as an exact Python int.
+
+    Removes the lowest remaining vertex with each remaining neighbour and
+    memoises on the remaining vertex set (a Python int bit mask), so large
+    sparse graphs stay cheap.
+    """
+    nbr = [0] * n
+    for u, v in edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    memo = {0: 1}
+
+    def rec(left):
+        if left in memo:
+            return memo[left]
+        i = (left & -left).bit_length() - 1
+        rest = left & ~(1 << i)
+        total = 0
+        cand = nbr[i] & rest
+        while cand:
+            low = cand & -cand
+            total += rec(rest & ~low)
+            cand ^= low
+        memo[left] = total
+        return total
+
+    return rec((1 << n) - 1)
+
+
 def naive_pfaffian(w: np.ndarray) -> float:
     """Pfaffian as a signed sum over perfect pairings of [n]."""
     n = w.shape[0]

@@ -63,6 +63,17 @@ def test_threads_env_var_respected_and_harmless(runner, files):
     assert strip_timing(plain) == strip_timing(with_env)
 
 
+def test_exact_prints_counts_past_2_53_as_ints(runner, tmp_path):
+    pairs = [(12 * c + i, 12 * c + j) for c in range(4) for i in range(12) for j in range(i + 1, 12)]
+    io.write_edge_list(tmp_path / "k12x4.edges", hafkit.GraphEdgeList.from_pairs(48, pairs))
+    res = runner.invoke(main, ["exact", "--graph", str(tmp_path / "k12x4.edges"), "--cap", "48"])
+    assert res.exit_code == 0
+    assert f'"value": {10395**4}\n' in res.output
+    io.write_edge_list(tmp_path / "k64.edges", complete_graph(64))
+    res = runner.invoke(main, ["exact", "--graph", str(tmp_path / "k64.edges"), "--cap", "100"])
+    assert res.exit_code == 2
+
+
 def test_exact_requires_one_source(runner, files):
     res = runner.invoke(main, ["exact"])
     assert res.exit_code == 2

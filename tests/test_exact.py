@@ -13,9 +13,10 @@ from hafkit import (
     count_perfect_matchings,
     hafnian_exact,
     matching_exists,
+    random_regular_graph,
 )
 
-from helpers import naive_hafnian, random_graph_with_matching, random_symmetric01
+from helpers import memo_matchings, naive_hafnian, random_graph_with_matching, random_symmetric01
 
 
 def double_factorial(n):
@@ -32,9 +33,9 @@ def test_single_weighted_edge():
     assert math.isclose(v.log_value, math.log(2.5))
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 18, 20, 22, 24, 26])
 def test_complete_graph_double_factorial(n):
-    v = hafnian_exact(complete_graph(n).sym_matrix())
+    v = hafnian_exact(complete_graph(n).sym_matrix(), cap=n)
     assert v.value_if_small == double_factorial(n - 1)
     assert float(v.value_if_small).is_integer()
 
@@ -119,6 +120,29 @@ def test_huge_entries_use_log_path():
     assert math.isclose(v.log_value, expected_log, rel_tol=1e-13)
 
 
+def test_integer_entries_past_int64_take_log_path():
+    # entries 2^20: haf = 105 * 2^80 passes 2^63, so it is summed in floats
+    big = complete_graph(8).adjacency_matrix() * 2.0**20
+    v = hafnian_exact(SymMatrix(big))
+    assert math.isclose(v.log_value, 4 * 20 * math.log(2.0) + math.log(105), rel_tol=1e-13)
+
+
+def test_count_above_2_53_is_an_exact_int():
+    # four disjoint K_12: 10395^4 is about 1.17e16, past 2^53, so no float64 holds it
+    pairs = [(12 * c + i, 12 * c + j) for c in range(4) for i in range(12) for j in range(i + 1, 12)]
+    v = count_perfect_matchings(GraphEdgeList.from_pairs(48, pairs), cap=48)
+    assert float(10395**4) != 10395**4
+    assert type(v.value_if_small) is int and v.value_if_small == 10395**4
+    assert math.isclose(v.log_value, 4 * math.log(10395), rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("n, seed", [(40, 1), (40, 2), (48, 3)])
+def test_sparse_counts_match_memo_oracle(n, seed):
+    g = random_regular_graph(n, 3, seed)
+    count = count_perfect_matchings(g, cap=n).value_if_small
+    assert count == memo_matchings(n, g.edges) > 0
+
+
 def test_all_zero_matrix_and_no_matching_graph():
     v = hafnian_exact(SymMatrix(np.zeros((6, 6))))
     assert v.is_zero() and v.value_if_small == 0.0
@@ -134,6 +158,8 @@ def test_input_errors():
         hafnian_exact(complete_graph(26).sym_matrix())  # over cap
     with pytest.raises(InputError):
         hafnian_exact(complete_graph(10).sym_matrix(), cap=8)
+    with pytest.raises(InputError):
+        hafnian_exact(complete_graph(64).sym_matrix(), cap=10**6)  # int64 vertex masks
     with pytest.raises(InputError):
         count_perfect_matchings(GraphEdgeList.from_pairs(3, [(0, 1)]))
     with pytest.raises(InputError):
