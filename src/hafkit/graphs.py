@@ -4,9 +4,13 @@ The expansion checks quantify over vertex subsets, which is exponential in
 general.  ``mode="exhaustive"`` enumerates every subset up to the requested
 level (guarded by a budget), ``mode="sampled"`` evaluates a deterministic
 list of adversarial candidates followed by seeded random subsets.  A
-``holds=False`` verdict always carries a concrete witness set that violates
-the inequality, so negative verdicts are certificates regardless of mode;
-positive verdicts from sampled mode are only evidence.
+complete scan (exhaustive mode, or sampled mode whose budget covers every
+subset) evaluates the subsets in ``itertools.combinations`` order in chunks
+of up to 1024 boolean incidence rows, with matrix products for boundaries
+and a flood fill for components, and stops at the first violating subset.
+A ``holds=False`` verdict always carries a concrete witness set that
+violates the inequality, so negative verdicts are certificates regardless
+of mode; positive verdicts from sampled mode are only evidence.
 """
 
 from __future__ import annotations
@@ -174,6 +178,63 @@ def _deficit(adj, js, kappa: float, delta: float) -> float:
     return len(_boundary(adj, js)) - (1.0 - delta) * _components(adj, js) - kappa * len(js)
 
 
+_SCAN_CHUNK = 1024
+
+
+def _component_counts(adj: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Connected components of the subgraph induced on each boolean row.
+
+    Each round floods, for every row with members left, the component of
+    its lowest remaining member (one product with the adjacency matrix per
+    step) and removes it from the row.
+    """
+    left = rows.copy()
+    counts = np.zeros(len(rows), dtype=np.int64)
+    live = np.flatnonzero(left.any(axis=1))
+    while live.size:
+        sub = left[live]
+        reach = np.zeros(sub.shape, dtype=bool)
+        reach[np.arange(live.size), sub.argmax(axis=1)] = True
+        while True:
+            grown = reach | (sub & (reach @ adj > 0))
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        counts[live] += 1
+        sub &= ~reach
+        left[live] = sub
+        live = live[sub.any(axis=1)]
+    return counts
+
+
+def _scan_subsets(g: GraphEdgeList, kappa: float, delta: float, level: int):
+    """Scan every subset of size 1..level in ``itertools.combinations`` order.
+
+    Subsets are evaluated in chunks of up to 1024 boolean incidence rows:
+    the boundary from one product with the adjacency matrix, ``Con(J)`` by
+    flood fill, and the deficit by the same float expression as
+    ``_deficit``.  Returns ``(checked, witness)``: the subsets evaluated up
+    to and including the first violating one, and that subset (None when
+    none violates).
+    """
+    n = g.n
+    adj = g.adjacency_matrix()
+    checked = 0
+    for k in range(1, level + 1):
+        combos = itertools.combinations(range(n), k)
+        while chunk := list(itertools.islice(combos, _SCAN_CHUNK)):
+            members = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, len(chunk) * k)
+            rows = np.zeros((len(chunk), n), dtype=bool)
+            rows[np.repeat(np.arange(len(chunk)), k), members] = True
+            outside = np.count_nonzero((rows @ adj > 0) & ~rows, axis=1)
+            deficit = outside - (1.0 - delta) * _component_counts(adj, rows) - kappa * k
+            bad = np.flatnonzero(deficit < 0)
+            if bad.size:
+                return checked + int(bad[0]) + 1, chunk[bad[0]]
+            checked += len(chunk)
+    return checked, None
+
+
 def _adversarial_candidates(g: GraphEdgeList, level: int):
     """Deterministic candidate subsets likely to violate expansion.
 
@@ -232,12 +293,8 @@ def _check_expansion(g, kappa, delta, level, mode, budget, seed):
 
     def scan_all():
         nonlocal checked
-        for k in range(1, level + 1):
-            for j in itertools.combinations(range(g.n), k):
-                checked += 1
-                if _deficit(adj, frozenset(j), kappa, delta) < 0:
-                    return report(j)
-        return report()
+        checked, witness = _scan_subsets(g, kappa, delta, level)
+        return report(witness)
 
     if mode == "exhaustive":
         if total > budget:

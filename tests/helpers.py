@@ -105,19 +105,59 @@ def _brute_components(adj, js):
     return comps
 
 
-def brute_expansion(n, edges, kappa, level, delta=0.0):
-    """(holds, witness) for the expansion inequality by scanning all subsets."""
+def expansion_scan(n, edges, kappa, level, delta=0.0):
+    """(holds, witness, sets_checked) of the expansion inequality.
+
+    Scans the subsets of size 1..level in ``itertools.combinations`` order
+    and stops at the first one that violates it; ``sets_checked`` counts
+    the subsets evaluated, that one included.
+    """
     adj = {v: set() for v in range(n)}
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
+    checked = 0
     for k in range(1, level + 1):
         for js in itertools.combinations(range(n), k):
+            checked += 1
             js = set(js)
             lhs = len(_brute_boundary(adj, js)) - (1.0 - delta) * _brute_components(adj, js)
             if lhs < kappa * len(js):
-                return False, tuple(sorted(js))
-    return True, None
+                return False, tuple(sorted(js)), checked
+    return True, None, checked
+
+
+def brute_expansion(n, edges, kappa, level, delta=0.0):
+    """(holds, witness) for the expansion inequality by scanning all subsets."""
+    holds, witness, _ = expansion_scan(n, edges, kappa, level, delta)
+    return holds, witness
+
+
+def reference_scaling(a, residual_target, max_iterations, d0=None):
+    """(d, residual, iterations, converged) of symmetric Sinkhorn, one step at a time.
+
+    Each step computes r = d * (A d), stops on a non-finite or nonpositive
+    r (residual kept from the step before), on max|r - 1| <= target
+    (converged) or on reaching max_iterations, and otherwise takes
+    d <- d / sqrt(r) unless that leaves [1e-100, 1e100].
+    """
+    d = 1.0 / np.sqrt(a.sum(axis=1)) if d0 is None else np.array(d0, dtype=np.float64)
+    iterations = 0
+    residual = float("inf")
+    while True:
+        r = d * (a @ d)
+        if not np.all(np.isfinite(r)) or np.any(r <= 0):
+            return d, residual, iterations, False
+        residual = float(np.max(np.abs(r - 1.0)))
+        if residual <= residual_target:
+            return d, residual, iterations, True
+        if iterations >= max_iterations:
+            return d, residual, iterations, False
+        d_new = d / np.sqrt(r)
+        if np.max(d_new) > 1e100 or np.min(d_new) < 1e-100:
+            return d, residual, iterations, False
+        d = d_new
+        iterations += 1
 
 
 def random_symmetric01(rng, n, p=0.5) -> np.ndarray:

@@ -147,7 +147,7 @@ def test_scale_star_exits_3(runner, files):
     assert res.exit_code == 3
     doc = json.loads(res.output)
     assert doc["converged"] is False
-    assert doc["iterations"] == 200 or doc["iterations"] <= 200
+    assert doc["iterations"] == 200
 
 
 def test_scale_k8_and_emit_b(runner, files, tmp_path):

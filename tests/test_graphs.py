@@ -1,4 +1,6 @@
 import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,11 @@ from hafkit import (
     connected_components_within,
     large_entries_graph,
     min_degree,
+    random_regular_graph,
     scale_symmetric,
 )
 
-from helpers import brute_expansion, random_symmetric01
+from helpers import brute_expansion, expansion_scan, random_symmetric01
 
 
 def random_graph(rng, n, p):
@@ -236,3 +239,87 @@ def test_hypotheses_counterexample_misses_strong_expansion():
     lhs = len(boundary(g, js)) - connected_components_within(g, js)
     assert lhs < rep.kappa * len(js)
     assert not rep.all_ok
+
+
+def assert_scan_matches_reference(g, kappa, level, delta=None):
+    if delta is None:
+        rep = check_strong_expansion(g, kappa, level)
+    else:
+        rep = check_weak_expansion(g, kappa, delta, level=level)
+    want = expansion_scan(g.n, g.edges, kappa, level, 0.0 if delta is None else delta)
+    assert (rep.holds, rep.witness, rep.sets_checked) == want
+    return rep
+
+
+def test_chunked_scan_matches_subset_scan_on_random_graphs():
+    rng = np.random.default_rng(75)
+    violations = 0
+    for _ in range(36):
+        n = int(rng.integers(5, 19))
+        g = random_graph(rng, n, float(rng.uniform(0.15, 0.85)))
+        kappa = float(rng.uniform(0.05, 1.5))
+        level = int(rng.integers(1, min(n, 6)))
+        rep = assert_scan_matches_reference(g, kappa, level)
+        assert_scan_matches_reference(g, kappa, level, delta=float(rng.uniform(0.05, 0.95)))
+        violations += not rep.holds
+        # a sampled budget that covers every subset buys the same scan
+        full = sum(math.comb(n, k) for k in range(1, level + 1))
+        sampled = check_strong_expansion(g, kappa, level, mode="sampled", budget=full)
+        assert (sampled.holds, sampled.witness, sampled.sets_checked) == (
+            rep.holds, rep.witness, rep.sets_checked)
+    assert 5 <= violations <= 31  # both verdicts are exercised
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_chunked_scan_matches_subset_scan_deep_in_the_scan(seed):
+    # 5-regular n=16 up to level 8: holds at kappa 0.5 after all 39202
+    # subsets, and first fails at levels 5-7, many chunks in, at larger kappa
+    g = random_regular_graph(16, 5, seed=seed)
+    for kappa in (0.5, 0.75, 1.25):
+        assert_scan_matches_reference(g, kappa, 8)
+        assert_scan_matches_reference(g, kappa, 8, delta=0.2)
+
+
+def planted_pair_graph(n, u, v):
+    """K_n in which u and v see only each other and two other vertices.
+
+    At kappa = 1 and level 2, {u, v} is the only violating set (boundary 2,
+    one component), for both the strong and the weak inequality.
+    """
+    others = [w for w in range(n) if w not in (u, v)]
+    keep = set(others[-2:]) | {u, v}
+    pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
+             if not ({i, j} & {u, v}) or {i, j} <= keep]
+    return GraphEdgeList.from_pairs(n, pairs)
+
+
+@pytest.mark.parametrize("n,index", [
+    (48, 500),  # middle of the first chunk of pairs
+    (48, 1023),  # last row of a chunk
+    (48, 1024),  # first row of the next chunk
+    (70, 2047),  # n past any int64 mask, on a chunk boundary
+    (70, 2414),  # the very last pair
+])
+def test_chunked_scan_finds_planted_violation(n, index):
+    u, v = list(itertools.combinations(range(n), 2))[index]
+    g = planted_pair_graph(n, u, v)
+    for delta in (None, 0.3):
+        rep = assert_scan_matches_reference(g, 1.0, 2, delta)
+        assert rep.witness == (u, v)
+        assert rep.sets_checked == n + index + 1
+
+
+def test_chunked_scan_violation_in_first_subset():
+    g = GraphEdgeList.from_pairs(8, [(i, j) for i, j in itertools.combinations(range(1, 8), 2)])
+    for delta in (None, 0.5):
+        rep = assert_scan_matches_reference(g, 0.5, 3, delta)
+        assert rep.witness == (0,) and rep.sets_checked == 1
+
+
+def test_chunked_scan_n70_random_graphs():
+    rng = np.random.default_rng(76)
+    for p in (0.05, 0.2, 0.6):
+        g = random_graph(rng, 70, p)
+        for kappa in (0.5, 3.0):
+            assert_scan_matches_reference(g, kappa, 2)
+            assert_scan_matches_reference(g, kappa, 2, delta=0.4)

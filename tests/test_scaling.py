@@ -13,7 +13,7 @@ from hafkit import (
     scale_symmetric,
 )
 
-from helpers import scalable_graph
+from helpers import reference_scaling, scalable_graph
 
 
 def adjacency(edges, n):
@@ -153,3 +153,68 @@ def test_counterexample_audit_regression_goldens():
     # at a tight target the missing total support shows up as non-convergence
     tight = scale_symmetric(a, residual_target=1e-12, max_iterations=50_000)
     assert not tight.converged
+
+
+def assert_matches_reference(a, residual_target, max_iterations, d0=None):
+    res = scale_symmetric(SymMatrix(a), residual_target, max_iterations, d0)
+    d, residual, iterations, converged = reference_scaling(a, residual_target, max_iterations, d0)
+    assert np.array_equal(res.d, d)
+    assert np.array_equal(res.b.entries, np.outer(d, d) * a)
+    assert res.residual == residual
+    assert res.iterations == iterations
+    assert res.converged == converged
+    return res
+
+
+def weighted10():
+    rng = np.random.default_rng(46)
+    a = np.triu(rng.uniform(0.05, 3.0, size=(10, 10)) * (rng.random((10, 10)) < 0.6), 1)
+    a[np.arange(9), np.arange(1, 10)] += 0.5  # a Hamiltonian path keeps it scalable
+    return a + a.T
+
+
+def test_counterexample_cap_bit_identical_to_step_loop():
+    from hafkit import CounterexampleSpec, build_counterexample
+
+    a = build_counterexample(CounterexampleSpec(delta=0.12, n_center=24)).sym_matrix().entries
+    res = assert_matches_reference(a, 1e-6, 20_000)
+    assert res.iterations == 20_000 and not res.converged
+
+
+@pytest.mark.parametrize("cap", [1, 100, 500, 1000])
+def test_star_stall_bit_identical_to_step_loop(cap):
+    star = adjacency([(0, 1), (0, 2), (0, 3)], 4).entries
+    res = assert_matches_reference(star, 0.25, cap)
+    assert not res.converged
+    # at cap 1000 the diagonal leaves [1e-100, 1e100] first, after 836 steps
+    assert res.iterations == min(cap, 836)
+
+
+def test_target_first_met_at_each_step_bit_identical():
+    # steps 0..59 cover the first and last step of the first blocks; the
+    # counterexample's residual falls strictly, so target = residual at step s
+    # is first met at step s
+    from hafkit import CounterexampleSpec, build_counterexample
+
+    a = build_counterexample(CounterexampleSpec(delta=0.12, n_center=10)).sym_matrix().entries
+    for s in range(60):
+        target = reference_scaling(a, 1e-300, s)[1]
+        res = assert_matches_reference(a, target, 10_000)
+        assert res.converged and res.iterations == s
+
+
+def test_weighted_and_explicit_start_bit_identical_to_step_loop():
+    a = weighted10()
+    for target in (0.1, 1e-6, 1e-12):
+        assert assert_matches_reference(a, target, 100_000).converged
+    d0 = np.random.default_rng(47).uniform(0.2, 5.0, size=10)
+    assert assert_matches_reference(a, 1e-12, 100_000, d0).converged
+    # a start so small that r underflows to 0 stops at once, residual unset
+    res = assert_matches_reference(a, 1e-12, 100_000, np.full(10, 1e-200))
+    assert res.iterations == 0 and res.residual == math.inf and not res.converged
+
+
+def test_complete_graph_takes_zero_steps_bit_identical():
+    a = complete_graph(8).sym_matrix().entries
+    res = assert_matches_reference(a, 1e-10, 100)
+    assert res.iterations == 0 and res.converged
