@@ -19,7 +19,6 @@ import numpy as np
 from .counterexample import CounterexampleSpec, build_counterexample
 from .errors import InputError, NumericalError
 from .estimator import sample_log_dets, sample_w
-from .exact import DEFAULT_CAP, hafnian_exact
 from .graphs import GraphEdgeList
 from .linalg import SymMatrix, spectrum
 from . import io as _io
@@ -285,13 +284,14 @@ def concentration_error(
     )
 
 
-def complete_family(ns, exact_cap: int = DEFAULT_CAP) -> list[FamilyMember]:
-    """Complete-graph adjacency family; exact log haf where the cap allows."""
+def complete_family(ns) -> list[FamilyMember]:
+    """Complete-graph adjacency family; log haf(K_n) = log (n-1)!! exactly."""
     members = []
-    for n in ns:
-        a = complete_graph(int(n)).sym_matrix()
-        exact = hafnian_exact(a).log_value if n <= exact_cap else None
-        members.append(FamilyMember(name=f"complete_{n}", size=int(n), matrix=a, exact_log_haf=exact))
+    for n in map(int, ns):
+        a = complete_graph(n).sym_matrix()
+        a.require_even()
+        exact = math.log(math.prod(range(1, n, 2)))
+        members.append(FamilyMember(name=f"complete_{n}", size=n, matrix=a, exact_log_haf=exact))
     return members
 
 

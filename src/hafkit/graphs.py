@@ -2,15 +2,16 @@
 
 The expansion checks quantify over vertex subsets, which is exponential in
 general.  ``mode="exhaustive"`` enumerates every subset up to the requested
-level (guarded by a budget), ``mode="sampled"`` evaluates a deterministic
-list of adversarial candidates followed by seeded random subsets.  A
-complete scan (exhaustive mode, or sampled mode whose budget covers every
-subset) evaluates the subsets in ``itertools.combinations`` order in chunks
-of up to 1024 boolean incidence rows, with matrix products for boundaries
-and a flood fill for components, and stops at the first violating subset.
-A ``holds=False`` verdict always carries a concrete witness set that
-violates the inequality, so negative verdicts are certificates regardless
-of mode; positive verdicts from sampled mode are only evidence.
+level in ``itertools.combinations`` order (guarded by a budget), and so
+does ``mode="sampled"`` when its budget covers every subset; otherwise it
+takes a deterministic list of adversarial candidates, then seeded random
+subsets.  Every mode, and the public ``boundary`` and
+``connected_components_within``, runs one evaluator: chunks of up to 1024
+subsets, each held as its members and their neighbour entries from a CSR
+index, so memory stays O(n + m) and a subset costs O(|J| * max degree).  A
+``holds=False`` verdict carries the first violating subset as a witness,
+so negative verdicts are certificates regardless of mode; positive
+verdicts from sampled mode are only evidence.
 """
 
 from __future__ import annotations
@@ -138,100 +139,134 @@ def _check_subset(g: GraphEdgeList, j) -> frozenset:
     return js
 
 
-def _boundary(adj, js: frozenset) -> set:
-    out = set()
-    for v in js:
-        out |= adj[v]
-    out -= js
-    return out
+_ROWS = 1024
+_CELLS = 1 << 20
+_ENTRIES = 1 << 18
 
 
-def _components(adj, js: frozenset) -> int:
-    left = set(js)
-    comps = 0
-    while left:
-        comps += 1
-        stack = [left.pop()]
-        while stack:
-            nbrs = adj[stack.pop()] & left
-            left -= nbrs
-            stack.extend(nbrs)
-    return comps
+class _SubsetRows:
+    """Boundary sizes and component counts of vertex subsets, a chunk of rows at a time.
+
+    The graph is kept as a CSR neighbour index: the neighbours of ``v`` are
+    ``nbr[start[v]:start[v] + deg[v]]``.  A chunk is kept as the list of its
+    members and the list of their neighbour entries, each entry naming the
+    cell ``row * n + vertex`` it points to.  Two tables indexed by cell,
+    allocated once, give each entry the member it points to (-1 outside the
+    subset) and pick one entry per distinct cell.  A chunk has at most
+    ``chunk`` rows, so the tables hold at most max(n, 2**20) cells and the
+    entry lists about 2**18 entries: memory is O(n + m), and a chunk costs
+    O(members + entries).
+    """
+
+    def __init__(self, g: GraphEdgeList, size: int, rows: int = _ROWS):
+        n = self.n = g.n
+        ends = np.fromiter(itertools.chain.from_iterable(g.edges), np.intp, 2 * len(g.edges))
+        src = np.concatenate((ends[0::2], ends[1::2]))
+        self.nbr = np.concatenate((ends[1::2], ends[0::2]))[np.argsort(src, kind="stable")]
+        self.deg = np.bincount(src, minlength=n)
+        self.start = np.cumsum(self.deg) - self.deg
+        widest = max(1, size * int(self.deg.max()))
+        self.chunk = max(1, min(rows, _CELLS // n, _ENTRIES // widest))
+        self.member = np.full(self.chunk * n, -1, dtype=np.int32)
+        self.first = np.zeros(self.chunk * n, dtype=np.int32)
+
+    def load(self, subsets: list) -> None:
+        """Evaluate up to ``chunk`` distinct-vertex subsets of at most ``size`` vertices.
+
+        Sets ``sizes`` (|J|), ``outside`` (|boundary(J)|) and ``most``, an
+        upper bound on Con(J): |J| less half, rounded up, of the members
+        with a neighbour in J, since a component with an edge has two.
+        """
+        n, rows = self.n, len(subsets)
+        self.sizes = np.fromiter(map(len, subsets), np.intp, rows)
+        vert = np.fromiter(itertools.chain.from_iterable(subsets), np.intp, int(self.sizes.sum()))
+        self.row = np.repeat(np.arange(rows), self.sizes)
+        deg = self.deg[vert]
+        self.owner = np.repeat(np.arange(vert.size), deg)
+        at = np.arange(self.owner.size) + (self.start[vert] + deg - np.cumsum(deg))[self.owner]
+        self.erow = self.row[self.owner]
+        self.cell = self.erow * n + self.nbr[at]
+        members = self.row * n + vert
+        self.member[members] = np.arange(vert.size)
+        self.tgt = self.member[self.cell]
+        self.member[members] = -1
+        entry = np.arange(self.cell.size)
+        self.first[self.cell] = entry
+        self.distinct = self.first[self.cell] == entry
+        linked = np.bincount(self.tgt + 1, minlength=vert.size + 1)[1:] > 0
+        linked = np.bincount(self.row[linked], minlength=rows)
+        distinct = np.bincount(self.erow, weights=self.distinct, minlength=rows)
+        self.outside = distinct.astype(np.intp) - linked
+        self.most = self.sizes - (linked + 1) // 2
+
+    def components(self, need: np.ndarray) -> np.ndarray:
+        """Con(J) on the rows where ``need`` is true, ``most`` on the others.
+
+        Each member's label falls to the least label among its own and its
+        neighbours', then to its label's label, until no label moves; each
+        component then has exactly one member labelled itself.
+        """
+        inner = (self.tgt >= 0) & need[self.erow]
+        a, b = self.owner[inner], self.tgt[inner]
+        label = np.arange(self.row.size)
+        if a.size:
+            heads = np.flatnonzero(np.diff(a, prepend=-1))
+            tails = a[heads]
+            while True:
+                low = label.copy()
+                low[tails] = np.minimum(label[tails], np.minimum.reduceat(label[b], heads))
+                low = low[low]
+                if np.array_equal(low, label):
+                    break
+                label = low
+        con = np.bincount(self.row[label == np.arange(self.row.size)], minlength=len(need))
+        return np.where(need, con, self.most)
+
+
+def _one_row(g: GraphEdgeList, j) -> _SubsetRows:
+    js = _check_subset(g, j)
+    ev = _SubsetRows(g, len(js), rows=1)
+    ev.load([js])
+    return ev
 
 
 def boundary(g: GraphEdgeList, j) -> frozenset:
     """External boundary: vertices outside J adjacent to some vertex of J."""
-    return frozenset(_boundary(g.adjacency_sets(), _check_subset(g, j)))
+    ev = _one_row(g, j)
+    return frozenset(ev.cell[ev.distinct & (ev.tgt < 0)].tolist())
 
 
 def connected_components_within(g: GraphEdgeList, j) -> int:
     """Number of connected components of the subgraph induced on J."""
-    return _components(g.adjacency_sets(), _check_subset(g, j))
+    return int(_one_row(g, j).components(np.ones(1, dtype=bool))[0])
 
 
 def min_degree(g: GraphEdgeList) -> int:
     return int(g.degrees().min())
 
 
-def _deficit(adj, js, kappa: float, delta: float) -> float:
-    """|boundary(J)| - (1-delta)*|Con(J)| - kappa*|J| (negative = violation)."""
-    return len(_boundary(adj, js)) - (1.0 - delta) * _components(adj, js) - kappa * len(js)
+def _first_violation(g: GraphEdgeList, subsets, kappa: float, delta: float, level: int):
+    """``(checked, witness)``: the first subset whose expansion deficit is negative.
 
-
-_SCAN_CHUNK = 1024
-
-
-def _component_counts(adj: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Connected components of the subgraph induced on each boolean row.
-
-    Each round floods, for every row with members left, the component of
-    its lowest remaining member (one product with the adjacency matrix per
-    step) and removes it from the row.
+    ``subsets`` is any ordered iterable of distinct-vertex subsets of at most
+    ``level`` vertices, evaluated a chunk at a time; the deficit is
+    ``|boundary(J)| - (1-delta)*Con(J) - kappa*|J|`` in float64.  ``checked``
+    counts the subsets up to and including the witness (None if none violates).
     """
-    left = rows.copy()
-    counts = np.zeros(len(rows), dtype=np.int64)
-    live = np.flatnonzero(left.any(axis=1))
-    while live.size:
-        sub = left[live]
-        reach = np.zeros(sub.shape, dtype=bool)
-        reach[np.arange(live.size), sub.argmax(axis=1)] = True
-        while True:
-            grown = reach | (sub & (reach @ adj > 0))
-            if np.array_equal(grown, reach):
-                break
-            reach = grown
-        counts[live] += 1
-        sub &= ~reach
-        left[live] = sub
-        live = live[sub.any(axis=1)]
-    return counts
-
-
-def _scan_subsets(g: GraphEdgeList, kappa: float, delta: float, level: int):
-    """Scan every subset of size 1..level in ``itertools.combinations`` order.
-
-    Subsets are evaluated in chunks of up to 1024 boolean incidence rows:
-    the boundary from one product with the adjacency matrix, ``Con(J)`` by
-    flood fill, and the deficit by the same float expression as
-    ``_deficit``.  Returns ``(checked, witness)``: the subsets evaluated up
-    to and including the first violating one, and that subset (None when
-    none violates).
-    """
-    n = g.n
-    adj = g.adjacency_matrix()
+    ev = _SubsetRows(g, level)
+    subsets = iter(subsets)
     checked = 0
-    for k in range(1, level + 1):
-        combos = itertools.combinations(range(n), k)
-        while chunk := list(itertools.islice(combos, _SCAN_CHUNK)):
-            members = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, len(chunk) * k)
-            rows = np.zeros((len(chunk), n), dtype=bool)
-            rows[np.repeat(np.arange(len(chunk)), k), members] = True
-            outside = np.count_nonzero((rows @ adj > 0) & ~rows, axis=1)
-            deficit = outside - (1.0 - delta) * _component_counts(adj, rows) - kappa * k
-            bad = np.flatnonzero(deficit < 0)
-            if bad.size:
-                return checked + int(bad[0]) + 1, chunk[bad[0]]
-            checked += len(chunk)
+    while chunk := list(itertools.islice(subsets, ev.chunk)):
+        ev.load(chunk)
+        # every rounded step of the deficit is monotone in Con(J), so a row
+        # that holds at the bound Con(J) <= most cannot violate and skips
+        # the exact count
+        need = ev.outside - (1.0 - delta) * ev.most - kappa * ev.sizes < 0
+        deficit = ev.outside - (1.0 - delta) * ev.components(need) - kappa * ev.sizes
+        bad = np.flatnonzero(deficit < 0)
+        if bad.size:
+            return checked + int(bad[0]) + 1, chunk[bad[0]]
+        checked += len(chunk)
     return checked, None
 
 
@@ -271,6 +306,15 @@ def _adversarial_candidates(g: GraphEdgeList, level: int):
             break
 
 
+def _sampled_subsets(g: GraphEdgeList, level: int, budget: int, seed: int):
+    """Adversarial candidates, then ``budget`` seeded random subsets of size 1..level."""
+    yield from _adversarial_candidates(g, level)
+    rng = np.random.default_rng(seed)
+    for _ in range(budget):
+        k = int(rng.integers(1, level + 1))
+        yield rng.choice(g.n, size=k, replace=False).tolist()
+
+
 def _check_expansion(g, kappa, delta, level, mode, budget, seed):
     if level is None:
         level = g.n // 2
@@ -281,44 +325,22 @@ def _check_expansion(g, kappa, delta, level, mode, budget, seed):
         raise InputError("level must be >= 1")
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
-    adj = g.adjacency_sets()
-    checked = 0
-
-    def report(witness=None):
-        return ExpansionReport.verdict(
-            kappa, level, mode, checked, witness, None if delta == 0.0 else delta
-        )
-
     total = sum(math.comb(g.n, k) for k in range(1, level + 1))
-
-    def scan_all():
-        nonlocal checked
-        checked, witness = _scan_subsets(g, kappa, delta, level)
-        return report(witness)
-
-    if mode == "exhaustive":
-        if total > budget:
-            raise InputError(
-                f"exhaustive check needs {total} subsets, over budget {budget}"
-            )
-        return scan_all()
-
-    # sampled: a budget covering the whole subset space buys the full scan,
-    # otherwise adversarial candidates first, then seeded random subsets
+    if mode == "exhaustive" and total > budget:
+        raise InputError(
+            f"exhaustive check needs {total} subsets, over budget {budget}"
+        )
+    # a budget covering the whole subset space buys the full scan in
+    # combinations order; otherwise candidates first, then seeded draws
     if total <= budget:
-        return scan_all()
-    for j in _adversarial_candidates(g, level):
-        checked += 1
-        if _deficit(adj, j, kappa, delta) < 0:
-            return report(j)
-    rng = np.random.default_rng(seed)
-    for _ in range(budget):
-        k = int(rng.integers(1, level + 1))
-        j = frozenset(rng.choice(g.n, size=k, replace=False).tolist())
-        checked += 1
-        if _deficit(adj, j, kappa, delta) < 0:
-            return report(j)
-    return report()
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(g.n), k) for k in range(1, level + 1)
+        )
+    else:
+        subsets = _sampled_subsets(g, level, budget, seed)
+    checked, witness = _first_violation(g, subsets, kappa, delta, level)
+    delta = None if delta == 0.0 else delta
+    return ExpansionReport.verdict(kappa, level, mode, checked, witness, delta)
 
 
 def check_strong_expansion(
@@ -409,10 +431,7 @@ def check_theorem_hypotheses(
     level = int(math.floor(n * (1.0 - alpha) / (1.0 + kappa / 4.0)))
     level = max(1, min(level, n - 1))
     required = alpha * n + 2.0
-    if gamma.edges:
-        observed = min_degree(gamma)
-    else:
-        observed = 0
+    observed = min_degree(gamma)
     expansion = check_strong_expansion(gamma, kappa, level, mode=mode, budget=budget, seed=seed)
     max_entry = float(b.entries.max())
     bound = n ** (-theta)

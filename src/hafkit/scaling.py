@@ -102,7 +102,11 @@ def scale_symmetric(
         if d.shape != (n,) or np.any(d <= 0) or not np.all(np.isfinite(d)):
             raise InputError("d0 must be a length-n vector of positive finite reals")
     d, residual, iterations, converged = _fixed_point(arr, d, residual_target, max_iterations)
-    b_arr = np.outer(d, d) * arr
+    # a huge d0 whose first step already overflows comes back unchanged
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_arr = np.outer(d, d) * arr
+    if not np.all(np.isfinite(b_arr)):
+        raise InputError("D*A*D overflowed float64 for this starting diagonal d0")
     b = SymMatrix(b_arr)
     positive = b_arr[b_arr > 0]
     return ScalingResult(

@@ -105,25 +105,29 @@ def _brute_components(adj, js):
     return comps
 
 
-def expansion_scan(n, edges, kappa, level, delta=0.0):
+def expansion_scan(n, edges, kappa, level, delta=0.0, subsets=None):
     """(holds, witness, sets_checked) of the expansion inequality.
 
-    Scans the subsets of size 1..level in ``itertools.combinations`` order
-    and stops at the first one that violates it; ``sets_checked`` counts
-    the subsets evaluated, that one included.
+    Scans ``subsets`` in the order given, by default the subsets of size
+    1..level in ``itertools.combinations`` order, and stops at the first
+    one that violates it; ``sets_checked`` counts the subsets evaluated,
+    that one included.
     """
     adj = {v: set() for v in range(n)}
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
+    if subsets is None:
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(n), k) for k in range(1, level + 1)
+        )
     checked = 0
-    for k in range(1, level + 1):
-        for js in itertools.combinations(range(n), k):
-            checked += 1
-            js = set(js)
-            lhs = len(_brute_boundary(adj, js)) - (1.0 - delta) * _brute_components(adj, js)
-            if lhs < kappa * len(js):
-                return False, tuple(sorted(js)), checked
+    for js in subsets:
+        checked += 1
+        js = set(js)
+        lhs = len(_brute_boundary(adj, js)) - (1.0 - delta) * _brute_components(adj, js)
+        if lhs < kappa * len(js):
+            return False, tuple(sorted(js)), checked
     return True, None, checked
 
 

@@ -10,6 +10,7 @@ from hafkit import (
     SymMatrix,
     complete_graph,
     eigenvalue_density,
+    hafnian_exact,
     random_regular_graph,
     sample_w,
     scale_symmetric,
@@ -202,3 +203,13 @@ def test_spectrum_minimum_matches_independent_bidiagonalization():
         ours = spectrum(SkewMatrix(w)).smallest_singular
         ref = float(scipy.linalg.svd(w, compute_uv=False, lapack_driver="gesvd")[-1])
         assert math.isclose(ours, ref, rel_tol=1e-8, abs_tol=1e-12)
+
+
+def test_complete_family_closed_form_matches_exact_dp():
+    for member in complete_family(range(2, 25, 2)):
+        assert member.exact_log_haf == hafnian_exact(member.matrix).log_value
+    # past the DP's default cap the closed form still gives log (n-1)!!
+    (big,) = complete_family([40])
+    assert big.exact_log_haf == pytest.approx(math.lgamma(41) - 20 * math.log(2) - math.lgamma(21))
+    with pytest.raises(InputError):
+        complete_family([8, 9])

@@ -22,7 +22,15 @@ from hafkit import (
     scale_symmetric,
 )
 
-from helpers import brute_expansion, expansion_scan, random_symmetric01
+from hafkit.graphs import _adversarial_candidates
+
+from helpers import (
+    _brute_boundary,
+    _brute_components,
+    brute_expansion,
+    expansion_scan,
+    random_symmetric01,
+)
 
 
 def random_graph(rng, n, p):
@@ -323,3 +331,137 @@ def test_chunked_scan_n70_random_graphs():
         for kappa in (0.5, 3.0):
             assert_scan_matches_reference(g, kappa, 2)
             assert_scan_matches_reference(g, kappa, 2, delta=0.4)
+
+
+def sampled_reference(g, kappa, level, budget, seed, delta):
+    """Reference scan of the adversarial candidates, then the seeded draws.
+
+    Returns ``((holds, witness, sets_checked), number of candidates)``.
+    """
+    candidates = list(_adversarial_candidates(g, level))
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(budget):
+        k = int(rng.integers(1, level + 1))
+        draws.append(rng.choice(g.n, size=k, replace=False).tolist())
+    want = expansion_scan(g.n, g.edges, kappa, level, delta, candidates + draws)
+    return want, len(candidates)
+
+
+def assert_sampled_matches_reference(g, kappa, level, budget, seed, delta=None):
+    assert sum(math.comb(g.n, k) for k in range(1, level + 1)) > budget
+    if delta is None:
+        rep = check_strong_expansion(g, kappa, level, mode="sampled", budget=budget, seed=seed)
+    else:
+        rep = check_weak_expansion(g, kappa, delta, mode="sampled", budget=budget, seed=seed,
+                                   level=level)
+    want, candidates = sampled_reference(g, kappa, level, budget, seed, delta or 0.0)
+    assert (rep.holds, rep.witness, rep.sets_checked) == want
+    return rep, candidates
+
+
+def test_sampled_mode_matches_reference_scan_on_random_graphs():
+    rng = np.random.default_rng(77)
+    seen = set()
+    for t in range(36):
+        n = int(rng.integers(12, 61))
+        if t % 4 == 0:
+            g = random_regular_graph(n - n % 2, 3, seed=t)
+        else:
+            g = random_graph(rng, n, float(rng.uniform(0.05, 0.5)))
+        level = int(rng.integers(3, 11))
+        kappa = float(rng.uniform(0.2, 3.0))
+        budget = int(rng.integers(50, 1500))
+        seed = int(rng.integers(0, 1000))
+        for delta in (None, float(rng.uniform(0.05, 0.9))):
+            rep, candidates = assert_sampled_matches_reference(g, kappa, level, budget, seed, delta)
+            if rep.holds:
+                assert rep.sets_checked == candidates + budget
+            seen.add("holds" if rep.holds else
+                     "candidate" if rep.sets_checked <= candidates else "draw")
+    assert seen == {"holds", "candidate", "draw"}
+
+
+def test_sampled_mode_violation_among_candidates():
+    cx = build_counterexample(CounterexampleSpec(delta=0.12, n_center=24))
+    rep, candidates = assert_sampled_matches_reference(cx, 0.5, 25, 2000, 7, delta=0.3)
+    assert not rep.holds and rep.sets_checked <= candidates
+
+
+def test_sampled_mode_violation_among_draws_past_first_chunk():
+    # 3-regular n=60: no candidate violates, the first violating draw is row 2001
+    g = random_regular_graph(60, 3, seed=4)
+    rep, candidates = assert_sampled_matches_reference(g, 0.9, 12, 3000, 1)
+    assert not rep.holds and rep.sets_checked > max(candidates, 1024)
+
+
+def test_sampled_mode_holding_counts_candidates_and_budget():
+    g = random_regular_graph(40, 4, seed=3)
+    for delta in (None, 0.3):
+        rep, candidates = assert_sampled_matches_reference(g, 0.3, 6, 1500, 11, delta)
+        assert rep.holds and rep.sets_checked == candidates + 1500
+
+
+def test_public_helpers_match_bruteforce():
+    rng = np.random.default_rng(78)
+    for t in range(60):
+        n = int(rng.integers(1, 40))
+        g = random_graph(rng, n, float(rng.uniform(0.0, 0.6)))
+        adj = g.adjacency_sets()
+        k = 0 if t % 10 == 0 else int(rng.integers(0, n + 1))
+        js = set(rng.choice(n, size=k, replace=False).tolist())
+        assert boundary(g, js) == frozenset(_brute_boundary(adj, js))
+        assert connected_components_within(g, js) == _brute_components(adj, js)
+        for bad in (-1, n, n + 3):
+            with pytest.raises(InputError):
+                boundary(g, js | {bad})
+            with pytest.raises(InputError):
+                connected_components_within(g, js | {bad})
+
+
+@pytest.mark.parametrize("entries", [1, 40, 300])
+def test_small_chunks_give_the_same_verdicts(monkeypatch, entries):
+    # chunks of 1 row, and of a few rows that split the scans unevenly
+    import hafkit.graphs as graphs_module
+
+    monkeypatch.setattr(graphs_module, "_ENTRIES", entries)
+    rng = np.random.default_rng(79)
+    for t in range(6):
+        g = random_graph(rng, int(rng.integers(10, 30)), float(rng.uniform(0.1, 0.5)))
+        kappa = float(rng.uniform(0.2, 2.0))
+        assert_scan_matches_reference(g, kappa, 3)
+        assert_scan_matches_reference(g, kappa, 3, delta=0.4)
+        assert_sampled_matches_reference(g, kappa, 6, 300, t)
+        assert_sampled_matches_reference(g, kappa, 6, 300, t, delta=0.4)
+
+
+def test_large_sparse_graph_checks_in_linear_memory():
+    # a dense n x n float64 adjacency matrix alone would take 72 MB here
+    import tracemalloc
+
+    g = random_regular_graph(3000, 3, seed=5)
+    js = set(range(0, 3000, 7))
+    tracemalloc.start()
+    try:
+        sampled = check_strong_expansion(g, 0.5, 10, mode="sampled", budget=2000, seed=0)
+        complete = check_weak_expansion(g, 0.5, 0.3, mode="exhaustive", level=1)
+        bnd = boundary(g, js)
+        con = connected_components_within(g, js)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    assert sampled.holds and sampled.sets_checked > 2000
+    assert complete.holds and complete.sets_checked == 3000
+    adj = g.adjacency_sets()
+    assert bnd == frozenset(_brute_boundary(adj, js))
+    assert con == _brute_components(adj, js)
+
+
+def test_components_of_a_long_path():
+    # labels must cross 20,000 members; a path split at one vertex has two parts
+    n = 20000
+    g = GraphEdgeList.from_pairs(n, [(i, i + 1) for i in range(n - 1)])
+    assert connected_components_within(g, range(n)) == 1
+    assert connected_components_within(g, set(range(n)) - {n // 3}) == 2
+    assert boundary(g, range(1, n - 1)) == frozenset({0, n - 1})

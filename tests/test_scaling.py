@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -218,3 +219,15 @@ def test_complete_graph_takes_zero_steps_bit_identical():
     a = complete_graph(8).sym_matrix().entries
     res = assert_matches_reference(a, 1e-10, 100)
     assert res.iterations == 0 and res.converged
+
+
+def test_overflowing_start_is_an_input_error_without_warnings():
+    a = complete_graph(6).sym_matrix()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the first step's r overflows, so d stays at d0 and D*A*D is inf
+        with pytest.raises(InputError, match="overflowed.*d0"):
+            scale_symmetric(a, d0=np.full(6, 1e200))
+        # a large start whose first step stays finite still converges at once
+        res = assert_matches_reference(a.entries, 1.0 / 6.0, 10_000, np.full(6, 1e120))
+        assert res.converged and res.iterations == 1
