@@ -12,6 +12,17 @@ determinant vanishes, so no floating-point kernel can decide it.  The
 Parlett-Reid Pfaffian in ``sample_log_det`` is the single-sample oracle
 that carries the sign.
 
+Every nonzero term of det(W) is a cycle cover of the support, so det(W)
+depends only on the entries of its total support, which the matching found
+for the zero decision yields exactly (``exact.total_support``).  W
+restricted to it is block diagonal over the connected components: a
+bipartite component with parts U and V contributes det(W[U, V])^2, any
+other component its skew block W[S, S].  Each chunk still draws the
+normals of the full upper triangle, gathers every block from them, and
+takes one batched ``slogdet`` per group of same-sized blocks.  A single
+non-bipartite component over all vertices is the full W, assembled as
+before.
+
 Sampling is embarrassingly parallel: indices are processed in fixed-size
 chunks whose boundaries do not depend on the worker count, and aggregation
 happens over the index-ordered array, so results are bit-identical for any
@@ -28,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .exact import matching_exists
-from .graphs import large_entries_graph
+from .exact import perfect_matching, total_support
+from .graphs import GraphEdgeList, large_entries_graph
 from .linalg import SkewMatrix, SymMatrix, pfaffian_log
 from .rng import check_seed, gaussian_block, gaussian_blocks
 
@@ -81,10 +92,6 @@ class EstimatorSummary:
     error_stats: ErrorStats | None = None
 
 
-def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, 1)
-
-
 def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
     """One realization of W = sqrt(A) (element-wise) * skew Gaussian.
 
@@ -93,7 +100,7 @@ def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
     matrix regardless of how many other samples are drawn around it.
     """
     n = a.n
-    iu, ju = _triangle(n)
+    iu, ju = np.triu_indices(n, 1)
     g = gaussian_block(seed, index, iu.size)
     w = np.zeros((n, n))
     w[iu, ju] = g * np.sqrt(a.entries[iu, ju])
@@ -101,15 +108,69 @@ def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
     return SkewMatrix(w)
 
 
-def _logdet_chunk(sqrt_tri: np.ndarray, n: int, seed: int, first: int, count: int) -> np.ndarray:
-    x = gaussian_blocks(seed, first, count, sqrt_tri.size)
-    x *= sqrt_tri
-    iu, ju = _triangle(n)
-    ws = np.zeros((count, n, n))
-    ws[:, iu, ju] = x
-    ws[:, ju, iu] = np.negative(x, out=x)  # in place: no stack-sized temporary
-    # det(W) = Pf(W)^2 >= 0; the absolute value absorbs signs flipped by rounding
-    return np.linalg.slogdet(ws)[1]
+def _blocks(kept: GraphEdgeList):
+    """``(rows, cols, power)`` of every connected component of ``kept``.
+
+    A bipartite component with parts U and V gives ``(U, V, 2)``: its
+    determinant is det(W[U, V])^2.  Any other component S gives
+    ``(S, S, 1)``, one skew block W[S, S].
+    """
+    adj = kept.adjacency_sets()
+    side = [-1] * kept.n
+    for root in range(kept.n):
+        if side[root] != -1:
+            continue
+        side[root] = 0
+        comp = [root]
+        bipartite = True
+        for v in comp:  # breadth first: comp grows while it is walked
+            for w in adj[v]:
+                if side[w] == -1:
+                    side[w] = 1 - side[v]
+                    comp.append(w)
+                elif side[w] == side[v]:
+                    bipartite = False
+        comp.sort()
+        if bipartite:
+            yield [v for v in comp if side[v] == 0], [v for v in comp if side[v] == 1], 2
+        else:
+            yield comp, comp, 1
+
+
+def _block_groups(a: SymMatrix, kept: GraphEdgeList) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Gather plan of every block: ``(index, weight, power)`` per block size and kind.
+
+    ``index[b, r, c]`` is the upper-triangle position of entry (r, c) of
+    block b and ``weight`` its signed sqrt(A), so that a block is
+    ``normals[index] * weight`` with the diagonal of a skew block zeroed.
+    """
+    n = a.n
+    groups: dict[tuple[int, int], list] = {}
+    for rows, cols, power in _blocks(kept):
+        r = np.array(rows)[:, None]
+        c = np.array(cols)[None, :]
+        lo, hi = np.minimum(r, c), np.maximum(r, c)
+        index = lo * n - lo * (lo + 1) // 2 + hi - lo - 1
+        weight = np.sqrt(a.entries[r, c]) * np.sign(c - r)
+        groups.setdefault((len(rows), power), []).append((index, weight))
+    return [
+        (np.stack([i for i, _ in blocks]), np.stack([w for _, w in blocks]), power)
+        for (_, power), blocks in groups.items()
+    ]
+
+
+def _logdet_chunk(groups, num_normals: int, seed: int, first: int, count: int) -> np.ndarray:
+    x = gaussian_blocks(seed, first, count, num_normals)
+    log_dets = np.zeros(count)
+    for index, weight, power in groups:
+        blocks = x[:, index]
+        blocks *= weight
+        if power == 1:
+            diag = np.arange(index.shape[-1])
+            blocks[..., diag, diag] = 0.0
+        # det(W_c) is Pf(W_c)^2 or det(B_c)^2 >= 0; |det| absorbs signs flipped by rounding
+        log_dets += power * np.linalg.slogdet(blocks)[1].sum(axis=1)
+    return log_dets
 
 
 def sample_log_dets(a: SymMatrix, num_samples: int, seed: int, threads: int = 1) -> np.ndarray:
@@ -117,7 +178,8 @@ def sample_log_dets(a: SymMatrix, num_samples: int, seed: int, threads: int = 1)
 
     A support without a perfect matching (or an odd dimension) makes every
     det(W) exactly zero: that is decided once, by a matching check, and the
-    result is all -inf without drawing any samples.
+    result is all -inf without drawing any samples.  Otherwise det(W) is
+    taken block by block over the components of the total support.
     """
     seed = check_seed(seed)
     if num_samples < 1:
@@ -125,16 +187,18 @@ def sample_log_dets(a: SymMatrix, num_samples: int, seed: int, threads: int = 1)
     if threads < 1:
         raise InputError("threads must be >= 1")
     n = a.n
-    if n % 2 != 0 or not matching_exists(large_entries_graph(a, 0.0)):
+    support = large_entries_graph(a, 0.0)
+    match = perfect_matching(support) if n % 2 == 0 else None
+    if match is None:
         return np.full(num_samples, -np.inf)
-    iu, ju = _triangle(n)
-    sqrt_tri = np.sqrt(a.entries[iu, ju])
+    groups = _block_groups(a, total_support(support, match))
+    num_normals = n * (n - 1) // 2
     log_dets = np.empty(num_samples)
     starts = list(range(0, num_samples, _CHUNK))
 
     def work(first: int):
         count = min(_CHUNK, num_samples - first)
-        log_dets[first : first + count] = _logdet_chunk(sqrt_tri, n, seed, first, count)
+        log_dets[first : first + count] = _logdet_chunk(groups, num_normals, seed, first, count)
 
     if threads == 1 or len(starts) == 1:
         for first in starts:

@@ -13,8 +13,10 @@ each state adding its terms in ascending ``j``.  Integer inputs are counted
 exactly in int64 whenever no partial sum can reach 2^63; other inputs, and
 integer ones past that bound, are summed in float64.
 
-Perfect-matching existence is decided separately by an augmenting-path
-matcher with blossom contraction, usable far beyond the hafnian cap.
+Perfect matchings are found separately by an augmenting-path matcher with
+blossom contraction, usable far beyond the hafnian cap.  One perfect
+matching also gives the total support: the edges that lie on some cycle
+cover, found by one strongly-connected-component pass (Dulmage-Mendelsohn).
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ __all__ = [
     "hafnian_exact",
     "count_perfect_matchings",
     "matching_exists",
+    "perfect_matching",
+    "total_support",
     "DEFAULT_CAP",
 ]
 
@@ -220,9 +224,76 @@ def _max_matching(n: int, adj: list[set]) -> list[int]:
     return match
 
 
-def matching_exists(g: GraphEdgeList) -> bool:
-    """True iff the graph has a perfect matching (no count, so large n is fine)."""
+def perfect_matching(g: GraphEdgeList) -> list[int] | None:
+    """Partner of every vertex in one perfect matching, or None if there is none."""
     if g.n % 2 != 0:
         raise InputError(f"perfect matchings need an even vertex count, got n={g.n}")
     match = _max_matching(g.n, g.adjacency_sets())
-    return all(m != -1 for m in match)
+    return match if all(m != -1 for m in match) else None
+
+
+def matching_exists(g: GraphEdgeList) -> bool:
+    """True iff the graph has a perfect matching (no count, so large n is fine)."""
+    return perfect_matching(g) is not None
+
+
+def _strong_components(succ: list[list[int]]) -> list[int]:
+    """Strongly connected component label of every node (iterative Tarjan)."""
+    n = len(succ)
+    order = [-1] * n
+    low = [0] * n
+    label = [-1] * n  # -1 on a visited node: still on the Tarjan stack
+    stack: list[int] = []
+    visited = labels = 0
+    for root in range(n):
+        if order[root] != -1:
+            continue
+        order[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        path = [(root, iter(succ[root]))]
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if order[w] == -1:
+                    order[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    path.append((w, iter(succ[w])))
+                    break
+                if label[w] == -1:
+                    low[v] = min(low[v], order[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = labels
+                        if w == v:
+                            break
+                    labels += 1
+    return label
+
+
+def total_support(g: GraphEdgeList, cover: list[int]) -> GraphEdgeList:
+    """Edges of ``g`` that lie on some cycle cover of ``g``.
+
+    ``cover`` is one cycle cover, as a permutation with every
+    ``(i, cover[i])`` an edge; a perfect matching is one.  Edge (i, k) lies
+    on a cycle cover iff i and cover^-1(k) share a strongly connected
+    component of the digraph i -> cover^-1(k) over all edges (i, k)
+    (Dulmage-Mendelsohn).  The determinant of any matrix with support g
+    depends only on the entries on these edges.
+    """
+    adj = g.adjacency_sets()
+    if sorted(cover) != list(range(g.n)) or any(k not in adj[i] for i, k in enumerate(cover)):
+        raise InputError("cover must be a permutation with every (i, cover[i]) an edge")
+    inverse = [0] * g.n
+    for i, k in enumerate(cover):
+        inverse[k] = i
+    label = _strong_components([[inverse[k] for k in adj[i]] for i in range(g.n)])
+    kept = frozenset((i, k) for i, k in g.edges if label[i] == label[inverse[k]])
+    return GraphEdgeList(n=g.n, edges=kept)

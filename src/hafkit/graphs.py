@@ -325,8 +325,15 @@ def _check_expansion(g, kappa, delta, level, mode, budget, seed):
         raise InputError("level must be >= 1")
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
-    total = sum(math.comb(g.n, k) for k in range(1, level + 1))
+    # the running count stops once it passes the budget: at a level in the
+    # thousands the full big-integer sum costs more than the check itself
+    total = 0
+    for k in range(1, level + 1):
+        total += math.comb(g.n, k)
+        if total > budget:
+            break
     if mode == "exhaustive" and total > budget:
+        total = sum(math.comb(g.n, k) for k in range(1, level + 1))
         raise InputError(
             f"exhaustive check needs {total} subsets, over budget {budget}"
         )

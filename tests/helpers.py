@@ -6,8 +6,10 @@ calling into hafkit internals, so agreement is meaningful.
 """
 
 import itertools
+import math
 
 import numpy as np
+from scipy.special import digamma
 
 
 def naive_hafnian(a: np.ndarray) -> float:
@@ -243,3 +245,47 @@ def tutte_barrier_support(rng, n, s, p=0.7) -> np.ndarray:
         if allowed and rng.random() < p:
             a[i, j] = a[j, i] = rng.uniform(0.1, 2.0)
     return a
+
+
+def _has_permutation(rows, cols, support) -> bool:
+    """True iff rows can be matched one-to-one into cols through support."""
+    masks = {0}
+    for r in rows:
+        masks = {m | 1 << k for m in masks for k in cols if not m >> k & 1 and (r, k) in support}
+        if not masks:
+            return False
+    return True
+
+
+def brute_total_support(n, edges) -> set:
+    """Edges (i, j), i < j, that lie on some cycle cover of the graph.
+
+    Entry (i, j) of the 0/1 matrix lies on a positive diagonal iff the
+    bipartite support minus row i and column j has a perfect matching;
+    checked over subsets of used columns, row by row (n <= 10 or so).
+    """
+    support = set()
+    for u, v in edges:
+        support |= {(u, v), (v, u)}
+    kept = set()
+    for i, j in itertools.combinations(range(n), 2):
+        if (i, j) not in support:
+            continue
+        rows = [r for r in range(n) if r != i]
+        cols = [k for k in range(n) if k != j]
+        if _has_permutation(rows, cols, support):
+            kept.add((i, j))
+    return kept
+
+
+def counterexample_log_det_mean(n_center: int, m_pairs: int) -> float:
+    """Exact E[log det W] on the center-clique counterexample.
+
+    Only the center-plain and pair edges lie on a cycle cover, so
+    det W = det(P)^2 * prod_t r_t^2 with P an n x n standard Gaussian matrix
+    and r_t the pair Gaussians.  By Bartlett's decomposition det(P)^2 is a
+    product of independent chi^2_k, k = 1..n, and E log chi^2_k =
+    psi(k/2) + log 2.
+    """
+    center = sum(float(digamma(k / 2.0)) + math.log(2.0) for k in range(1, n_center + 1))
+    return center + m_pairs * (float(digamma(0.5)) + math.log(2.0))

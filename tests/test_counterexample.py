@@ -17,6 +17,8 @@ from hafkit import (
 from hafkit.estimator import _CHUNK
 from hafkit.linalg import pfaffian_log_stack
 
+from helpers import counterexample_log_det_mean
+
 
 def test_spec_validation_and_defaults():
     spec = CounterexampleSpec(delta=0.12, n_center=24)
@@ -163,6 +165,17 @@ def test_sampled_log_dets_agree_with_pfaffian_at_sampling_sizes(n_center):
     log_pf, sign = pfaffian_log_stack(ws)
     assert np.all(sign != 0)
     assert float(np.max(np.abs(log_dets - 2.0 * log_pf))) <= 1e-8
+
+
+@pytest.mark.parametrize("n_center", [10, 24])
+def test_log_det_mean_matches_the_exact_law(n_center):
+    # log det W = sum of independent log chi^2 terms (Bartlett); the mean of
+    # 16384 samples lies within 4 standard errors of the exact mean
+    spec = CounterexampleSpec(delta=0.12, n_center=n_center)
+    log_dets = sample_log_dets(build_counterexample(spec).sym_matrix(), 16384, seed=1409)
+    law = counterexample_log_det_mean(n_center, spec.m_pairs)
+    se = float(np.std(log_dets)) / math.sqrt(log_dets.size)
+    assert abs(float(np.mean(log_dets)) - law) <= 4.0 * se
 
 
 def test_bias_report_identical_across_threads():

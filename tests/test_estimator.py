@@ -18,9 +18,18 @@ from hafkit import (
 )
 from hafkit import estimator
 from hafkit.estimator import _quantiles
+from hafkit.exact import perfect_matching, total_support
+from hafkit.graphs import large_entries_graph
+from hafkit.linalg import pfaffian_log_stack
 from hafkit.rng import gaussian_block, gaussian_blocks
 
-from helpers import naive_hafnian, random_symmetric01, tutte_barrier_support
+from helpers import (
+    memo_matchings,
+    naive_hafnian,
+    random_graph_with_matching,
+    random_symmetric01,
+    tutte_barrier_support,
+)
 
 
 def golden_matrix():
@@ -237,6 +246,78 @@ def test_chunk_size_does_not_change_log_dets(monkeypatch, a):
         monkeypatch.setattr(estimator, "_CHUNK", chunk)
         for threads in (1, 2):
             assert np.array_equal(sample_log_dets(a, num, seed=21, threads=threads), want)
+
+
+def full_w_log_dets(a, num, seed):
+    """log|det W| of samples 0..num-1 from the full n x n W and one batched slogdet."""
+    n = a.n
+    iu, ju = np.triu_indices(n, 1)
+    x = gaussian_blocks(seed, 0, num, iu.size) * np.sqrt(a.entries[iu, ju])
+    ws = np.zeros((num, n, n))
+    ws[:, iu, ju] = x
+    ws[:, ju, iu] = -x
+    return np.linalg.slogdet(ws)[1]
+
+
+def support_blocks(a):
+    g = large_entries_graph(a, 0.0)
+    return list(estimator._blocks(total_support(g, perfect_matching(g))))
+
+
+def test_one_full_block_is_bit_identical_to_the_full_w():
+    rng = np.random.default_rng(4402)
+    weighted = np.zeros((6, 6))
+    weighted[np.triu_indices(6, 1)] = rng.uniform(0.1, 2.0, size=15)
+    cases = [complete_graph(8).sym_matrix(), SymMatrix(weighted + weighted.T)]
+    while len(cases) < 8:
+        n = int(rng.choice([8, 10, 12]))
+        cases.append(SymMatrix(random_symmetric01(rng, n, p=0.7)))
+    for k, a in enumerate(cases):
+        blocks = support_blocks(a)
+        assert len(blocks) == 1 and blocks[0][2] == 1 and blocks[0][0] == list(range(a.n))
+        assert np.array_equal(sample_log_dets(a, 1500, seed=60 + k), full_w_log_dets(a, 1500, 60 + k))
+
+
+def random_support(rng, kind, n):
+    """0/1 support of one kind: bipartite, disconnected, matching or mixed."""
+    if kind == "mixed":
+        return random_symmetric01(rng, n, p=float(rng.uniform(0.1, 0.4)))
+    if kind == "matching":
+        edges = random_graph_with_matching(rng, n, extra_p=0.0)
+    elif kind == "bipartite":
+        half = n // 2
+        edges = {(i, half + int(j)) for i, j in enumerate(rng.permutation(half))}
+        edges |= {(i, half + j) for i in range(half) for j in range(half) if rng.random() < 0.3}
+    else:
+        cut = 2 * int(rng.integers(1, n // 2))
+        edges = random_graph_with_matching(rng, cut, 0.5)
+        edges |= {(u + cut, v + cut) for u, v in random_graph_with_matching(rng, n - cut, 0.5)}
+    label = rng.permutation(n)
+    a = np.zeros((n, n))
+    for u, v in edges:
+        a[label[u], label[v]] = a[label[v], label[u]] = 1.0
+    return a
+
+
+def test_blocks_agree_with_pfaffian_and_keep_zero_decisions():
+    rng = np.random.default_rng(4403)
+    kinds_seen = set()
+    for k in range(32):
+        kind = ("bipartite", "disconnected", "matching", "mixed")[k % 4]
+        n = int(rng.choice([6, 8, 10, 12, 14, 16]))
+        a = random_support(rng, kind, n)
+        iu = np.triu_indices(n, 1)
+        has_matching = memo_matchings(n, [(int(i), int(j)) for i, j in zip(*iu) if a[i, j] > 0]) > 0
+        log_dets = sample_log_dets(SymMatrix(a), 200, seed=k)
+        if not has_matching:
+            assert np.all(log_dets == -np.inf)
+            continue
+        kinds_seen.add(kind)
+        ws = np.stack([sample_w(SymMatrix(a), k, i).entries for i in range(200)])
+        log_pf, sign = pfaffian_log_stack(ws)
+        assert np.all(sign != 0)
+        assert float(np.max(np.abs(log_dets - 2.0 * log_pf))) <= 1e-8
+    assert kinds_seen == {"bipartite", "disconnected", "matching", "mixed"}
 
 
 def test_quantile_helper_handles_minus_inf():

@@ -16,7 +16,15 @@ from hafkit import (
     random_regular_graph,
 )
 
-from helpers import memo_matchings, naive_hafnian, random_graph_with_matching, random_symmetric01
+from hafkit.exact import perfect_matching, total_support
+
+from helpers import (
+    brute_total_support,
+    memo_matchings,
+    naive_hafnian,
+    random_graph_with_matching,
+    random_symmetric01,
+)
 
 
 def double_factorial(n):
@@ -244,3 +252,74 @@ def test_matching_exists_scales_to_thousands():
     edges = random_graph_with_matching(rng, n, extra_p=0.002)
     g = GraphEdgeList.from_pairs(n, edges)
     assert matching_exists(g)
+
+
+def assert_total_support_matches_oracle(g, cover=None):
+    cover = perfect_matching(g) if cover is None else cover
+    kept = total_support(g, cover)
+    assert kept.n == g.n
+    assert set(kept.edges) == brute_total_support(g.n, g.edges)
+    return kept
+
+
+def test_perfect_matching_is_a_matching_or_none():
+    g = GraphEdgeList.from_pairs(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    match = perfect_matching(g)
+    assert match == [1, 0, 3, 2, 5, 4]
+    assert perfect_matching(GraphEdgeList.from_pairs(4, [(0, 1), (0, 2), (0, 3)])) is None
+    with pytest.raises(InputError):
+        perfect_matching(GraphEdgeList.from_pairs(3, [(0, 1)]))
+    for bad in ([1, 0, 3, 3, 5, 4], [1, 0, 3, 2], [2, 3, 0, 1, 5, 4]):  # repeat, short, non-edge
+        with pytest.raises(InputError):
+            total_support(g, bad)
+
+
+def test_total_support_matches_oracle_on_random_supports():
+    rng = np.random.default_rng(4401)
+    pruned = 0
+    for _ in range(30):
+        n = int(rng.choice([4, 6, 8, 10]))
+        g = GraphEdgeList.from_pairs(n, random_graph_with_matching(rng, n, float(rng.uniform(0.05, 0.5))))
+        pruned += assert_total_support_matches_oracle(g).edges != g.edges
+    assert pruned >= 5  # the draws exercise edges on no cycle cover
+
+
+def test_total_support_from_any_cycle_cover_matches_oracle():
+    # the cover is a random derangement, so mostly not a matching
+    rng = np.random.default_rng(4404)
+    for _ in range(30):
+        n = int(rng.choice([3, 5, 6, 7, 9, 10]))
+        cover = [int(v) for v in rng.permutation(n)]
+        while any(cover[i] == i for i in range(n)):
+            cover = [int(v) for v in rng.permutation(n)]
+        edges = {(i, cover[i]) for i in range(n)}
+        edges |= {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.15}
+        assert_total_support_matches_oracle(GraphEdgeList.from_pairs(n, edges), cover)
+
+
+def test_total_support_keeps_the_bridge_between_two_triangles():
+    # haf = 1 and only 3 of the 7 edges lie in a perfect matching, but every
+    # edge lies on a cycle cover: the two triangles, or the matching
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
+    g = GraphEdgeList.from_pairs(6, edges)
+    assert assert_total_support_matches_oracle(g).edges == g.edges
+    # any cycle cover serves as the start, here the two 3-cycles
+    assert assert_total_support_matches_oracle(g, [1, 2, 0, 4, 5, 3]).edges == g.edges
+
+
+def test_total_support_of_complete_graphs_and_matchings():
+    for n in (2, 4, 6, 8, 10):
+        k_n = complete_graph(n)
+        assert assert_total_support_matches_oracle(k_n).edges == k_n.edges
+        matching = GraphEdgeList.from_pairs(n, [(2 * t, 2 * t + 1) for t in range(n // 2)])
+        assert assert_total_support_matches_oracle(matching).edges == matching.edges
+
+
+def test_total_support_of_the_counterexample_is_center_plain_and_pairs():
+    for n, m in ((3, 1), (4, 1), (10, 1), (24, 1), (12, 3)):
+        g = build_counterexample(CounterexampleSpec(delta=0.12, n_center=n, m_pairs=m))
+        want = {(i, j) for i in range(n) for j in range(n, 2 * n)}
+        want |= {(2 * n + 2 * t, 2 * n + 2 * t + 1) for t in range(m)}
+        if g.n <= 10:
+            assert_total_support_matches_oracle(g)
+        assert set(total_support(g, perfect_matching(g)).edges) == want

@@ -465,3 +465,17 @@ def test_components_of_a_long_path():
     assert connected_components_within(g, range(n)) == 1
     assert connected_components_within(g, set(range(n)) - {n // 3}) == 2
     assert boundary(g, range(1, n - 1)) == frozenset({0, n - 1})
+
+
+def test_sampled_check_at_the_default_level_on_a_large_graph():
+    # the subset count stops at the budget; the verdicts are those of the
+    # full count (default level n // 2 = 1000)
+    g = random_regular_graph(2000, 3, seed=1)
+    holds = check_weak_expansion(g, 0.6, 0.2, mode="sampled", budget=2000, seed=4)
+    assert (holds.level, holds.holds, holds.witness, holds.sets_checked) == (1000, True, None, 7519)
+    fails = check_weak_expansion(g, 0.9, 0.2, mode="sampled", budget=2000, seed=4)
+    assert (fails.holds, fails.sets_checked) == (False, 5521)
+    assert (len(fails.witness), sum(fails.witness), fails.witness[:3]) == (936, 947405, (0, 3, 4))
+    # an exhaustive refusal still names the full count
+    with pytest.raises(InputError, match="exhaustive check needs 4525 subsets, over budget 100"):
+        check_weak_expansion(random_regular_graph(30, 3, seed=1), 0.1, 0.2, budget=100, level=3)
