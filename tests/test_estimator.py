@@ -102,6 +102,30 @@ def test_blocked_stream_equals_per_index_streams():
         assert np.array_equal(blocks[r], gaussian_block(3, 10 + r, 15))
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("first_index", [0, 2**64 - 4])
+@pytest.mark.parametrize("count", [0, 1, 3, 28, 1225])
+def test_blocked_stream_equals_fresh_philox_generators(seed, first_index, count):
+    # Oracle independent of hafkit: one freshly keyed numpy generator per
+    # row.  An odd count leaves raw words in Philox's buffer, and the next
+    # row must not consume them.  The key is built as a uint64 array, since
+    # numpy turns a list such as [0, 2**64 - 4] into float64.
+    num_blocks = 4
+    blocks = gaussian_blocks(seed, first_index, num_blocks, count)
+    assert blocks.shape == (num_blocks, count)
+    for r in range(num_blocks):
+        key = np.array([seed, first_index + r], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(count)
+        assert np.array_equal(blocks[r], expected)
+    assert np.array_equal(gaussian_block(seed, first_index + num_blocks - 1, count), expected)
+
+
+def test_gaussian_block_rejects_indices_outside_64_bits():
+    for index in (-1, 2**64):
+        with pytest.raises(InputError, match="index must be a nonnegative 64-bit integer"):
+            gaussian_block(0, index, 3)
+
+
 def test_entry_variance_matches_profile():
     # A entry 4 -> W entry distributed as 2 g
     g = gaussian_blocks(123, 0, 100_000, 1)[:, 0]
