@@ -20,7 +20,6 @@ from .estimator import (
     EstimatorSummary,
     barvinok_envelope,
     estimate,
-    sample_log_det,
     sample_log_dets,
     sample_w,
 )
@@ -48,7 +47,6 @@ from .linalg import (
     SkewMatrix,
     SpectrumReport,
     SymMatrix,
-    log_det_skew,
     pfaffian_log,
     pfaffian_log_stack,
     spectrum,
@@ -69,7 +67,6 @@ __all__ = [
     "SpectrumReport",
     "pfaffian_log",
     "pfaffian_log_stack",
-    "log_det_skew",
     "spectrum",
     "HafnianValue",
     "hafnian_exact",
@@ -77,7 +74,6 @@ __all__ = [
     "matching_exists",
     "EstimatorSummary",
     "sample_w",
-    "sample_log_det",
     "sample_log_dets",
     "estimate",
     "barvinok_envelope",

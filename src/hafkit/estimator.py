@@ -3,23 +3,26 @@
 A sample is the skew-symmetric matrix W with W[i, j] = g_ij * sqrt(A[i, j])
 for i < j, where the g_ij are standard normals drawn from the counter-based
 stream keyed by (seed, sample index); det(W) is an unbiased estimator of
-haf(A).  Batches of W are evaluated in log domain by LAPACK's LU
-(``np.linalg.slogdet``) and aggregated with log-sum-exp, since the values
-span hundreds of orders of magnitude once n is large.  Whether det(W) is
-zero is decided exactly, once per matrix, by a perfect-matching check on
-the support of A: rounding leaves tiny nonzero pivots where the true
-determinant vanishes, so no floating-point kernel can decide it.  The
-Parlett-Reid Pfaffian in ``sample_log_det`` is the single-sample oracle
-that carries the sign.
+haf(A).  The stream gives one normal to each edge of A's support (A[i, j] >
+0, i < j), in row-major order, and nothing to the zero entries; on a
+complete support that is the whole upper triangle.  Batches of W are
+evaluated in log domain by LAPACK's LU (``np.linalg.slogdet``) and
+aggregated with log-sum-exp, since the values span hundreds of orders of
+magnitude once n is large.  Whether det(W) is zero is decided exactly,
+once per matrix, by a perfect-matching check on the support of A: rounding
+leaves tiny nonzero pivots where the true determinant vanishes, so no
+floating-point kernel can decide it.  The Parlett-Reid Pfaffian of
+``sample_w`` (``linalg.pfaffian_log_stack``) is the oracle that carries the
+sign.
 
 Every nonzero term of det(W) is a cycle cover of the support, so det(W)
 depends only on the entries of its total support, which the matching found
 for the zero decision yields exactly (``exact.total_support``).  W
 restricted to it is block diagonal over the connected components: a
 bipartite component with parts U and V contributes det(W[U, V])^2, any
-other component its skew block W[S, S].  Each chunk still draws the
-normals of the full upper triangle, gathers every block from them, and
-takes one batched ``slogdet`` per group of same-sized blocks.  A single
+other component its skew block W[S, S].  Each chunk draws one row of
+support-edge normals per sample, gathers every block from them, and takes
+one batched ``slogdet`` per group of same-sized blocks.  A single
 non-bipartite component over all vertices is the full W, assembled as
 before.
 
@@ -41,14 +44,13 @@ import numpy as np
 from .errors import InputError
 from .exact import perfect_matching, total_support
 from .graphs import GraphEdgeList, large_entries_graph
-from .linalg import SkewMatrix, SymMatrix, pfaffian_log
+from .linalg import SkewMatrix, SymMatrix
 from .rng import check_seed, gaussian_block, gaussian_blocks
 
 __all__ = [
     "ErrorStats",
     "EstimatorSummary",
     "sample_w",
-    "sample_log_det",
     "sample_log_dets",
     "estimate",
     "barvinok_envelope",
@@ -57,8 +59,9 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 # fixed chunk size; must not depend on thread count.  It bounds what each
-# pool thread holds: the W stack and normals of one n=50 chunk take 29 MiB.
-_CHUNK = 1024
+# pool thread holds: one chunk of the n=50 counterexample (901 normals and
+# 24x24 blocks per sample) peaks at 5.8 MiB of traced allocation.
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -92,18 +95,29 @@ class EstimatorSummary:
     error_stats: ErrorStats | None = None
 
 
+def _support_edges(a: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the edges of A's support (A[i, j] > 0, i < j), row-major.
+
+    Sample (seed, index) draws one normal per edge, in this order.
+    """
+    iu, ju = np.triu_indices(a.n, 1)
+    on = a.entries[iu, ju] > 0
+    return iu[on], ju[on]
+
+
 def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
     """One realization of W = sqrt(A) (element-wise) * skew Gaussian.
 
-    The (i, j) entry consumes the normals of stream (seed, index) in
-    row-major upper-triangle order; identical arguments give a bit-identical
-    matrix regardless of how many other samples are drawn around it.
+    The k-th edge of A's support in row-major order (``_support_edges``)
+    takes the k-th normal of stream (seed, index); entries off the support
+    are zero.  On a complete support that is the whole upper triangle in
+    row-major order.  Identical arguments give a bit-identical matrix
+    regardless of how many other samples are drawn around it.
     """
     n = a.n
-    iu, ju = np.triu_indices(n, 1)
-    g = gaussian_block(seed, index, iu.size)
+    iu, ju = _support_edges(a)
     w = np.zeros((n, n))
-    w[iu, ju] = g * np.sqrt(a.entries[iu, ju])
+    w[iu, ju] = gaussian_block(seed, index, iu.size) * np.sqrt(a.entries[iu, ju])
     w -= w.T
     return SkewMatrix(w)
 
@@ -137,20 +151,24 @@ def _blocks(kept: GraphEdgeList):
             yield comp, comp, 1
 
 
-def _block_groups(a: SymMatrix, kept: GraphEdgeList) -> list[tuple[np.ndarray, np.ndarray, int]]:
+def _block_groups(
+    a: SymMatrix, edges: tuple[np.ndarray, np.ndarray], kept: GraphEdgeList
+) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """Gather plan of every block: ``(index, weight, power)`` per block size and kind.
 
-    ``index[b, r, c]`` is the upper-triangle position of entry (r, c) of
-    block b and ``weight`` its signed sqrt(A), so that a block is
+    ``index[b, r, c]`` is the position of entry (r, c) of block b among the
+    support ``edges`` and ``weight`` its signed sqrt(A), so that a block is
     ``normals[index] * weight`` with the diagonal of a skew block zeroed.
+    An entry off the support has weight 0 and any valid position.
     """
     n = a.n
+    keys = edges[0] * n + edges[1]  # ascending, as the edges are row-major
     groups: dict[tuple[int, int], list] = {}
     for rows, cols, power in _blocks(kept):
         r = np.array(rows)[:, None]
         c = np.array(cols)[None, :]
         lo, hi = np.minimum(r, c), np.maximum(r, c)
-        index = lo * n - lo * (lo + 1) // 2 + hi - lo - 1
+        index = np.minimum(np.searchsorted(keys, lo * n + hi), keys.size - 1)
         weight = np.sqrt(a.entries[r, c]) * np.sign(c - r)
         groups.setdefault((len(rows), power), []).append((index, weight))
     return [
@@ -178,7 +196,8 @@ def sample_log_dets(a: SymMatrix, num_samples: int, seed: int, threads: int = 1)
 
     A support without a perfect matching (or an odd dimension) makes every
     det(W) exactly zero: that is decided once, by a matching check, and the
-    result is all -inf without drawing any samples.  Otherwise det(W) is
+    result is all -inf without drawing any samples.  Otherwise each sample
+    draws one normal per support edge, as ``sample_w`` does, and det(W) is
     taken block by block over the components of the total support.
     """
     seed = check_seed(seed)
@@ -191,8 +210,9 @@ def sample_log_dets(a: SymMatrix, num_samples: int, seed: int, threads: int = 1)
     match = perfect_matching(support) if n % 2 == 0 else None
     if match is None:
         return np.full(num_samples, -np.inf)
-    groups = _block_groups(a, total_support(support, match))
-    num_normals = n * (n - 1) // 2
+    edges = _support_edges(a)
+    groups = _block_groups(a, edges, total_support(support, match))
+    num_normals = edges[0].size
     log_dets = np.empty(num_samples)
     starts = list(range(0, num_samples, _CHUNK))
 
@@ -283,12 +303,6 @@ def estimate(
         exact_log_haf=exact_log_haf,
         error_stats=error_stats,
     )
-
-
-def sample_log_det(a: SymMatrix, seed: int, index: int) -> tuple[float, int]:
-    """``(log det W, sign Pf W)`` of sample ``index``, from the Pfaffian oracle."""
-    log_pf, sign = pfaffian_log(sample_w(a, seed, index))
-    return 2.0 * log_pf, sign
 
 
 def barvinok_envelope(

@@ -29,7 +29,6 @@ __all__ = [
     "SpectrumReport",
     "pfaffian_log",
     "pfaffian_log_stack",
-    "log_det_skew",
     "spectrum",
 ]
 
@@ -180,12 +179,6 @@ def pfaffian_log(w: SkewMatrix) -> tuple[float, int]:
     """
     log_abs, sign = pfaffian_log_stack(w.entries[None, :, :])
     return float(log_abs[0]), int(sign[0])
-
-
-def log_det_skew(w: SkewMatrix) -> float:
-    """log det(W) for skew-symmetric W; det = Pf^2 so the result is -inf or real."""
-    log_abs, _ = pfaffian_log(w)
-    return 2.0 * log_abs
 
 
 def spectrum(w: SkewMatrix) -> SpectrumReport:

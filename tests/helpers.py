@@ -166,6 +166,26 @@ def reference_scaling(a, residual_target, max_iterations, d0=None):
         iterations += 1
 
 
+def support_stream_w(a: np.ndarray, seed: int, index: int) -> np.ndarray:
+    """W of sample (seed, index), assembled one entry at a time.
+
+    A freshly keyed numpy Philox generator draws one standard normal per
+    edge of the support of ``a`` (a[i, j] > 0, i < j), visiting the edges
+    in row-major order; the normal times sqrt(a[i, j]) goes to W[i, j] and
+    its negative to W[j, i].  The key is a uint64 array, since numpy turns
+    a list such as [0, 2**64 - 4] into float64.
+    """
+    n = a.shape[0]
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i, j] > 0:
+                w[i, j] = gen.standard_normal() * math.sqrt(a[i, j])
+                w[j, i] = -w[i, j]
+    return w
+
+
 def random_symmetric01(rng, n, p=0.5) -> np.ndarray:
     a = np.zeros((n, n))
     iu = np.triu_indices(n, 1)

@@ -12,7 +12,6 @@ from hafkit import (
     complete_graph,
     estimate,
     hafnian_exact,
-    sample_log_det,
     sample_log_dets,
     sample_w,
 )
@@ -26,8 +25,10 @@ from hafkit.rng import gaussian_block, gaussian_blocks
 from helpers import (
     memo_matchings,
     naive_hafnian,
+    naive_pfaffian,
     random_graph_with_matching,
     random_symmetric01,
+    support_stream_w,
     tutte_barrier_support,
 )
 
@@ -49,7 +50,8 @@ def golden_matrix():
     return SymMatrix(a)
 
 
-# frozen first draw of the (seed=7, index=0) stream on golden_matrix()
+# first draw of the (seed=7, index=0) stream on golden_matrix(), taken from
+# helpers.support_stream_w: one normal per support edge, row-major
 GOLDEN_TRIANGLE = np.array(
     [
         -1.7496944402112695,
@@ -57,29 +59,80 @@ GOLDEN_TRIANGLE = np.array(
         0.3071416818765366,
         0.0,
         0.0,
-        -1.8439025476358364,
-        -0.0,
-        0.0,
-        0.05094819780361851,
-        -0.7330274713531689,
+        0.4467896072873113,
         0.0,
         0.0,
-        5.5814924915637745,
-        -0.0,
-        0.19355718295313207,
+        0.33052019114366477,
+        -1.2292683650905576,
+        0.0,
+        0.0,
+        -1.846598130619467,
+        0.0,
+        0.20759996743295636,
     ]
 )
-GOLDEN_LOG_DET = -3.341240222379547
-GOLDEN_SIGN = -1
+GOLDEN_LOG_DET = 0.3248086804441177
+GOLDEN_SIGN = 1
+
+
+def pfaffian_log_det(w: np.ndarray) -> tuple[float, int]:
+    """(log det W, sign Pf W) of one matrix, from the Parlett-Reid oracle."""
+    log_pf, sign = pfaffian_log_stack(w[None])
+    return 2.0 * float(log_pf[0]), int(sign[0])
 
 
 def test_sample_w_reproduces_golden_matrix():
+    iu = np.triu_indices(6, 1)
+    scalar = support_stream_w(golden_matrix().entries, 7, 0)
+    assert np.array_equal(scalar[iu], GOLDEN_TRIANGLE)
     w = sample_w(golden_matrix(), seed=7, index=0)
-    tri = w.entries[np.triu_indices(6, 1)]
-    assert np.array_equal(tri, GOLDEN_TRIANGLE)
-    log_det, sign_pf = sample_log_det(golden_matrix(), 7, 0)
+    assert np.array_equal(w.entries, scalar)
+    log_det, sign_pf = pfaffian_log_det(w.entries)
     assert log_det == GOLDEN_LOG_DET
     assert sign_pf == GOLDEN_SIGN
+    assert math.isclose(naive_pfaffian(scalar), GOLDEN_SIGN * math.exp(GOLDEN_LOG_DET / 2), rel_tol=1e-12)
+
+
+def triangle_stream_w(a, seed, index):
+    """W from the normals of the whole upper triangle, scattered in row-major order."""
+    iu, ju = np.triu_indices(a.n, 1)
+    w = np.zeros((a.n, a.n))
+    w[iu, ju] = gaussian_block(seed, index, iu.size) * np.sqrt(a.entries[iu, ju])
+    w -= w.T
+    return w
+
+
+def test_complete_support_draws_the_whole_triangle():
+    # on a complete support the support edges are the upper triangle, so
+    # every bit of W is what the triangle stream gives
+    rng = np.random.default_rng(4404)
+    weighted = np.zeros((10, 10))
+    weighted[np.triu_indices(10, 1)] = rng.uniform(0.01, 3.0, size=45)
+    for a in (complete_graph(8).sym_matrix(), SymMatrix(weighted + weighted.T)):
+        for seed, index in ((0, 0), (7, 3), (2**64 - 1, 2**64 - 1)):
+            want = triangle_stream_w(a, seed, index)
+            assert sample_w(a, seed, index).entries.tobytes() == want.tobytes()
+
+
+def test_matching_support_draws_one_normal_per_edge(monkeypatch):
+    n, num = 200, 1500
+    a = np.zeros((n, n))
+    for i in range(0, n, 2):
+        a[i, i + 1] = a[i + 1, i] = 1.0
+    calls = []
+
+    def spy(seed, first_index, num_blocks, count):
+        calls.append((num_blocks, count))
+        return gaussian_blocks(seed, first_index, num_blocks, count)
+
+    monkeypatch.setattr(estimator, "gaussian_blocks", spy)
+    log_dets = sample_log_dets(SymMatrix(a), num, seed=3)
+    assert sum(rows for rows, _ in calls) == num
+    assert {count for _, count in calls} == {n // 2}
+    # each pair edge is a 1 x 1 bipartite block: log det W = 2 sum log|g|
+    for i in (0, 1, num - 1):
+        want = 2.0 * float(np.sum(np.log(np.abs(gaussian_block(3, i, n // 2)))))
+        assert math.isclose(log_dets[i], want, rel_tol=1e-12)
 
 
 def test_sample_w_structure():
@@ -143,14 +196,15 @@ def test_single_edge_mean_is_unbiased():
 
 def test_unbiased_on_random_01_matrices_large_sample():
     # 20 random 0/1 matrices, 1e6 samples each: mean det within 4 SE of the
-    # exact hafnian (threads only change wall time, not the stream)
+    # exact hafnian (one thread: the values do not depend on threads, and at
+    # n <= 8 the per-sample re-key holds the GIL, so more threads are slower)
     rng = np.random.default_rng(808)
     for k in range(20):
         n = int(rng.choice([4, 6, 8]))
         p = float(rng.uniform(0.3, 0.9))
         sym = SymMatrix(random_symmetric01(rng, n, p))
         exact = hafnian_exact(sym).value_if_small
-        log_dets = sample_log_dets(sym, 1_000_000, seed=900 + k, threads=4)
+        log_dets = sample_log_dets(sym, 1_000_000, seed=900 + k)
         if exact == 0:
             assert np.all(log_dets == -np.inf)
             continue
@@ -250,8 +304,8 @@ def test_diagonal_scaling_shifts_log_det_exactly():
     d = rng.uniform(0.5, 2.0, size=6)
     scaled = SymMatrix(np.outer(d, d) * a.entries)
     for idx in range(5):
-        base, _ = sample_log_det(a, 17, idx)
-        shifted, _ = sample_log_det(scaled, 17, idx)
+        base, _ = pfaffian_log_det(sample_w(a, 17, idx).entries)
+        shifted, _ = pfaffian_log_det(sample_w(scaled, 17, idx).entries)
         assert math.isclose(shifted, base + float(np.sum(np.log(d))), abs_tol=1e-10)
 
 
@@ -274,12 +328,7 @@ def test_chunk_size_does_not_change_log_dets(monkeypatch, a):
 
 def full_w_log_dets(a, num, seed):
     """log|det W| of samples 0..num-1 from the full n x n W and one batched slogdet."""
-    n = a.n
-    iu, ju = np.triu_indices(n, 1)
-    x = gaussian_blocks(seed, 0, num, iu.size) * np.sqrt(a.entries[iu, ju])
-    ws = np.zeros((num, n, n))
-    ws[:, iu, ju] = x
-    ws[:, ju, iu] = -x
+    ws = np.stack([support_stream_w(a.entries, seed, i) for i in range(num)])
     return np.linalg.slogdet(ws)[1]
 
 
