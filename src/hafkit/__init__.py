@@ -18,12 +18,11 @@ from .counterexample import (
 from .errors import InputError, NumericalError
 from .estimator import (
     EstimatorSummary,
-    barvinok_envelope,
     estimate,
     sample_log_dets,
     sample_w,
 )
-from .exact import HafnianValue, count_perfect_matchings, hafnian_exact, matching_exists
+from .exact import HafnianValue, count_perfect_matchings, hafnian_exact, perfect_matching
 from .experiments import (
     complete_graph,
     concentration_error,
@@ -47,7 +46,6 @@ from .linalg import (
     SkewMatrix,
     SpectrumReport,
     SymMatrix,
-    pfaffian_log,
     pfaffian_log_stack,
     spectrum,
 )
@@ -65,18 +63,16 @@ __all__ = [
     "SymMatrix",
     "SkewMatrix",
     "SpectrumReport",
-    "pfaffian_log",
     "pfaffian_log_stack",
     "spectrum",
     "HafnianValue",
     "hafnian_exact",
     "count_perfect_matchings",
-    "matching_exists",
+    "perfect_matching",
     "EstimatorSummary",
     "sample_w",
     "sample_log_dets",
     "estimate",
-    "barvinok_envelope",
     "ScalingResult",
     "ScalingAudit",
     "scale_symmetric",

@@ -443,19 +443,14 @@ def experiment_cmd(kind, config_path, threads):
         raise InputError(f"cannot read {config_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{config_path}: invalid JSON: {exc}") from exc
-    defaults = {
-        "sv-tail": {"trials": 200, "seed": 0, "thresholds": [1e-8, 1e-4, 1e-2, 0.1, 0.5]},
-        "density": {"trials": 50, "seed": 0, "eta_grid": None},
-        "concentration": {"samples_per_n": 200, "seed": 0},
-    }
-    config = {**defaults[kind], **config}
+    config = {**experiments.DEFAULTS[kind], **config}
     if kind == "sv-tail":
         body = experiments.run_sv_tail(config)
     elif kind == "density":
         body = experiments.run_density(config)
     else:
         body = experiments.run_concentration(config, threads=threads)
-    seed = config.get("seed", 0)
+    seed = config["seed"]
     _emit(
         {
             "manifest": _manifest("experiment", {"kind": kind, **config}, seed, started),

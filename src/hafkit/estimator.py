@@ -5,15 +5,16 @@ for i < j, where the g_ij are standard normals drawn from the counter-based
 stream keyed by (seed, sample index); det(W) is an unbiased estimator of
 haf(A).  The stream gives one normal to each edge of A's support (A[i, j] >
 0, i < j), in row-major order, and nothing to the zero entries; on a
-complete support that is the whole upper triangle.  Batches of W are
-evaluated in log domain by LAPACK's LU (``np.linalg.slogdet``) and
-aggregated with log-sum-exp, since the values span hundreds of orders of
-magnitude once n is large.  Whether det(W) is zero is decided exactly,
-once per matrix, by a perfect-matching check on the support of A: rounding
-leaves tiny nonzero pivots where the true determinant vanishes, so no
-floating-point kernel can decide it.  The Parlett-Reid Pfaffian of
-``sample_w`` (``linalg.pfaffian_log_stack``) is the oracle that carries the
-sign.
+complete support that is the whole upper triangle.  That rule is coded once,
+in the layout ``_layout`` builds per matrix: every W and every block of W is
+one gather of a row of normals through it.  Batches of W are evaluated in
+log domain by LAPACK's LU (``np.linalg.slogdet``) and aggregated with
+log-sum-exp, since the values span hundreds of orders of magnitude once n
+is large.  Whether det(W) is zero is decided exactly, once per matrix, by a
+perfect-matching check on the support of A: rounding leaves tiny nonzero
+pivots where the true determinant vanishes, so no floating-point kernel can
+decide it.  The Parlett-Reid Pfaffian of ``sample_w``
+(``linalg.pfaffian_log_stack``) is the oracle that carries the sign.
 
 Every nonzero term of det(W) is a cycle cover of the support, so det(W)
 depends only on the entries of its total support, which the matching found
@@ -23,8 +24,7 @@ bipartite component with parts U and V contributes det(W[U, V])^2, any
 other component its skew block W[S, S].  Each chunk draws one row of
 support-edge normals per sample, gathers every block from them, and takes
 one batched ``slogdet`` per group of same-sized blocks.  A single
-non-bipartite component over all vertices is the full W, assembled as
-before.
+non-bipartite component over all vertices is the full W.
 
 Sampling is embarrassingly parallel: indices are processed in fixed-size
 chunks whose boundaries do not depend on the worker count, and aggregation
@@ -34,7 +34,6 @@ happens over the index-ordered array, so results are bit-identical for any
 
 from __future__ import annotations
 
-import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -53,10 +52,7 @@ __all__ = [
     "sample_w",
     "sample_log_dets",
     "estimate",
-    "barvinok_envelope",
 ]
-
-log = logging.getLogger(__name__)
 
 # fixed chunk size; must not depend on thread count.  It bounds what each
 # pool thread holds: one chunk of the n=50 counterexample (901 normals and
@@ -95,31 +91,51 @@ class EstimatorSummary:
     error_stats: ErrorStats | None = None
 
 
-def _support_edges(a: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the edges of A's support (A[i, j] > 0, i < j), row-major.
+def _layout(a: SymMatrix) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(m, pos, weight)``: where the normals of one sample go in W.
 
-    Sample (seed, index) draws one normal per edge, in this order.
+    Sample (seed, index) draws m normals and gives the k-th to the k-th edge
+    of A's support (A[i, j] > 0, i < j) in row-major order.  ``pos[i, j] =
+    pos[j, i]`` is the position of edge {i, j}; ``weight`` is +sqrt(A[i, j])
+    above the diagonal, -sqrt(A[i, j]) below it and 0 elsewhere.  Gathering
+    through the whole tables gives W, through ``np.ix_(rows, cols)`` cuts of
+    them the block W[rows, cols].
     """
-    iu, ju = np.triu_indices(a.n, 1)
-    on = a.entries[iu, ju] > 0
-    return iu[on], ju[on]
+    upper = np.triu(a.entries > 0, 1)
+    m = int(np.count_nonzero(upper))
+    pos = np.zeros((a.n, a.n), dtype=np.intp)
+    pos[upper] = np.arange(m)  # a boolean mask visits the upper triangle row-major
+    pos += pos.T
+    weight = np.sqrt(np.triu(a.entries, 1))
+    weight -= weight.T
+    return m, pos, weight
+
+
+def _gather(x: np.ndarray, pos: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``x[..., pos] * weight`` with every zero +0.0.
+
+    LU's log|det| ignores the sign of a zero; the SVD of ``spectrum`` need
+    not, as LAPACK's Householder step takes the sign of an entry.
+    """
+    if x.shape[-1] == 0:  # no support edges: nothing to gather from
+        return np.zeros(x.shape[:-1] + pos.shape)
+    out = x[..., pos]
+    out *= weight
+    out += 0.0  # -0.0 + 0.0 is +0.0, and every other value stays as it is
+    return out
 
 
 def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
     """One realization of W = sqrt(A) (element-wise) * skew Gaussian.
 
-    The k-th edge of A's support in row-major order (``_support_edges``)
-    takes the k-th normal of stream (seed, index); entries off the support
-    are zero.  On a complete support that is the whole upper triangle in
-    row-major order.  Identical arguments give a bit-identical matrix
-    regardless of how many other samples are drawn around it.
+    The k-th edge of A's support in row-major order takes the k-th normal
+    of stream (seed, index) (``_layout``); entries off the support are +0.0.
+    On a complete support that is the whole upper triangle in row-major
+    order.  Identical arguments give a bit-identical matrix regardless of
+    how many other samples are drawn around it.
     """
-    n = a.n
-    iu, ju = _support_edges(a)
-    w = np.zeros((n, n))
-    w[iu, ju] = gaussian_block(seed, index, iu.size) * np.sqrt(a.entries[iu, ju])
-    w -= w.T
-    return SkewMatrix(w)
+    m, pos, weight = _layout(a)
+    return SkewMatrix(_gather(gaussian_block(seed, index, m), pos, weight))
 
 
 def _blocks(kept: GraphEdgeList):
@@ -152,27 +168,19 @@ def _blocks(kept: GraphEdgeList):
 
 
 def _block_groups(
-    a: SymMatrix, edges: tuple[np.ndarray, np.ndarray], kept: GraphEdgeList
+    pos: np.ndarray, weight: np.ndarray, kept: GraphEdgeList
 ) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Gather plan of every block: ``(index, weight, power)`` per block size and kind.
+    """Gather plan of every block: ``(pos, weight, power)`` per block size and kind.
 
-    ``index[b, r, c]`` is the position of entry (r, c) of block b among the
-    support ``edges`` and ``weight`` its signed sqrt(A), so that a block is
-    ``normals[index] * weight`` with the diagonal of a skew block zeroed.
-    An entry off the support has weight 0 and any valid position.
+    ``pos`` and ``weight`` stack the layout tables cut to each block, so
+    that ``_gather`` of a chunk's normals gives every block of the group.
     """
-    n = a.n
-    keys = edges[0] * n + edges[1]  # ascending, as the edges are row-major
     groups: dict[tuple[int, int], list] = {}
     for rows, cols, power in _blocks(kept):
-        r = np.array(rows)[:, None]
-        c = np.array(cols)[None, :]
-        lo, hi = np.minimum(r, c), np.maximum(r, c)
-        index = np.minimum(np.searchsorted(keys, lo * n + hi), keys.size - 1)
-        weight = np.sqrt(a.entries[r, c]) * np.sign(c - r)
-        groups.setdefault((len(rows), power), []).append((index, weight))
+        cut = np.ix_(rows, cols)
+        groups.setdefault((len(rows), power), []).append((pos[cut], weight[cut]))
     return [
-        (np.stack([i for i, _ in blocks]), np.stack([w for _, w in blocks]), power)
+        (np.stack([p for p, _ in blocks]), np.stack([w for _, w in blocks]), power)
         for (_, power), blocks in groups.items()
     ]
 
@@ -180,14 +188,9 @@ def _block_groups(
 def _logdet_chunk(groups, num_normals: int, seed: int, first: int, count: int) -> np.ndarray:
     x = gaussian_blocks(seed, first, count, num_normals)
     log_dets = np.zeros(count)
-    for index, weight, power in groups:
-        blocks = x[:, index]
-        blocks *= weight
-        if power == 1:
-            diag = np.arange(index.shape[-1])
-            blocks[..., diag, diag] = 0.0
+    for pos, weight, power in groups:
         # det(W_c) is Pf(W_c)^2 or det(B_c)^2 >= 0; |det| absorbs signs flipped by rounding
-        log_dets += power * np.linalg.slogdet(blocks)[1].sum(axis=1)
+        log_dets += power * np.linalg.slogdet(_gather(x, pos, weight))[1].sum(axis=1)
     return log_dets
 
 
@@ -210,15 +213,14 @@ def sample_log_dets(a: SymMatrix, num_samples: int, seed: int, threads: int = 1)
     match = perfect_matching(support) if n % 2 == 0 else None
     if match is None:
         return np.full(num_samples, -np.inf)
-    edges = _support_edges(a)
-    groups = _block_groups(a, edges, total_support(support, match))
-    num_normals = edges[0].size
+    m, pos, weight = _layout(a)
+    groups = _block_groups(pos, weight, total_support(support, match))
     log_dets = np.empty(num_samples)
     starts = list(range(0, num_samples, _CHUNK))
 
     def work(first: int):
         count = min(_CHUNK, num_samples - first)
-        log_dets[first : first + count] = _logdet_chunk(groups, num_normals, seed, first, count)
+        log_dets[first : first + count] = _logdet_chunk(groups, m, seed, first, count)
 
     if threads == 1 or len(starts) == 1:
         for first in starts:
@@ -303,25 +305,3 @@ def estimate(
         exact_log_haf=exact_log_haf,
         error_stats=error_stats,
     )
-
-
-def barvinok_envelope(
-    log_dets: np.ndarray, log_haf: float, n: int, upper_factors=(1.0, 2.0, 4.0, 8.0)
-) -> dict:
-    """Empirical check of the two-sided envelope around haf(A).
-
-    Returns the fraction of samples above C*haf for each C and the fraction
-    below exp(-2*gamma*n)*haf (gamma = Euler's constant).  A heavy lower
-    fraction is logged as a warning; callers decide whether to care.
-    """
-    shifted = log_dets - log_haf
-    upper = {float(c): float(np.mean(shifted > math.log(c))) for c in upper_factors}
-    lower_cut = -2.0 * np.euler_gamma * n
-    lower = float(np.mean(shifted < lower_cut))
-    if lower > 0.05:
-        log.warning(
-            "envelope: %.1f%% of samples fell below exp(-2 gamma n) haf (n=%d)",
-            100.0 * lower,
-            n,
-        )
-    return {"upper_fractions": upper, "lower_fraction": lower, "lower_cut": lower_cut}

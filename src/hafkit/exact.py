@@ -35,7 +35,6 @@ __all__ = [
     "HafnianValue",
     "hafnian_exact",
     "count_perfect_matchings",
-    "matching_exists",
     "perfect_matching",
     "total_support",
     "DEFAULT_CAP",
@@ -63,9 +62,6 @@ class HafnianValue:
     log_value: float
     value_if_small: float | int | None
     n: int
-
-    def is_zero(self) -> bool:
-        return self.log_value == -math.inf
 
 
 def _moves(masks: np.ndarray, nbrs: np.ndarray):
@@ -230,11 +226,6 @@ def perfect_matching(g: GraphEdgeList) -> list[int] | None:
         raise InputError(f"perfect matchings need an even vertex count, got n={g.n}")
     match = _max_matching(g.n, g.adjacency_sets())
     return match if all(m != -1 for m in match) else None
-
-
-def matching_exists(g: GraphEdgeList) -> bool:
-    """True iff the graph has a perfect matching (no count, so large n is fine)."""
-    return perfect_matching(g) is not None
 
 
 def _strong_components(succ: list[list[int]]) -> list[int]:

@@ -3,10 +3,12 @@ near zero, and error-concentration curves across matrix families.
 
 Every experiment is a pure function of (inputs, seed): trials are keyed by
 trial index on the same counter-based streams the estimator uses, and all
-aggregation runs in trial order.  Constants appearing in the underlying
-tail bounds are existential, so reports expose fitted exponents and ratio
-columns rather than asserting any particular constant; regression tests
-freeze first-run values instead.
+aggregation runs in trial order.  The two spectral experiments share one
+trial loop, which lays out the support once and gathers each trial's W from
+its row of normals, as ``estimator.sample_w`` does for a single index.
+Constants appearing in the underlying tail bounds are existential, so
+reports expose fitted exponents and ratio columns rather than asserting any
+particular constant; regression tests freeze first-run values instead.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import numpy as np
 
 from .counterexample import CounterexampleSpec, build_counterexample
 from .errors import InputError, NumericalError
-from .estimator import sample_log_dets, sample_w
+from .estimator import _gather, _layout, sample_log_dets
 from .graphs import GraphEdgeList
-from .linalg import SymMatrix, spectrum
+from .linalg import SkewMatrix, SymMatrix, spectrum
+from .rng import gaussian_block
 from . import io as _io
 from . import scaling as _scaling
 
@@ -39,6 +42,13 @@ __all__ = [
     "run_density",
     "run_concentration",
 ]
+
+# config defaults of each CLI experiment; the manifest reports them merged
+DEFAULTS = {
+    "sv-tail": {"trials": 200, "seed": 0, "thresholds": [1e-8, 1e-4, 1e-2, 0.1, 0.5]},
+    "density": {"trials": 50, "seed": 0, "eta_grid": None},
+    "concentration": {"samples_per_n": 200, "seed": 0},
+}
 
 
 def complete_graph(n: int) -> GraphEdgeList:
@@ -110,6 +120,13 @@ def matrix_from_source(source: dict) -> SymMatrix:
     return a
 
 
+def _trial_spectra(a: SymMatrix, trials: int, seed: int):
+    """Spectrum of W for trial indices 0..trials-1, from one layout of A's support."""
+    m, pos, weight = _layout(a)
+    for t in range(trials):
+        yield spectrum(SkewMatrix(_gather(gaussian_block(seed, t, m), pos, weight)))
+
+
 @dataclass(frozen=True)
 class TailReport:
     n: int
@@ -129,10 +146,7 @@ def smallest_sv_tail(a: SymMatrix, trials: int, seed: int, thresholds) -> TailRe
         raise InputError("need at least one threshold")
     if trials < 1:
         raise InputError("trials must be >= 1")
-    sn = np.empty(trials)
-    for t in range(trials):
-        w = sample_w(a, seed, t)
-        sn[t] = spectrum(w).smallest_singular
+    sn = np.array([s.smallest_singular for s in _trial_spectra(a, trials, seed)])
     cdf = {t: float(np.mean(sn <= t)) for t in thresholds}
     # crude power-law fit of the tail over thresholds with mass
     pts = [(t, p) for t, p in cdf.items() if p > 0]
@@ -190,11 +204,9 @@ def eigenvalue_density(
     if etas.size == 0 or np.any(etas <= 0):
         raise InputError("eta grid must be nonempty and positive")
     counts = np.empty((trials, etas.size), dtype=np.int64)
-    for t in range(trials):
-        w = sample_w(b, seed, t)
-        eig = spectrum(w).eigenvalues_iw
-        mags = np.abs(eig)
-        counts[t] = np.array([int(np.sum(mags < eta)) for eta in etas])
+    for t, s in enumerate(_trial_spectra(b, trials, seed)):
+        mags = np.abs(s.eigenvalues_iw)
+        counts[t] = [int(np.sum(mags < eta)) for eta in etas]
     rows = tuple(
         (
             float(eta),
@@ -214,7 +226,7 @@ class FamilyMember:
     name: str
     size: int
     matrix: SymMatrix
-    exact_log_haf: float | None
+    exact_log_haf: float
 
 
 @dataclass(frozen=True)
@@ -222,7 +234,7 @@ class ConcentrationReport:
     family: str
     samples_per_member: int
     seed: int
-    rows: tuple  # per member: (size, median_abs_error, q90_abs_error, median_signed_error|None)
+    rows: tuple  # per member: (size, median_abs_error, q90_abs_error, median_signed_error)
     fitted_exponent: float | None
     r_squared: float | None
 
@@ -236,30 +248,23 @@ def concentration_error(
 ) -> ConcentrationReport:
     """Error quantiles of log det against log haf across a matrix family.
 
-    Members with a known exact hafnian report |log haf - log det| quantiles
-    and the signed median; members without one fall back to self-centered
-    errors |log det - median(log det)|, which still tracks the fluctuation
-    scale.  The exponent is the log-log slope of median error vs size.
+    Each member reports |log haf - log det| quantiles and the signed median
+    of log det - log haf.  The exponent is the log-log slope of median
+    error vs size.
     """
     if samples_per_member < 1:
         raise InputError("samples_per_member must be >= 1")
     rows = []
     for member in members:
         log_dets = sample_log_dets(member.matrix, samples_per_member, seed, threads=threads)
-        if member.exact_log_haf is not None:
-            signed = log_dets - member.exact_log_haf
-            median_signed = float(np.median(signed))
-            abs_err = np.abs(signed)
-        else:
-            center = float(np.median(log_dets))
-            median_signed = None
-            abs_err = np.abs(log_dets - center)
+        signed = log_dets - member.exact_log_haf
+        abs_err = np.abs(signed)
         rows.append(
             (
                 member.size,
                 float(np.median(abs_err)),
                 float(np.quantile(abs_err, 0.9)),
-                median_signed,
+                float(np.median(signed)),
             )
         )
     fitted = None
@@ -314,12 +319,13 @@ def counterexample_family(n_centers, delta: float) -> list[FamilyMember]:
 
 def run_sv_tail(config: dict) -> dict:
     """CLI adapter: config {matrix, trials, seed, thresholds} -> plain dict."""
+    config = {**DEFAULTS["sv-tail"], **config}
     a = matrix_from_source(config["matrix"])
     rep = smallest_sv_tail(
         a,
-        trials=int(config.get("trials", 200)),
-        seed=int(config.get("seed", 0)),
-        thresholds=config.get("thresholds", (1e-8, 1e-4, 1e-2, 0.1, 0.5)),
+        trials=int(config["trials"]),
+        seed=int(config["seed"]),
+        thresholds=config["thresholds"],
     )
     return {
         "n": rep.n,
@@ -333,12 +339,13 @@ def run_sv_tail(config: dict) -> dict:
 
 def run_density(config: dict) -> dict:
     """CLI adapter: config {matrix, trials, seed, eta_grid?} -> plain dict."""
+    config = {**DEFAULTS["density"], **config}
     b = matrix_from_source(config["matrix"])
     rep = eigenvalue_density(
         b,
-        trials=int(config.get("trials", 50)),
-        seed=int(config.get("seed", 0)),
-        eta_grid=config.get("eta_grid"),
+        trials=int(config["trials"]),
+        seed=int(config["seed"]),
+        eta_grid=config["eta_grid"],
     )
     return {
         "n": rep.n,
@@ -354,6 +361,7 @@ def run_density(config: dict) -> dict:
 
 def run_concentration(config: dict, threads: int = 1) -> dict:
     """CLI adapter: config {family, samples_per_n, seed} -> plain dict."""
+    config = {**DEFAULTS["concentration"], **config}
     fam = config.get("family", {})
     kind = fam.get("kind")
     if kind == "complete":
@@ -366,8 +374,8 @@ def run_concentration(config: dict, threads: int = 1) -> dict:
         raise InputError(f"unknown family kind {kind!r}")
     rep = concentration_error(
         members,
-        samples_per_member=int(config.get("samples_per_n", 200)),
-        seed=int(config.get("seed", 0)),
+        samples_per_member=int(config["samples_per_n"]),
+        seed=int(config["seed"]),
         family=kind,
         threads=threads,
     )

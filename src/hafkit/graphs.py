@@ -71,15 +71,11 @@ class GraphEdgeList:
             adj[v].add(u)
         return adj
 
-    def adjacency_matrix(self) -> np.ndarray:
+    def sym_matrix(self) -> SymMatrix:
         a = np.zeros((self.n, self.n))
         for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        return a
-
-    def sym_matrix(self) -> SymMatrix:
-        return SymMatrix(self.adjacency_matrix())
+            a[u, v] = a[v, u] = 1.0
+        return SymMatrix(a)
 
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n, dtype=np.int64)

@@ -27,7 +27,6 @@ __all__ = [
     "SymMatrix",
     "SkewMatrix",
     "SpectrumReport",
-    "pfaffian_log",
     "pfaffian_log_stack",
     "spectrum",
 ]
@@ -170,15 +169,6 @@ def pfaffian_log_stack(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sign = sign * np.sign(safe)
     log_abs[sign == 0.0] = -np.inf
     return log_abs, sign
-
-
-def pfaffian_log(w: SkewMatrix) -> tuple[float, int]:
-    """log|Pf(W)| and sign(Pf(W)) for a single skew-symmetric matrix.
-
-    ``(-inf, 0)`` signals a singular matrix; ``det(W) = exp(2 * log|Pf|)``.
-    """
-    log_abs, sign = pfaffian_log_stack(w.entries[None, :, :])
-    return float(log_abs[0]), int(sign[0])
 
 
 def spectrum(w: SkewMatrix) -> SpectrumReport:

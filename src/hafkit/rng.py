@@ -4,9 +4,9 @@ Every sample index owns a private Philox stream keyed by (seed, index), so
 a sample is a pure function of the key and is bit-identical no matter how
 work is split across threads or runs.  Normals come from numpy's ziggurat
 on top of the keyed stream; golden tests pin the exact values.  A sample's
-row holds one normal per edge of A's support (``estimator._support_edges``),
-so its length is the edge count m: n(n-1)/2 on a complete support, n/2 on a
-perfect matching.
+row holds one normal per edge of A's support, in row-major order
+(``estimator._layout`` places them in W), so its length is the edge count
+m: n(n-1)/2 on a complete support, n/2 on a perfect matching.
 
 ``gaussian_blocks`` walks many consecutive indices by re-keying a single
 bit generator through its public ``state`` setter and filling each row in

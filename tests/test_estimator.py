@@ -7,7 +7,6 @@ from hafkit import (
     CounterexampleSpec,
     InputError,
     SymMatrix,
-    barvinok_envelope,
     build_counterexample,
     complete_graph,
     estimate,
@@ -144,9 +143,25 @@ def test_sample_w_structure():
 
 
 def test_zero_matrix_gives_zero_sample():
-    a = SymMatrix(np.zeros((4, 4)))
-    w = sample_w(a, seed=9, index=0)
-    assert np.all(w.entries == 0.0)
+    for n in (4, 1):
+        w = sample_w(SymMatrix(np.zeros((n, n))), seed=9, index=0)
+        assert w.n == n and np.all(w.entries == 0.0) and not np.any(np.signbit(w.entries))
+
+
+def test_sample_w_zeros_off_the_support_are_positive():
+    # SVD can depend on the sign of a zero entry, so W holds +0.0 wherever
+    # A is zero, the diagonal included
+    rng = np.random.default_rng(4405)
+    for k in range(12):
+        n = int(rng.choice([6, 9, 12]))
+        a = random_symmetric01(rng, n, p=float(rng.uniform(0.1, 0.6)))
+        a *= rng.uniform(0.1, 2.0, (n, n))
+        a = SymMatrix(np.triu(a, 1) + np.triu(a, 1).T)
+        for index in (0, 1, 2**64 - 1):
+            w = sample_w(a, k, index).entries
+            off = a.entries == 0
+            assert np.all(w[off] == 0.0) and not np.any(np.signbit(w[off]))
+            assert np.all(w[~off] != 0.0)
 
 
 def test_blocked_stream_equals_per_index_streams():
@@ -393,6 +408,47 @@ def test_blocks_agree_with_pfaffian_and_keep_zero_decisions():
     assert kinds_seen == {"bipartite", "disconnected", "matching", "mixed"}
 
 
+def blocks_cut_from_sample_w(a, num, seed):
+    """log det W from the blocks of ``estimator._blocks`` cut out of ``sample_w``'s W.
+
+    Float addition is not associative, so the sum runs in sample_log_dets'
+    order: blocks of one size and kind form a group, a group's log|det|s
+    are added one block at a time (numpy reduces the estimator's block axis,
+    which is not its innermost in memory, in that order), and the groups
+    are added in the order they first appear.
+    """
+    g = large_entries_graph(a, 0.0)
+    groups = {}
+    for rows, cols, power in estimator._blocks(total_support(g, perfect_matching(g))):
+        groups.setdefault((len(rows), power), []).append(np.ix_(rows, cols))
+    ws = [sample_w(a, seed, i).entries for i in range(num)]
+    log_dets = np.zeros(num)
+    for (_, power), cuts in groups.items():
+        per_block = np.linalg.slogdet(np.stack([np.stack([w[cut] for cut in cuts]) for w in ws]))[1]
+        group = per_block[:, 0].copy()
+        for b in range(1, len(cuts)):
+            group += per_block[:, b]
+        log_dets += power * group
+    return log_dets
+
+
+def test_sampled_blocks_are_the_blocks_of_sample_w():
+    # one layout places every normal: the blocks sample_log_dets gathers are
+    # bit for bit the blocks of the full W
+    rng = np.random.default_rng(4406)
+    kinds_seen = set()
+    for k in range(24):
+        kind = ("bipartite", "disconnected", "matching", "mixed")[k % 4]
+        n = int(rng.choice([6, 8, 10, 12, 14, 16]))
+        a = random_support(rng, kind, n) * rng.uniform(0.1, 2.0, (n, n))
+        a = SymMatrix(np.triu(a, 1) + np.triu(a, 1).T)
+        if perfect_matching(large_entries_graph(a, 0.0)) is None:
+            continue
+        kinds_seen.add(kind)
+        assert np.array_equal(sample_log_dets(a, 300, seed=k), blocks_cut_from_sample_w(a, 300, k))
+    assert kinds_seen == {"bipartite", "disconnected", "matching", "mixed"}
+
+
 def test_quantile_helper_handles_minus_inf():
     vals = np.array([-math.inf, -math.inf, 0.0, 1.0])
     q = _quantiles(np.sort(vals), (0.25, 0.5, 0.75))
@@ -425,10 +481,10 @@ def test_estimate_input_validation():
 
 
 def test_barvinok_envelope_at_n12():
+    # at most 5 % of the samples fall below exp(-2 gamma n) haf (gamma: Euler's
+    # constant), and the share above C haf decays in C
     a = complete_graph(12).sym_matrix()
-    exact = hafnian_exact(a)
-    log_dets = sample_log_dets(a, 10_000, seed=6)
-    rep = barvinok_envelope(log_dets, exact.log_value, 12)
-    assert rep["lower_fraction"] <= 0.05
-    ups = [rep["upper_fractions"][c] for c in sorted(rep["upper_fractions"])]
-    assert all(x >= y for x, y in zip(ups, ups[1:]))  # decaying in C
+    shifted = sample_log_dets(a, 10_000, seed=6) - hafnian_exact(a).log_value
+    assert float(np.mean(shifted < -2.0 * np.euler_gamma * 12)) <= 0.05
+    ups = [float(np.mean(shifted > math.log(c))) for c in (1.0, 2.0, 4.0, 8.0)]
+    assert all(x >= y for x, y in zip(ups, ups[1:]))

@@ -12,11 +12,11 @@ from hafkit import (
     complete_graph,
     count_perfect_matchings,
     hafnian_exact,
-    matching_exists,
+    perfect_matching,
     random_regular_graph,
 )
 
-from hafkit.exact import perfect_matching, total_support
+from hafkit.exact import total_support
 
 from helpers import (
     brute_total_support,
@@ -121,7 +121,7 @@ def test_value_matches_log_value():
 def test_huge_entries_use_log_path():
     # entries 2^200: haf = 2^(200*m) * count, exact in logs
     n = 8
-    a01 = complete_graph(n).adjacency_matrix()
+    a01 = complete_graph(n).sym_matrix().entries
     big = a01 * 2.0**200
     v = hafnian_exact(SymMatrix(big))
     expected_log = (n // 2) * 200 * math.log(2.0) + math.log(105)
@@ -130,7 +130,7 @@ def test_huge_entries_use_log_path():
 
 def test_integer_entries_past_int64_take_log_path():
     # entries 2^20: haf = 105 * 2^80 passes 2^63, so it is summed in floats
-    big = complete_graph(8).adjacency_matrix() * 2.0**20
+    big = complete_graph(8).sym_matrix().entries * 2.0**20
     v = hafnian_exact(SymMatrix(big))
     assert math.isclose(v.log_value, 4 * 20 * math.log(2.0) + math.log(105), rel_tol=1e-13)
 
@@ -153,10 +153,10 @@ def test_sparse_counts_match_memo_oracle(n, seed):
 
 def test_all_zero_matrix_and_no_matching_graph():
     v = hafnian_exact(SymMatrix(np.zeros((6, 6))))
-    assert v.is_zero() and v.value_if_small == 0.0
+    assert v.log_value == -math.inf and v.value_if_small == 0.0
     star = GraphEdgeList.from_pairs(4, [(0, 1), (0, 2), (0, 3)])
     v = count_perfect_matchings(star)
-    assert v.is_zero()
+    assert v.log_value == -math.inf
 
 
 def test_input_errors():
@@ -171,7 +171,7 @@ def test_input_errors():
     with pytest.raises(InputError):
         count_perfect_matchings(GraphEdgeList.from_pairs(3, [(0, 1)]))
     with pytest.raises(InputError):
-        matching_exists(GraphEdgeList.from_pairs(5, [(0, 1)]))
+        perfect_matching(GraphEdgeList.from_pairs(5, [(0, 1)]))
 
 
 def test_count_small_graphs():
@@ -180,22 +180,30 @@ def test_count_small_graphs():
     assert count_perfect_matchings(c6).value_if_small == 2
 
 
+def assert_perfect_matching(g, match):
+    """``match`` gives every vertex of g a partner across an edge of g, symmetrically."""
+    assert match is not None and len(match) == g.n
+    for v, u in enumerate(match):
+        assert match[u] == v and (min(u, v), max(u, v)) in g.edges
+
+
 def test_petersen_graph_has_six_matchings():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     petersen = GraphEdgeList.from_pairs(10, outer + inner + spokes)
     v = count_perfect_matchings(petersen)
-    assert v.value_if_small == naive_hafnian(petersen.adjacency_matrix())
+    assert v.value_if_small == naive_hafnian(petersen.sym_matrix().entries)
     assert v.value_if_small == 6
-    assert matching_exists(petersen)
+    assert_perfect_matching(petersen, perfect_matching(petersen))
 
 
 def test_matching_exists_basics():
-    assert matching_exists(GraphEdgeList.from_pairs(4, [(0, 1), (2, 3)]))
-    assert not matching_exists(GraphEdgeList.from_pairs(4, [(0, 1), (0, 2), (0, 3)]))
-    spec = CounterexampleSpec(delta=0.1, n_center=5, m_pairs=2)
-    assert matching_exists(build_counterexample(spec))
+    two = GraphEdgeList.from_pairs(4, [(0, 1), (2, 3)])
+    assert perfect_matching(two) == [1, 0, 3, 2]
+    assert perfect_matching(GraphEdgeList.from_pairs(4, [(0, 1), (0, 2), (0, 3)])) is None
+    cx = build_counterexample(CounterexampleSpec(delta=0.1, n_center=5, m_pairs=2))
+    assert_perfect_matching(cx, perfect_matching(cx))
 
 
 def test_matching_exists_agrees_with_hafnian():
@@ -206,9 +214,11 @@ def test_matching_exists_agrees_with_hafnian():
         iu = np.triu_indices(n, 1)
         pairs = [(int(i), int(j)) for i, j in zip(*iu) if a01[i, j] > 0]
         g = GraphEdgeList.from_pairs(n, pairs)
-        has = matching_exists(g)
+        match = perfect_matching(g)
         count = hafnian_exact(SymMatrix(a01)).value_if_small
-        assert has == (count > 0)
+        assert (match is not None) == (count > 0)
+        if match is not None:
+            assert_perfect_matching(g, match)
 
 
 def test_matching_exists_needs_blossom_contraction():
@@ -216,24 +226,25 @@ def test_matching_exists_needs_blossom_contraction():
     # found only after shrinking an odd cycle
     edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]
     g = GraphEdgeList.from_pairs(6, edges)
-    assert matching_exists(g)
+    assert_perfect_matching(g, perfect_matching(g))
     count = count_perfect_matchings(g).value_if_small
     assert count > 0
 
 
 def test_matching_exists_nested_odd_cycles():
     # pentagon with a pendant: augmenting from the pendant forces a blossom
-    pentagon = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5)]
-    assert matching_exists(GraphEdgeList.from_pairs(6, pentagon))
+    pentagon = GraphEdgeList.from_pairs(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5)])
+    assert_perfect_matching(pentagon, perfect_matching(pentagon))
     # two pentagons sharing structure via a path; PM exists only one way
     edges = (
         [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
         + [(5, 6), (6, 7), (7, 8), (8, 9), (5, 9)]
         + [(0, 5)]
     )
-    assert matching_exists(GraphEdgeList.from_pairs(10, edges))
+    bridged = GraphEdgeList.from_pairs(10, edges)
+    assert_perfect_matching(bridged, perfect_matching(bridged))
     # withdraw the bridge: two odd components, no perfect matching
-    assert not matching_exists(GraphEdgeList.from_pairs(10, edges[:-1]))
+    assert perfect_matching(GraphEdgeList.from_pairs(10, edges[:-1])) is None
 
 
 def test_hafnian_dp_vs_naive_at_n12():
@@ -251,7 +262,7 @@ def test_matching_exists_scales_to_thousands():
     n = 2000
     edges = random_graph_with_matching(rng, n, extra_p=0.002)
     g = GraphEdgeList.from_pairs(n, edges)
-    assert matching_exists(g)
+    assert_perfect_matching(g, perfect_matching(g))
 
 
 def assert_total_support_matches_oracle(g, cover=None):

@@ -155,17 +155,6 @@ def test_concentration_counterexample_family_negative_medians():
         assert signed is not None and signed < 0
 
 
-def test_concentration_self_centered_without_exact():
-    from hafkit.experiments import FamilyMember
-
-    a = complete_graph(8).sym_matrix()
-    member = FamilyMember(name="x", size=8, matrix=a, exact_log_haf=None)
-    rep = concentration_error([member], samples_per_member=200, seed=10)
-    size, med, q90, signed = rep.rows[0]
-    assert signed is None
-    assert 0 <= med <= q90
-
-
 def test_experiments_deterministic():
     cfg = {"matrix": {"kind": "complete", "n": 8, "scaled": True}, "trials": 50, "seed": 11,
            "thresholds": [1e-6, 0.01, 0.1]}
