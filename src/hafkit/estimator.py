@@ -17,14 +17,14 @@ decide it.  The Parlett-Reid Pfaffian of ``sample_w``
 (``linalg.pfaffian_log_stack``) is the oracle that carries the sign.
 
 Every nonzero term of det(W) is a cycle cover of the support, so det(W)
-depends only on the entries of its total support, which the matching found
-for the zero decision yields exactly (``exact.total_support``).  W
-restricted to it is block diagonal over the connected components: a
-bipartite component with parts U and V contributes det(W[U, V])^2, any
-other component its skew block W[S, S].  Each chunk draws one row of
-support-edge normals per sample, gathers every block from them, and takes
-one batched ``slogdet`` per group of same-sized blocks.  A single
-non-bipartite component over all vertices is the full W.
+depends only on the entries of its total support.  The pass that finds it
+from the matching of the zero decision (``exact.total_support``) returns
+its blocks, over which det(W) factors: a bipartite pair of parts U and V
+contributes det(W[U, V])^2, any other block S its skew block W[S, S].
+Each chunk draws one row of support-edge normals per sample, gathers every
+block from them, and takes one batched ``slogdet`` per group of same-sized
+blocks, adding a group's log-dets in block order.  A single non-bipartite
+block over all vertices is the full W.
 
 Sampling is embarrassingly parallel: indices are processed in fixed-size
 chunks whose boundaries do not depend on the worker count, and aggregation
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import InputError
 from .exact import perfect_matching, total_support
-from .graphs import GraphEdgeList, large_entries_graph
+from .graphs import large_entries_graph
 from .linalg import SkewMatrix, SymMatrix
 from .rng import check_seed, gaussian_block, gaussian_blocks
 
@@ -138,45 +138,14 @@ def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
     return SkewMatrix(_gather(gaussian_block(seed, index, m), pos, weight))
 
 
-def _blocks(kept: GraphEdgeList):
-    """``(rows, cols, power)`` of every connected component of ``kept``.
-
-    A bipartite component with parts U and V gives ``(U, V, 2)``: its
-    determinant is det(W[U, V])^2.  Any other component S gives
-    ``(S, S, 1)``, one skew block W[S, S].
-    """
-    adj = kept.adjacency_sets()
-    side = [-1] * kept.n
-    for root in range(kept.n):
-        if side[root] != -1:
-            continue
-        side[root] = 0
-        comp = [root]
-        bipartite = True
-        for v in comp:  # breadth first: comp grows while it is walked
-            for w in adj[v]:
-                if side[w] == -1:
-                    side[w] = 1 - side[v]
-                    comp.append(w)
-                elif side[w] == side[v]:
-                    bipartite = False
-        comp.sort()
-        if bipartite:
-            yield [v for v in comp if side[v] == 0], [v for v in comp if side[v] == 1], 2
-        else:
-            yield comp, comp, 1
-
-
-def _block_groups(
-    pos: np.ndarray, weight: np.ndarray, kept: GraphEdgeList
-) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Gather plan of every block: ``(pos, weight, power)`` per block size and kind.
+def _block_groups(pos: np.ndarray, weight: np.ndarray, blocks) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Gather plan of ``total_support``'s blocks: ``(pos, weight, power)`` per block size and kind.
 
     ``pos`` and ``weight`` stack the layout tables cut to each block, so
     that ``_gather`` of a chunk's normals gives every block of the group.
     """
     groups: dict[tuple[int, int], list] = {}
-    for rows, cols, power in _blocks(kept):
+    for rows, cols, power in blocks:
         cut = np.ix_(rows, cols)
         groups.setdefault((len(rows), power), []).append((pos[cut], weight[cut]))
     return [
@@ -189,8 +158,9 @@ def _logdet_chunk(groups, num_normals: int, seed: int, first: int, count: int) -
     x = gaussian_blocks(seed, first, count, num_normals)
     log_dets = np.zeros(count)
     for pos, weight, power in groups:
-        # det(W_c) is Pf(W_c)^2 or det(B_c)^2 >= 0; |det| absorbs signs flipped by rounding
-        log_dets += power * np.linalg.slogdet(_gather(x, pos, weight))[1].sum(axis=1)
+        # det(W_c) is Pf(W_c)^2 or det(B_c)^2 >= 0; |det| absorbs signs flipped by rounding.
+        # cumsum adds a group's blocks in block order, whatever the gather's memory layout
+        log_dets += power * np.cumsum(np.linalg.slogdet(_gather(x, pos, weight))[1], axis=1)[:, -1]
     return log_dets
 
 
@@ -201,7 +171,7 @@ def sample_log_dets(a: SymMatrix, num_samples: int, seed: int, threads: int = 1)
     det(W) exactly zero: that is decided once, by a matching check, and the
     result is all -inf without drawing any samples.  Otherwise each sample
     draws one normal per support edge, as ``sample_w`` does, and det(W) is
-    taken block by block over the components of the total support.
+    taken block by block over the blocks of the total support.
     """
     seed = check_seed(seed)
     if num_samples < 1:

@@ -15,8 +15,9 @@ integer ones past that bound, are summed in float64.
 
 Perfect matchings are found separately by an augmenting-path matcher with
 blossom contraction, usable far beyond the hafnian cap.  One perfect
-matching also gives the total support: the edges that lie on some cycle
-cover, found by one strongly-connected-component pass (Dulmage-Mendelsohn).
+matching also gives the total support, the edges that lie on some cycle
+cover, by one strongly-connected-component pass (Dulmage-Mendelsohn), as
+the blocks over which every determinant with that support factors.
 """
 
 from __future__ import annotations
@@ -269,15 +270,19 @@ def _strong_components(succ: list[list[int]]) -> list[int]:
     return label
 
 
-def total_support(g: GraphEdgeList, cover: list[int]) -> GraphEdgeList:
-    """Edges of ``g`` that lie on some cycle cover of ``g``.
+def total_support(g: GraphEdgeList, cover: list[int]) -> list[tuple[list[int], list[int], int]]:
+    """``(rows, cols, power)`` of every block of the total support of ``g``.
 
     ``cover`` is one cycle cover, as a permutation with every
     ``(i, cover[i])`` an edge; a perfect matching is one.  Edge (i, k) lies
     on a cycle cover iff i and cover^-1(k) share a strongly connected
     component of the digraph i -> cover^-1(k) over all edges (i, k)
-    (Dulmage-Mendelsohn).  The determinant of any matrix with support g
-    depends only on the entries on these edges.
+    (Dulmage-Mendelsohn); any determinant with support g factors over
+    these components.  A component R has columns cover(R), by symmetry R
+    itself or another component: ``(R, R, 1)`` is one skew block W[R, R],
+    ``(R, cover(R), 2)`` a bipartite pair, det(W[R, cover(R)])^2, listed
+    once, from the side of its lowest vertex.  Blocks come in order of
+    their lowest vertex, rows and columns sorted.
     """
     adj = g.adjacency_sets()
     if sorted(cover) != list(range(g.n)) or any(k not in adj[i] for i, k in enumerate(cover)):
@@ -286,5 +291,14 @@ def total_support(g: GraphEdgeList, cover: list[int]) -> GraphEdgeList:
     for i, k in enumerate(cover):
         inverse[k] = i
     label = _strong_components([[inverse[k] for k in adj[i]] for i in range(g.n)])
-    kept = frozenset((i, k) for i, k in g.edges if label[i] == label[inverse[k]])
-    return GraphEdgeList(n=g.n, edges=kept)
+    members: dict[int, list[int]] = {}
+    for v in range(g.n):
+        members.setdefault(label[v], []).append(v)
+    blocks = []
+    for rows in members.values():  # in order of lowest vertex
+        cols = members[label[cover[rows[0]]]]
+        if cols is rows:
+            blocks.append((rows, rows, 1))
+        elif rows[0] < cols[0]:
+            blocks.append((rows, cols, 2))
+    return blocks

@@ -223,7 +223,6 @@ def eigenvalue_density(
 
 @dataclass(frozen=True)
 class FamilyMember:
-    name: str
     size: int
     matrix: SymMatrix
     exact_log_haf: float
@@ -296,7 +295,7 @@ def complete_family(ns) -> list[FamilyMember]:
         a = complete_graph(n).sym_matrix()
         a.require_even()
         exact = math.log(math.prod(range(1, n, 2)))
-        members.append(FamilyMember(name=f"complete_{n}", size=n, matrix=a, exact_log_haf=exact))
+        members.append(FamilyMember(size=n, matrix=a, exact_log_haf=exact))
     return members
 
 
@@ -306,14 +305,8 @@ def counterexample_family(n_centers, delta: float) -> list[FamilyMember]:
     for nc in n_centers:
         spec = CounterexampleSpec(delta=delta, n_center=int(nc))
         a = build_counterexample(spec).sym_matrix()
-        members.append(
-            FamilyMember(
-                name=f"counterexample_{spec.total_vertices}",
-                size=spec.total_vertices,
-                matrix=a,
-                exact_log_haf=math.lgamma(spec.n_center + 1),
-            )
-        )
+        exact = math.lgamma(spec.n_center + 1)
+        members.append(FamilyMember(size=spec.total_vertices, matrix=a, exact_log_haf=exact))
     return members
 
 

@@ -8,6 +8,7 @@ report structures serialize to identical bytes.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -26,24 +27,7 @@ def format_float(x: float) -> str:
 
 
 def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return json.dumps(s, ensure_ascii=False)
 
 
 def _key(k) -> str:

@@ -298,6 +298,39 @@ def brute_total_support(n, edges) -> set:
     return kept
 
 
+def brute_blocks(n, edges) -> list:
+    """``(rows, cols, power)`` of each connected component of the total support.
+
+    Components of ``brute_total_support``'s edges, in order of their lowest
+    vertex, each 2-coloured by its own BFS from that vertex: a bipartite
+    component gives (the lowest vertex's side, the other side, 2), any
+    other component S gives (S, S, 1).  Rows and columns are sorted.
+    """
+    nbrs = {v: set() for v in range(n)}
+    for u, v in brute_total_support(n, edges):
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    colour = {}
+    blocks = []
+    for root in range(n):
+        if root in colour:
+            continue
+        colour[root] = 0
+        queue = [root]
+        for v in queue:
+            for w in nbrs[v]:
+                if w not in colour:
+                    colour[w] = 1 - colour[v]
+                    queue.append(w)
+        comp = sorted(queue)
+        sides = [[v for v in comp if colour[v] == c] for c in (0, 1)]
+        if any(colour[v] == colour[w] for v in comp for w in nbrs[v]):
+            blocks.append((comp, comp, 1))
+        else:
+            blocks.append((sides[0], sides[1], 2))
+    return blocks
+
+
 def counterexample_log_det_mean(n_center: int, m_pairs: int) -> float:
     """Exact E[log det W] on the center-clique counterexample.
 

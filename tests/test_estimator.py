@@ -349,7 +349,7 @@ def full_w_log_dets(a, num, seed):
 
 def support_blocks(a):
     g = large_entries_graph(a, 0.0)
-    return list(estimator._blocks(total_support(g, perfect_matching(g))))
+    return total_support(g, perfect_matching(g))
 
 
 def test_one_full_block_is_bit_identical_to_the_full_w():
@@ -409,17 +409,15 @@ def test_blocks_agree_with_pfaffian_and_keep_zero_decisions():
 
 
 def blocks_cut_from_sample_w(a, num, seed):
-    """log det W from the blocks of ``estimator._blocks`` cut out of ``sample_w``'s W.
+    """log det W from the blocks of ``total_support`` cut out of ``sample_w``'s W.
 
     Float addition is not associative, so the sum runs in sample_log_dets'
     order: blocks of one size and kind form a group, a group's log|det|s
-    are added one block at a time (numpy reduces the estimator's block axis,
-    which is not its innermost in memory, in that order), and the groups
-    are added in the order they first appear.
+    are added one block at a time, in block order, and the groups are added
+    in the order they first appear.
     """
-    g = large_entries_graph(a, 0.0)
     groups = {}
-    for rows, cols, power in estimator._blocks(total_support(g, perfect_matching(g))):
+    for rows, cols, power in support_blocks(a):
         groups.setdefault((len(rows), power), []).append(np.ix_(rows, cols))
     ws = [sample_w(a, seed, i).entries for i in range(num)]
     log_dets = np.zeros(num)
@@ -430,6 +428,17 @@ def blocks_cut_from_sample_w(a, num, seed):
             group += per_block[:, b]
         log_dets += power * group
     return log_dets
+
+
+def many_blocks(rng, num, size):
+    """Weighted support of ``num`` disjoint K_size, vertices shuffled."""
+    n = num * size
+    a = np.zeros((n, n))
+    for t in range(num):
+        block = slice(t * size, (t + 1) * size)
+        a[block, block] = np.triu(rng.uniform(0.1, 2.0, (size, size)), 1)
+    perm = rng.permutation(n)
+    return SymMatrix((a + a.T)[np.ix_(perm, perm)])
 
 
 def test_sampled_blocks_are_the_blocks_of_sample_w():
@@ -447,6 +456,11 @@ def test_sampled_blocks_are_the_blocks_of_sample_w():
         kinds_seen.add(kind)
         assert np.array_equal(sample_log_dets(a, 300, seed=k), blocks_cut_from_sample_w(a, 300, k))
     assert kinds_seen == {"bipartite", "disconnected", "matching", "mixed"}
+    # groups of many blocks: 150 1x1 bipartite pairs, 40 K_4
+    for num, size in ((150, 2), (40, 4)):
+        a = many_blocks(rng, num, size)
+        assert len(support_blocks(a)) == num
+        assert np.array_equal(sample_log_dets(a, 40, seed=num), blocks_cut_from_sample_w(a, 40, num))
 
 
 def test_quantile_helper_handles_minus_inf():

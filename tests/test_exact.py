@@ -19,6 +19,7 @@ from hafkit import (
 from hafkit.exact import total_support
 
 from helpers import (
+    brute_blocks,
     brute_total_support,
     memo_matchings,
     naive_hafnian,
@@ -265,11 +266,19 @@ def test_matching_exists_scales_to_thousands():
     assert_perfect_matching(g, perfect_matching(g))
 
 
+def kept_edges(g, blocks):
+    """Edges of ``g`` inside a block: rows to columns, either way round."""
+    pairs = {(i, k) for rows, cols, _ in blocks for i in rows for k in cols}
+    return {(u, v) for u, v in g.edges if (u, v) in pairs or (v, u) in pairs}
+
+
 def assert_total_support_matches_oracle(g, cover=None):
+    """Blocks of ``total_support`` against both oracles; returns the kept edges."""
     cover = perfect_matching(g) if cover is None else cover
-    kept = total_support(g, cover)
-    assert kept.n == g.n
-    assert set(kept.edges) == brute_total_support(g.n, g.edges)
+    blocks = total_support(g, cover)
+    assert blocks == brute_blocks(g.n, g.edges)
+    kept = kept_edges(g, blocks)
+    assert kept == brute_total_support(g.n, g.edges)
     return kept
 
 
@@ -291,7 +300,7 @@ def test_total_support_matches_oracle_on_random_supports():
     for _ in range(30):
         n = int(rng.choice([4, 6, 8, 10]))
         g = GraphEdgeList.from_pairs(n, random_graph_with_matching(rng, n, float(rng.uniform(0.05, 0.5))))
-        pruned += assert_total_support_matches_oracle(g).edges != g.edges
+        pruned += assert_total_support_matches_oracle(g) != g.edges
     assert pruned >= 5  # the draws exercise edges on no cycle cover
 
 
@@ -308,29 +317,52 @@ def test_total_support_from_any_cycle_cover_matches_oracle():
         assert_total_support_matches_oracle(GraphEdgeList.from_pairs(n, edges), cover)
 
 
+def other_perfect_matching(rng, g):
+    """A perfect matching of g found after a random relabelling, mapped back."""
+    perm = [int(v) for v in rng.permutation(g.n)]
+    inv = np.argsort(perm)
+    match = perfect_matching(GraphEdgeList.from_pairs(g.n, {(perm[u], perm[v]) for u, v in g.edges}))
+    return [int(inv[match[perm[u]]]) for u in range(g.n)]
+
+
+def test_total_support_blocks_do_not_depend_on_the_matching():
+    rng = np.random.default_rng(4405)
+    cases = [build_counterexample(CounterexampleSpec(delta=0.12, n_center=nc)) for nc in (4, 10)]
+    while len(cases) < 42:
+        n = int(rng.choice([6, 8, 10, 12, 16]))
+        cases.append(GraphEdgeList.from_pairs(n, random_graph_with_matching(rng, n, float(rng.uniform(0.1, 0.5)))))
+    differ = 0
+    for g in cases:
+        first, second = perfect_matching(g), other_perfect_matching(rng, g)
+        assert_perfect_matching(g, second)
+        differ += first != second
+        assert total_support(g, second) == total_support(g, first)
+    assert differ >= 20
+
+
 def test_total_support_keeps_the_bridge_between_two_triangles():
     # haf = 1 and only 3 of the 7 edges lie in a perfect matching, but every
     # edge lies on a cycle cover: the two triangles, or the matching
     edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
     g = GraphEdgeList.from_pairs(6, edges)
-    assert assert_total_support_matches_oracle(g).edges == g.edges
+    assert assert_total_support_matches_oracle(g) == g.edges
     # any cycle cover serves as the start, here the two 3-cycles
-    assert assert_total_support_matches_oracle(g, [1, 2, 0, 4, 5, 3]).edges == g.edges
+    assert assert_total_support_matches_oracle(g, [1, 2, 0, 4, 5, 3]) == g.edges
 
 
 def test_total_support_of_complete_graphs_and_matchings():
     for n in (2, 4, 6, 8, 10):
         k_n = complete_graph(n)
-        assert assert_total_support_matches_oracle(k_n).edges == k_n.edges
+        assert assert_total_support_matches_oracle(k_n) == k_n.edges
         matching = GraphEdgeList.from_pairs(n, [(2 * t, 2 * t + 1) for t in range(n // 2)])
-        assert assert_total_support_matches_oracle(matching).edges == matching.edges
+        assert assert_total_support_matches_oracle(matching) == matching.edges
 
 
 def test_total_support_of_the_counterexample_is_center_plain_and_pairs():
     for n, m in ((3, 1), (4, 1), (10, 1), (24, 1), (12, 3)):
         g = build_counterexample(CounterexampleSpec(delta=0.12, n_center=n, m_pairs=m))
-        want = {(i, j) for i in range(n) for j in range(n, 2 * n)}
-        want |= {(2 * n + 2 * t, 2 * n + 2 * t + 1) for t in range(m)}
+        want = [(list(range(n)), list(range(n, 2 * n)), 2)]
+        want += [([2 * n + 2 * t], [2 * n + 2 * t + 1], 2) for t in range(m)]
         if g.n <= 10:
             assert_total_support_matches_oracle(g)
-        assert set(total_support(g, perfect_matching(g)).edges) == want
+        assert total_support(g, perfect_matching(g)) == want

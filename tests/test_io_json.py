@@ -109,5 +109,8 @@ def test_jsonout_deterministic():
 
 
 def test_jsonout_string_escapes():
-    text = jsonout.dumps({"s": 'quote " backslash \\ newline \n tab \t'})
-    assert json.loads(text)["s"] == 'quote " backslash \\ newline \n tab \t'
+    s = 'quote " backslash \\ newline \n tab \t backspace \b form feed \f unit sep \x1f delta \u03b4'
+    text = jsonout.dumps({"s": s})
+    assert json.loads(text)["s"] == s
+    # short escapes where JSON has them, \u00XX for other controls, non-ASCII as is
+    assert jsonout.dumps("\b\f\x1f\u03b4") == '"\\b\\f\\u001f\u03b4"'
