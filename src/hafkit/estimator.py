@@ -44,7 +44,7 @@ from .errors import InputError
 from .exact import perfect_matching, total_support
 from .graphs import large_entries_graph
 from .linalg import SkewMatrix, SymMatrix
-from .rng import check_seed, gaussian_block, gaussian_blocks
+from .rng import check_seed, gaussian_blocks
 
 __all__ = [
     "ErrorStats",
@@ -135,7 +135,7 @@ def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
     how many other samples are drawn around it.
     """
     m, pos, weight = _layout(a)
-    return SkewMatrix(_gather(gaussian_block(seed, index, m), pos, weight))
+    return SkewMatrix(_gather(gaussian_blocks(seed, index, 1, m)[0], pos, weight))
 
 
 def _block_groups(pos: np.ndarray, weight: np.ndarray, blocks) -> list[tuple[np.ndarray, np.ndarray, int]]:

@@ -10,8 +10,8 @@ n = 24, against 2^24) and far fewer on sparse graphs, so time and memory
 grow with the states reached, not with 2^n.  These are found level by level
 as sorted int64 bit masks; values are then pulled up from the empty set,
 each state adding its terms in ascending ``j``.  Integer inputs are counted
-exactly in int64 whenever no partial sum can reach 2^63; other inputs, and
-integer ones past that bound, are summed in float64.
+exactly: in int64 while no partial sum can reach 2^63, and in Python ints
+from the level where one could.  Other inputs are summed in float64.
 
 Perfect matchings are found separately by an augmenting-path matcher with
 blossom contraction, usable far beyond the hafnian cap.  One perfect
@@ -80,8 +80,8 @@ def _moves(masks: np.ndarray, nbrs: np.ndarray):
             yield j, parents, lowest[parents], masks[parents] ^ low[parents] ^ (1 << j)
 
 
-def _hafnian_dp(a: np.ndarray) -> float | int | None:
-    """Hafnian over the reachable states; None if an int64 sum could overflow."""
+def _hafnian_dp(a: np.ndarray) -> float | int:
+    """Hafnian over the reachable states; int64 sums go on in Python ints near 2^63."""
     n = a.shape[0]
     nbrs = np.array([sum(1 << int(j) for j in np.flatnonzero(row)) for row in a], dtype=np.int64)
     levels = [np.array([(1 << n) - 1], dtype=np.int64)]
@@ -94,12 +94,12 @@ def _hafnian_dp(a: np.ndarray) -> float | int | None:
     val = np.ones(1, dtype=a.dtype)
     for masks, below in zip(levels[-2::-1], levels[:0:-1]):
         if a.dtype == np.int64 and int(val.max()) * row_max >= _INT64_LIMIT:
-            return None
+            a, val = a.astype(object), val.astype(object)
         acc = np.zeros(masks.size, dtype=a.dtype)
         for j, parents, i, kids in _moves(masks, nbrs):
             acc[parents] += a[i, j] * val[np.searchsorted(below, kids)]
         val = acc
-    return val[0].item()
+    return val.tolist()[0]
 
 
 def hafnian_exact(a: SymMatrix, cap: int = DEFAULT_CAP) -> HafnianValue:
@@ -107,8 +107,8 @@ def hafnian_exact(a: SymMatrix, cap: int = DEFAULT_CAP) -> HafnianValue:
 
     For a 0/1 adjacency matrix this is the number of perfect matchings.
     Dimensions above ``cap``, or above 62 whatever the cap, are refused.
-    Integer inputs are counted exactly while every partial sum fits in
-    int64.  Otherwise, when entries are large enough that the float DP
+    Integer inputs below 2^53 are counted exactly, past int64 too.
+    Otherwise, when entries are large enough that the float DP
     could overflow, the matrix is normalized by its maximum entry and only
     the log value is guaranteed; else the plain value is exact-in-float.
     """
@@ -122,9 +122,8 @@ def hafnian_exact(a: SymMatrix, cap: int = DEFAULT_CAP) -> HafnianValue:
     c = float(a.entries.max())
     if c < _FLOAT_EXACT and np.array_equal(a.entries, np.floor(a.entries)):
         count = _hafnian_dp(a.entries.astype(np.int64))
-        if count is not None:
-            value = float(count) if count < _FLOAT_EXACT else count
-            return HafnianValue(log_value=math.log(count) if count else -math.inf, value_if_small=value, n=n)
+        value = float(count) if count < _FLOAT_EXACT else count
+        return HafnianValue(log_value=math.log(count) if count else -math.inf, value_if_small=value, n=n)
     # (n-1)!! bounds the number of terms; worst-case magnitude c^m * (n-1)!!
     log_worst = m * math.log(c) + math.lgamma(n) - math.lgamma(m) - (m - 1) * math.log(2.0)
     if log_worst < _MAX_EXACT_LOG:

@@ -23,7 +23,7 @@ from .errors import InputError, NumericalError
 from .estimator import _gather, _layout, sample_log_dets
 from .graphs import GraphEdgeList
 from .linalg import SkewMatrix, SymMatrix, spectrum
-from .rng import gaussian_block
+from .rng import gaussian_blocks
 from . import io as _io
 from . import scaling as _scaling
 
@@ -124,7 +124,7 @@ def _trial_spectra(a: SymMatrix, trials: int, seed: int):
     """Spectrum of W for trial indices 0..trials-1, from one layout of A's support."""
     m, pos, weight = _layout(a)
     for t in range(trials):
-        yield spectrum(SkewMatrix(_gather(gaussian_block(seed, t, m), pos, weight)))
+        yield spectrum(SkewMatrix(_gather(gaussian_blocks(seed, t, 1, m)[0], pos, weight)))
 
 
 @dataclass(frozen=True)
@@ -177,14 +177,14 @@ class DensityReport:
     rows: tuple  # (eta, mean_count, max_count, ratio=mean/(n*eta)) per eta
 
 
-def default_eta_grid(max_entry: float, points: int = 8) -> np.ndarray:
+def default_eta_grid(max_entry: float) -> np.ndarray:
     if not (0 < max_entry <= 1):
         raise InputError("max_entry must lie in (0, 1] for the default grid")
     m = 1.0 / max_entry
     lo = m ** (-1.0 / 5.0)
     if lo >= 1.0:
         lo = 0.5
-    return np.geomspace(lo, 1.0, points)
+    return np.geomspace(lo, 1.0, 8)
 
 
 def eigenvalue_density(

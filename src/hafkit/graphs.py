@@ -382,10 +382,6 @@ class HypothesisReport:
     """Per-condition verdicts for the concentration theorem's hypotheses."""
 
     n: int
-    alpha: float
-    kappa: float
-    beta: float
-    theta: float
     level: int
     min_degree_ok: bool
     observed_min_degree: int
@@ -440,10 +436,6 @@ def check_theorem_hypotheses(
     bound = n ** (-theta)
     return HypothesisReport(
         n=n,
-        alpha=float(alpha),
-        kappa=float(kappa),
-        beta=float(beta),
-        theta=float(theta),
         level=level,
         min_degree_ok=bool(observed >= required),
         observed_min_degree=int(observed),

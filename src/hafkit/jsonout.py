@@ -33,10 +33,6 @@ def _escape(s: str) -> str:
 def _key(k) -> str:
     if isinstance(k, str):
         return _escape(k)
-    if isinstance(k, bool):
-        return _escape("true" if k else "false")
-    if isinstance(k, (int, np.integer)):
-        return _escape(str(int(k)))
     if isinstance(k, (float, np.floating)):
         return _escape(repr(float(k)))
     raise TypeError(f"unsupported JSON key type {type(k)!r}")

@@ -10,11 +10,12 @@ m: n(n-1)/2 on a complete support, n/2 on a perfect matching.
 
 ``gaussian_blocks`` walks many consecutive indices by re-keying a single
 bit generator through its public ``state`` setter and filling each row in
-place; ``gaussian_block`` is its one-row case.  The state is kept as plain
-Python ints, which the setter takes in 0.7 us against 1.8 us for uint64
-arrays.  On a 2-vCPU VM a row of 28 normals (one K_8 sample) costs about
-1.8 us this way, against 13-19 us for a freshly built generator and 0.6 us
-per row for one bulk draw, which would not be the per-index stream.
+place; one sample's row is ``gaussian_blocks(seed, index, 1, m)[0]``.  The
+state is kept as plain Python ints, which the setter takes in 0.7 us
+against 1.8 us for uint64 arrays.  On a 2-vCPU VM a row of 28 normals (one
+K_8 sample) costs about 1.8 us this way, against 13-19 us for a freshly
+built generator and 0.6 us per row for one bulk draw, which would not be
+the per-index stream.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from numpy.random import Generator, Philox
 
 from .errors import InputError
 
-__all__ = ["gaussian_block", "gaussian_blocks", "check_seed"]
+__all__ = ["gaussian_blocks", "check_seed"]
 
 _U64 = 1 << 64
 
@@ -35,13 +36,6 @@ def check_seed(seed: int) -> int:
     if not (0 <= int(seed) < _U64):
         raise InputError("seed must fit in an unsigned 64-bit integer")
     return int(seed)
-
-
-def gaussian_block(seed: int, index: int, count: int) -> np.ndarray:
-    """`count` standard normals from the stream keyed by (seed, index)."""
-    if index < 0 or index >= _U64:
-        raise InputError("index must be a nonnegative 64-bit integer")
-    return gaussian_blocks(seed, index, 1, count)[0]
 
 
 def gaussian_blocks(seed: int, first_index: int, num_blocks: int, count: int) -> np.ndarray:

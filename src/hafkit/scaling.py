@@ -9,9 +9,14 @@ non-scalability is a legitimate verdict the CLI reports.  The iteration is
 sequential, so its cost is interpreter overhead per step: steps run in
 blocks into buffers allocated per block and the stopping rules are checked
 once per block, which gives bit for bit the result of checking after every
-step (see ``_fixed_point``).  The entry-size
-audit compares the scaled entries with the n^-theta / n^-2nu bounds of the
-concentration theorem.
+step (see ``_fixed_point``).  It runs on A' = A / 4^k, with k chosen so
+that max A' lies in [1, 4) (or above, where that would push a positive
+entry below the normal range), and returns d = d' / 2^k: a power of two
+commutes with rounding, so every iterate is the one on A times 2^k, bit for
+bit, while the divergence window on d' is relative to A, so the verdict
+does not depend on the units of A.  The entry-size audit compares the
+scaled entries with the n^-theta / n^-2nu bounds of the concentration
+theorem.
 """
 
 from __future__ import annotations
@@ -66,7 +71,6 @@ def scale_symmetric(
     a: SymMatrix,
     residual_target: float | None = None,
     max_iterations: int = 10_000,
-    d0: np.ndarray | None = None,
 ) -> ScalingResult:
     """Scale a to (approximately) doubly stochastic form B = diag(d) A diag(d).
 
@@ -80,42 +84,33 @@ def scale_symmetric(
         magnitude of the largest entry.
     max_iterations : int
         Iteration cap; hitting it yields ``converged=False``.
-    d0 : array, optional
-        Positive starting diagonal.  The default 1/sqrt(row sums) is exact
-        for regular graphs; the limit B is the same for any start.
+
+    The start 1/sqrt(row sums) is exact for regular graphs.
     """
-    arr = a.entries
-    n = a.n
     if residual_target is None:
-        residual_target = 1.0 / n
+        residual_target = 1.0 / a.n
     if residual_target <= 0:
         raise InputError("residual_target must be positive")
     if max_iterations < 1:
         raise InputError("max_iterations must be >= 1")
+    top = np.frexp(a.entries.max())[1]
+    low = np.frexp(a.entries.min(initial=np.inf, where=a.entries > 0))[1]
+    k = int(min((top - 1) // 2, max(0, (low + 1021) // 2)))
+    arr = np.ldexp(a.entries, -2 * k)
     row = arr.sum(axis=1)
     if np.any(row == 0):
         raise InputError("input has an all-zero row; scaling undefined")
-    if d0 is None:
-        d = 1.0 / np.sqrt(row)
-    else:
-        d = np.asarray(d0, dtype=np.float64).copy()
-        if d.shape != (n,) or np.any(d <= 0) or not np.all(np.isfinite(d)):
-            raise InputError("d0 must be a length-n vector of positive finite reals")
-    d, residual, iterations, converged = _fixed_point(arr, d, residual_target, max_iterations)
-    # a huge d0 whose first step already overflows comes back unchanged
-    with np.errstate(over="ignore", invalid="ignore"):
-        b_arr = np.outer(d, d) * arr
-    if not np.all(np.isfinite(b_arr)):
-        raise InputError("D*A*D overflowed float64 for this starting diagonal d0")
-    b = SymMatrix(b_arr)
-    positive = b_arr[b_arr > 0]
+    d, residual, iterations, converged = _fixed_point(
+        arr, 1.0 / np.sqrt(row), residual_target, max_iterations
+    )
+    b_arr = np.outer(d, d) * arr
     return ScalingResult(
-        d=d,
-        b=b,
+        d=np.ldexp(d, -k),
+        b=SymMatrix(b_arr),
         residual=residual,
         iterations=iterations,
         max_entry=float(b_arr.max()),
-        min_positive_entry=float(positive.min()) if positive.size else math.inf,
+        min_positive_entry=float(b_arr.min(initial=math.inf, where=b_arr > 0)),
         converged=converged,
     )
 

@@ -13,15 +13,18 @@ from scipy.special import digamma
 
 
 def naive_hafnian(a: np.ndarray) -> float:
-    """Hafnian by direct enumeration of all (n-1)!! pairings."""
+    """Hafnian by direct enumeration of all (n-1)!! pairings.
+
+    Exact for an object array of Python ints.
+    """
     n = a.shape[0]
     assert n % 2 == 0
 
     def rec(idx):
         if not idx:
-            return 1.0
+            return 1
         i = idx[0]
-        total = 0.0
+        total = 0
         for t in range(1, len(idx)):
             j = idx[t]
             rest = idx[1:t] + idx[t + 1:]

@@ -69,6 +69,11 @@ def test_exact_prints_counts_past_2_53_as_ints(runner, tmp_path):
     res = runner.invoke(main, ["exact", "--graph", str(tmp_path / "k12x4.edges"), "--cap", "48"])
     assert res.exit_code == 0
     assert f'"value": {10395**4}\n' in res.output
+    x = 2**40 + 1
+    io.write_matrix(tmp_path / "big4.mat", np.full((4, 4), float(x)) - np.diag([float(x)] * 4))
+    res = runner.invoke(main, ["exact", "--matrix", str(tmp_path / "big4.mat")])
+    assert res.exit_code == 0
+    assert '"value": 3626777458850484593885187\n' in res.output
     io.write_edge_list(tmp_path / "k64.edges", complete_graph(64))
     res = runner.invoke(main, ["exact", "--graph", str(tmp_path / "k64.edges"), "--cap", "100"])
     assert res.exit_code == 2
@@ -148,6 +153,14 @@ def test_scale_star_exits_3(runner, files):
     doc = json.loads(res.output)
     assert doc["converged"] is False
     assert doc["iterations"] == 200
+
+
+def test_scale_converges_whatever_the_units(runner, tmp_path):
+    x = np.triu(np.random.default_rng(48).uniform(0.1, 3.0, size=(6, 6)), 1)
+    io.write_matrix(tmp_path / "tiny.mat", (x + x.T) * 1e-250)
+    res = runner.invoke(main, ["scale", "--matrix", str(tmp_path / "tiny.mat")])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["converged"] is True
 
 
 def test_scale_k8_and_emit_b(runner, files, tmp_path):

@@ -19,7 +19,7 @@ from hafkit.estimator import _quantiles
 from hafkit.exact import perfect_matching, total_support
 from hafkit.graphs import large_entries_graph
 from hafkit.linalg import pfaffian_log_stack
-from hafkit.rng import gaussian_block, gaussian_blocks
+from hafkit.rng import gaussian_blocks
 
 from helpers import (
     memo_matchings,
@@ -96,7 +96,7 @@ def triangle_stream_w(a, seed, index):
     """W from the normals of the whole upper triangle, scattered in row-major order."""
     iu, ju = np.triu_indices(a.n, 1)
     w = np.zeros((a.n, a.n))
-    w[iu, ju] = gaussian_block(seed, index, iu.size) * np.sqrt(a.entries[iu, ju])
+    w[iu, ju] = gaussian_blocks(seed, index, 1, iu.size)[0] * np.sqrt(a.entries[iu, ju])
     w -= w.T
     return w
 
@@ -130,7 +130,7 @@ def test_matching_support_draws_one_normal_per_edge(monkeypatch):
     assert {count for _, count in calls} == {n // 2}
     # each pair edge is a 1 x 1 bipartite block: log det W = 2 sum log|g|
     for i in (0, 1, num - 1):
-        want = 2.0 * float(np.sum(np.log(np.abs(gaussian_block(3, i, n // 2)))))
+        want = 2.0 * float(np.sum(np.log(np.abs(gaussian_blocks(3, i, 1, n // 2)[0]))))
         assert math.isclose(log_dets[i], want, rel_tol=1e-12)
 
 
@@ -167,7 +167,7 @@ def test_sample_w_zeros_off_the_support_are_positive():
 def test_blocked_stream_equals_per_index_streams():
     blocks = gaussian_blocks(3, first_index=10, num_blocks=7, count=15)
     for r in range(7):
-        assert np.array_equal(blocks[r], gaussian_block(3, 10 + r, 15))
+        assert np.array_equal(blocks[r], gaussian_blocks(3, 10 + r, 1, 15)[0])
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -185,13 +185,13 @@ def test_blocked_stream_equals_fresh_philox_generators(seed, first_index, count)
         key = np.array([seed, first_index + r], dtype=np.uint64)
         expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(count)
         assert np.array_equal(blocks[r], expected)
-    assert np.array_equal(gaussian_block(seed, first_index + num_blocks - 1, count), expected)
+    assert np.array_equal(gaussian_blocks(seed, first_index + num_blocks - 1, 1, count)[0], expected)
 
 
 def test_gaussian_block_rejects_indices_outside_64_bits():
     for index in (-1, 2**64):
-        with pytest.raises(InputError, match="index must be a nonnegative 64-bit integer"):
-            gaussian_block(0, index, 3)
+        with pytest.raises(InputError, match="index range must fit in unsigned 64-bit integers"):
+            gaussian_blocks(0, index, 1, 3)
 
 
 def test_entry_variance_matches_profile():

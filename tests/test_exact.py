@@ -130,10 +130,25 @@ def test_huge_entries_use_log_path():
 
 
 def test_integer_entries_past_int64_take_log_path():
-    # entries 2^20: haf = 105 * 2^80 passes 2^63, so it is summed in floats
+    # entries 2^20: haf = 105 * 2^80 passes 2^63; its log is exact
     big = complete_graph(8).sym_matrix().entries * 2.0**20
     v = hafnian_exact(SymMatrix(big))
     assert math.isclose(v.log_value, 4 * 20 * math.log(2.0) + math.log(105), rel_tol=1e-13)
+
+
+def test_integer_counts_stay_exact_past_int64():
+    # the last level's sums pass 2^63 and go on in Python ints; float64 would
+    # come out 3 below 3 * (2^40 + 1)^2
+    x = 2**40 + 1
+    a = np.full((4, 4), float(x)) - np.diag([float(x)] * 4)
+    v = hafnian_exact(SymMatrix(a))
+    assert type(v.value_if_small) is int and v.value_if_small == 3 * x * x
+    rng = np.random.default_rng(4406)
+    w = np.triu(rng.integers(2**21, 2**22, size=(6, 6)), 1)
+    v = hafnian_exact(SymMatrix((w + w.T).astype(float)))
+    exact = naive_hafnian((w + w.T).astype(object))
+    assert exact >= 2**63 and float(exact) != exact
+    assert type(v.value_if_small) is int and v.value_if_small == exact
 
 
 def test_count_above_2_53_is_an_exact_int():

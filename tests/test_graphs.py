@@ -245,7 +245,7 @@ def test_hypotheses_counterexample_misses_strong_expansion():
         scale_symmetric(a).b, spec.total_vertices ** (-2.0)
     )
     lhs = len(boundary(g, js)) - connected_components_within(g, js)
-    assert lhs < rep.kappa * len(js)
+    assert lhs < rep.expansion.kappa * len(js)
     assert not rep.all_ok
 
 
