@@ -1,13 +1,15 @@
 """Gaussian determinant estimator of the hafnian.
 
 A sample is the skew-symmetric matrix W with W[i, j] = g_ij * sqrt(A[i, j])
-for i < j, where the g_ij are standard normals drawn from the counter-based
-stream keyed by (seed, sample index); det(W) is an unbiased estimator of
-haf(A).  The stream gives one normal to each edge of A's support (A[i, j] >
-0, i < j), in row-major order, and nothing to the zero entries; on a
-complete support that is the whole upper triangle.  That rule is coded once,
-in the layout ``_layout`` builds per matrix: every W and every block of W is
-one gather of a row of normals through it.  Batches of W are evaluated in
+for i < j, where the g_ij are standard normals; det(W) is an unbiased
+estimator of haf(A).  A sample's row of normals gives one normal to each
+edge of A's support (A[i, j] > 0, i < j), in row-major order, and nothing
+to the zero entries; on a complete support that is the whole upper
+triangle.  That rule is coded once, in the layout ``_layout`` builds per
+matrix: every W and every block of W is one gather of a row of normals
+through it.  The rows come from counter-based streams (``rng``): sample i
+is row i % _CHUNK of the (_CHUNK x m) draw of the stream keyed by (seed,
+i // _CHUNK), m being the support-edge count.  Batches of W are evaluated in
 log domain by LAPACK's LU (``np.linalg.slogdet``) and aggregated with
 log-sum-exp, since the values span hundreds of orders of magnitude once n
 is large.  Whether det(W) is zero is decided exactly, once per matrix, by a
@@ -26,10 +28,11 @@ block from them, and takes one batched ``slogdet`` per group of same-sized
 blocks, adding a group's log-dets in block order.  A single non-bipartite
 block over all vertices is the full W.
 
-Sampling is embarrassingly parallel: indices are processed in fixed-size
-chunks whose boundaries do not depend on the worker count, and aggregation
+Sampling is embarrassingly parallel: each chunk is one draw from its own
+stream, chunk boundaries do not depend on the worker count, and aggregation
 happens over the index-ordered array, so results are bit-identical for any
-``threads`` value.
+``threads`` value.  A short last chunk draws a prefix of the full chunk's
+normals, so sample i does not depend on ``num_samples`` either.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .errors import InputError
 from .exact import perfect_matching, total_support
 from .graphs import large_entries_graph
 from .linalg import SkewMatrix, SymMatrix
-from .rng import check_seed, gaussian_blocks
+from .rng import check_seed, gaussian_chunk, stream
 
 __all__ = [
     "ErrorStats",
@@ -54,9 +57,10 @@ __all__ = [
     "estimate",
 ]
 
-# fixed chunk size; must not depend on thread count.  It bounds what each
-# pool thread holds: one chunk of the n=50 counterexample (901 normals and
-# 24x24 blocks per sample) peaks at 5.8 MiB of traced allocation.
+# samples per stream: part of the stream contract, so changing it changes
+# every sampled bit past sample 0.  It also bounds what each pool thread
+# holds: one chunk of the n=50 counterexample (901 normals and 24x24 blocks
+# per sample) peaks at 5.8 MiB of traced allocation.
 _CHUNK = 512
 
 
@@ -94,7 +98,7 @@ class EstimatorSummary:
 def _layout(a: SymMatrix) -> tuple[int, np.ndarray, np.ndarray]:
     """``(m, pos, weight)``: where the normals of one sample go in W.
 
-    Sample (seed, index) draws m normals and gives the k-th to the k-th edge
+    A sample's row holds m normals and gives the k-th to the k-th edge
     of A's support (A[i, j] > 0, i < j) in row-major order.  ``pos[i, j] =
     pos[j, i]`` is the position of edge {i, j}; ``weight`` is +sqrt(A[i, j])
     above the diagonal, -sqrt(A[i, j]) below it and 0 elsewhere.  Gathering
@@ -128,14 +132,20 @@ def _gather(x: np.ndarray, pos: np.ndarray, weight: np.ndarray) -> np.ndarray:
 def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
     """One realization of W = sqrt(A) (element-wise) * skew Gaussian.
 
-    The k-th edge of A's support in row-major order takes the k-th normal
-    of stream (seed, index) (``_layout``); entries off the support are +0.0.
-    On a complete support that is the whole upper triangle in row-major
-    order.  Identical arguments give a bit-identical matrix regardless of
-    how many other samples are drawn around it.
+    This is the W of sample ``index`` of ``sample_log_dets``: the k-th edge
+    of A's support in row-major order takes the k-th normal of row index %
+    _CHUNK of stream (seed, index // _CHUNK) (``_layout``); entries off the
+    support are +0.0.  The rows before it are drawn into the same m-normal
+    buffer and discarded, so memory stays O(n^2 + m) at any index.
     """
+    if not (0 <= index < 1 << 64):
+        raise InputError("sample index must fit in an unsigned 64-bit integer")
     m, pos, weight = _layout(a)
-    return SkewMatrix(_gather(gaussian_blocks(seed, index, 1, m)[0], pos, weight))
+    gen = stream(seed, index // _CHUNK)
+    row = np.empty(m)
+    for _ in range(index % _CHUNK + 1):
+        gen.standard_normal(out=row)
+    return SkewMatrix(_gather(row, pos, weight))
 
 
 def _block_groups(pos: np.ndarray, weight: np.ndarray, blocks) -> list[tuple[np.ndarray, np.ndarray, int]]:
@@ -155,7 +165,7 @@ def _block_groups(pos: np.ndarray, weight: np.ndarray, blocks) -> list[tuple[np.
 
 
 def _logdet_chunk(groups, num_normals: int, seed: int, first: int, count: int) -> np.ndarray:
-    x = gaussian_blocks(seed, first, count, num_normals)
+    x = gaussian_chunk(seed, first // _CHUNK, count, num_normals)
     log_dets = np.zeros(count)
     for pos, weight, power in groups:
         # det(W_c) is Pf(W_c)^2 or det(B_c)^2 >= 0; |det| absorbs signs flipped by rounding.
@@ -169,8 +179,9 @@ def sample_log_dets(a: SymMatrix, num_samples: int, seed: int, threads: int = 1)
 
     A support without a perfect matching (or an odd dimension) makes every
     det(W) exactly zero: that is decided once, by a matching check, and the
-    result is all -inf without drawing any samples.  Otherwise each sample
-    draws one normal per support edge, as ``sample_w`` does, and det(W) is
+    result is all -inf without drawing any samples.  Otherwise each chunk
+    of _CHUNK samples is one draw of one normal per support edge per
+    sample, sample i is the W of ``sample_w(a, seed, i)``, and det(W) is
     taken block by block over the blocks of the total support.
     """
     seed = check_seed(seed)

@@ -1,11 +1,13 @@
 """Desk-scale experiment harness: singular-value tails, eigenvalue crowding
 near zero, and error-concentration curves across matrix families.
 
-Every experiment is a pure function of (inputs, seed): trials are keyed by
-trial index on the same counter-based streams the estimator uses, and all
-aggregation runs in trial order.  The two spectral experiments share one
-trial loop, which lays out the support once and gathers each trial's W from
-its row of normals, as ``estimator.sample_w`` does for a single index.
+Every experiment is a pure function of (inputs, seed), and all aggregation
+runs in trial order.  The two spectral experiments share one trial loop,
+which lays out the support once and gathers trial t's W from a one-row
+draw of the counter-based stream keyed by (seed, t), the layout and streams
+the estimator uses.  Trials are not chunked as samples are: a trial's SVD
+costs milliseconds against a fraction of one for its normals.  The
+concentration experiment samples through ``estimator.sample_log_dets``.
 Constants appearing in the underlying tail bounds are existential, so
 reports expose fitted exponents and ratio columns rather than asserting any
 particular constant; regression tests freeze first-run values instead.
@@ -23,7 +25,7 @@ from .errors import InputError, NumericalError
 from .estimator import _gather, _layout, sample_log_dets
 from .graphs import GraphEdgeList
 from .linalg import SkewMatrix, SymMatrix, spectrum
-from .rng import gaussian_blocks
+from .rng import gaussian_chunk
 from . import io as _io
 from . import scaling as _scaling
 
@@ -121,10 +123,13 @@ def matrix_from_source(source: dict) -> SymMatrix:
 
 
 def _trial_spectra(a: SymMatrix, trials: int, seed: int):
-    """Spectrum of W for trial indices 0..trials-1, from one layout of A's support."""
+    """Spectrum of W for trial indices 0..trials-1, from one layout of A's support.
+
+    Trial t's normals are stream (seed, t), one row of m.
+    """
     m, pos, weight = _layout(a)
     for t in range(trials):
-        yield spectrum(SkewMatrix(_gather(gaussian_blocks(seed, t, 1, m)[0], pos, weight)))
+        yield spectrum(SkewMatrix(_gather(gaussian_chunk(seed, t, 1, m)[0], pos, weight)))
 
 
 @dataclass(frozen=True)

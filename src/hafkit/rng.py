@@ -1,21 +1,19 @@
 """Counter-based Gaussian streams for reproducible parallel sampling.
 
-Every sample index owns a private Philox stream keyed by (seed, index), so
-a sample is a pure function of the key and is bit-identical no matter how
-work is split across threads or runs.  Normals come from numpy's ziggurat
-on top of the keyed stream; golden tests pin the exact values.  A sample's
-row holds one normal per edge of A's support, in row-major order
-(``estimator._layout`` places them in W), so its length is the edge count
-m: n(n-1)/2 on a complete support, n/2 on a perfect matching.
+A stream is numpy's Philox keyed by (seed, key), read through numpy's
+ziggurat, so its normals are a pure function of the key: golden tests pin
+the exact values.  Who owns which stream is the caller's contract.  The
+estimator keys one stream per chunk of ``estimator._CHUNK`` samples, and
+sample i is row i % _CHUNK of the (rows x m) draw of chunk i // _CHUNK; a
+spectral trial t is a one-row draw of stream (seed, t).  A row holds one
+normal per edge of A's support, in row-major order (``estimator._layout``
+places them in W), so m is the edge count: n(n-1)/2 on a complete
+support, n/2 on a perfect matching.
 
-``gaussian_blocks`` walks many consecutive indices by re-keying a single
-bit generator through its public ``state`` setter and filling each row in
-place; one sample's row is ``gaussian_blocks(seed, index, 1, m)[0]``.  The
-state is kept as plain Python ints, which the setter takes in 0.7 us
-against 1.8 us for uint64 arrays.  On a 2-vCPU VM a row of 28 normals (one
-K_8 sample) costs about 1.8 us this way, against 13-19 us for a freshly
-built generator and 0.6 us per row for one bulk draw, which would not be
-the per-index stream.
+A key costs a fresh generator, about 11 us on a 2-vCPU VM, more than the
+normals of a small sample; one key per chunk of 512 samples leaves the bulk
+draw itself, about 17 ns per normal (0.5 us per K_8 row of 28).  numpy
+releases the GIL during a bulk draw, so chunks draw in parallel.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from numpy.random import Generator, Philox
 
 from .errors import InputError
 
-__all__ = ["gaussian_blocks", "check_seed"]
+__all__ = ["stream", "gaussian_chunk", "check_seed"]
 
 _U64 = 1 << 64
 
@@ -38,26 +36,18 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
-def gaussian_blocks(seed: int, first_index: int, num_blocks: int, count: int) -> np.ndarray:
-    """Stack of per-index blocks: row r holds the stream keyed by (seed, first_index + r)."""
+def stream(seed: int, key: int) -> Generator:
+    """A fresh generator on the Philox stream keyed by (seed, key)."""
     seed = check_seed(seed)
-    if first_index < 0 or first_index + num_blocks > _U64:
-        raise InputError("index range must fit in unsigned 64-bit integers")
-    out = np.empty((num_blocks, count))
-    bg = Philox(key=0)  # keyed per row through the state setter below
-    gen = Generator(bg)
-    key = [seed, first_index]
-    # buffer_pos 4 discards any raw words an odd count left buffered
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for r, row in enumerate(out):
-        key[1] = first_index + r
-        bg.state = state
-        gen.standard_normal(out=row)
-    return out
+    if not (0 <= key < _U64):
+        raise InputError("stream key must fit in an unsigned 64-bit integer")
+    return Generator(Philox(key=np.array([seed, key], dtype=np.uint64)))
+
+
+def gaussian_chunk(seed: int, key: int, rows: int, count: int) -> np.ndarray:
+    """The first rows * count normals of stream (seed, key), as a (rows, count) array.
+
+    Normals fill the array row-major, so a draw of fewer rows is a prefix
+    of a draw of more.
+    """
+    return stream(seed, key).standard_normal((rows, count))

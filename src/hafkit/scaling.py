@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .linalg import SymMatrix
 
 __all__ = [
@@ -85,7 +85,9 @@ def scale_symmetric(
     max_iterations : int
         Iteration cap; hitting it yields ``converged=False``.
 
-    The start 1/sqrt(row sums) is exact for regular graphs.
+    The start 1/sqrt(row sums) is exact for regular graphs.  Raises
+    ``NumericalError`` when diag(d) A diag(d) leaves float64, as it can
+    when d spans the range between normal and subnormal entries.
     """
     if residual_target is None:
         residual_target = 1.0 / a.n
@@ -103,7 +105,10 @@ def scale_symmetric(
     d, residual, iterations, converged = _fixed_point(
         arr, 1.0 / np.sqrt(row), residual_target, max_iterations
     )
-    b_arr = np.outer(d, d) * arr
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_arr = np.outer(d, d) * arr
+    if not np.all(np.isfinite(b_arr)):
+        raise NumericalError("D*A*D overflowed float64", residual=residual)
     return ScalingResult(
         d=np.ldexp(d, -k),
         b=SymMatrix(b_arr),

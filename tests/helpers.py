@@ -169,17 +169,23 @@ def reference_scaling(a, residual_target, max_iterations, d0=None):
         iterations += 1
 
 
-def support_stream_w(a: np.ndarray, seed: int, index: int) -> np.ndarray:
-    """W of sample (seed, index), assembled one entry at a time.
+def _philox(seed: int, key: int):
+    """Freshly keyed numpy generator on stream (seed, key).
 
-    A freshly keyed numpy Philox generator draws one standard normal per
-    edge of the support of ``a`` (a[i, j] > 0, i < j), visiting the edges
-    in row-major order; the normal times sqrt(a[i, j]) goes to W[i, j] and
-    its negative to W[j, i].  The key is a uint64 array, since numpy turns
-    a list such as [0, 2**64 - 4] into float64.
+    The key is a uint64 array, since numpy turns a list such as
+    [0, 2**64 - 4] into float64.
+    """
+    return np.random.Generator(np.random.Philox(key=np.array([seed, key], dtype=np.uint64)))
+
+
+def _entrywise_w(a: np.ndarray, gen) -> np.ndarray:
+    """W from the next normals of ``gen``, assembled one entry at a time.
+
+    One standard normal per edge of the support of ``a`` (a[i, j] > 0,
+    i < j), visiting the edges in row-major order; the normal times
+    sqrt(a[i, j]) goes to W[i, j] and its negative to W[j, i].
     """
     n = a.shape[0]
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
     w = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -187,6 +193,48 @@ def support_stream_w(a: np.ndarray, seed: int, index: int) -> np.ndarray:
                 w[i, j] = gen.standard_normal() * math.sqrt(a[i, j])
                 w[j, i] = -w[i, j]
     return w
+
+
+def support_stream_w(a: np.ndarray, seed: int, index: int) -> np.ndarray:
+    """W of spectral trial ``index``: the first normals of stream (seed, index)."""
+    return _entrywise_w(a, _philox(seed, index))
+
+
+def support_chunk_w(a: np.ndarray, seed: int, index: int, chunk: int) -> np.ndarray:
+    """W of sample ``index`` when each ``chunk`` samples share one stream.
+
+    Stream (seed, index // chunk) draws and discards (index % chunk) * m
+    normals, m being the number of support edges of ``a``, in pieces that
+    ignore row boundaries; W then takes the next m normals.
+    """
+    gen = _philox(seed, index // chunk)
+    skip = (index % chunk) * int(np.count_nonzero(np.triu(a > 0, 1)))
+    while skip:
+        piece = min(skip, 1 << 16)
+        gen.standard_normal(piece)
+        skip -= piece
+    return _entrywise_w(a, gen)
+
+
+def chunk_stream_ws(a: np.ndarray, seed: int, num: int, chunk: int) -> np.ndarray:
+    """W of samples 0..num-1 as one (num, n, n) stack, ``chunk`` samples per stream.
+
+    For each chunk c a freshly keyed numpy Philox generator on stream
+    (seed, c) draws a whole (chunk, m) array; row r gives sample c * chunk +
+    r its normals, one per support edge in row-major order, placed as
+    ``support_chunk_w`` places them one at a time.  With chunk = 1, W[t] is
+    the W of spectral trial t.
+    """
+    n = a.shape[0]
+    iu, ju = np.nonzero(np.triu(a > 0, 1))  # row-major
+    scale = np.sqrt(a[iu, ju])
+    ws = np.zeros((num, n, n))
+    for first in range(0, num, chunk):
+        g = _philox(seed, first // chunk).standard_normal((chunk, iu.size))
+        rows = min(chunk, num - first)
+        ws[first : first + rows, iu, ju] = g[:rows] * scale
+    ws -= ws.transpose(0, 2, 1)
+    return ws
 
 
 def random_symmetric01(rng, n, p=0.5) -> np.ndarray:

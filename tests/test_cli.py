@@ -163,6 +163,19 @@ def test_scale_converges_whatever_the_units(runner, tmp_path):
     assert json.loads(res.output)["converged"] is True
 
 
+def test_scale_overflowing_d_a_d_exits_3(runner, tmp_path):
+    # two K_4 blocks at 4.0 and 1e-320: d d^T overflows before it meets A
+    a = np.zeros((8, 8))
+    a[:4, :4] = 4.0
+    a[4:, 4:] = 1e-320
+    np.fill_diagonal(a, 0.0)
+    io.write_matrix(tmp_path / "subnormal.mat", a)
+    res = runner.invoke(main, ["scale", "--matrix", str(tmp_path / "subnormal.mat")])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "numerical error: D*A*D overflowed float64\n"
+
+
 def test_scale_k8_and_emit_b(runner, files, tmp_path):
     out = tmp_path / "b.mat"
     res = runner.invoke(

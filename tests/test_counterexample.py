@@ -17,7 +17,7 @@ from hafkit import (
 from hafkit.estimator import _CHUNK
 from hafkit.linalg import pfaffian_log_stack
 
-from helpers import counterexample_log_det_mean
+from helpers import chunk_stream_ws, counterexample_log_det_mean
 
 
 def test_spec_validation_and_defaults():
@@ -161,7 +161,9 @@ def test_sampled_log_dets_agree_with_pfaffian_at_sampling_sizes(n_center):
     a = build_counterexample(CounterexampleSpec(delta=0.12, n_center=n_center)).sym_matrix()
     num = 2048
     log_dets = sample_log_dets(a, num, seed=41)
-    ws = np.stack([sample_w(a, 41, i).entries for i in range(num)])
+    ws = chunk_stream_ws(a.entries, 41, num, _CHUNK)
+    for i in (0, _CHUNK - 1, num - 1):
+        assert np.array_equal(sample_w(a, 41, i).entries, ws[i])
     log_pf, sign = pfaffian_log_stack(ws)
     assert np.all(sign != 0)
     assert float(np.max(np.abs(log_dets - 2.0 * log_pf))) <= 1e-8

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +14,14 @@ from hafkit import (
     hafnian_exact,
     sample_log_dets,
     sample_w,
+    scale_symmetric,
 )
 from hafkit import estimator
 from hafkit.estimator import _quantiles
 from hafkit.exact import perfect_matching, total_support
 from hafkit.graphs import large_entries_graph
 from hafkit.linalg import pfaffian_log_stack
-from hafkit.rng import gaussian_blocks
+from hafkit.rng import gaussian_chunk
 
 from helpers import (
     memo_matchings,
@@ -27,7 +29,7 @@ from helpers import (
     naive_pfaffian,
     random_graph_with_matching,
     random_symmetric01,
-    support_stream_w,
+    support_chunk_w,
     tutte_barrier_support,
 )
 
@@ -49,29 +51,30 @@ def golden_matrix():
     return SymMatrix(a)
 
 
-# first draw of the (seed=7, index=0) stream on golden_matrix(), taken from
-# helpers.support_stream_w: one normal per support edge, row-major
-GOLDEN_TRIANGLE = np.array(
-    [
-        -1.7496944402112695,
-        1.1490882185118256,
-        0.3071416818765366,
-        0.0,
-        0.0,
-        0.4467896072873113,
-        0.0,
-        0.0,
-        0.33052019114366477,
-        -1.2292683650905576,
-        0.0,
-        0.0,
-        -1.846598130619467,
-        0.0,
-        0.20759996743295636,
-    ]
-)
-GOLDEN_LOG_DET = 0.3248086804441177
-GOLDEN_SIGN = 1
+# samples (seed=7, index) on golden_matrix(), taken from
+# helpers.support_chunk_w: one normal per support edge, row-major.  Sample 0
+# is the first row of stream (7, 0), sample 513 the second row of stream
+# (7, 1).  Each entry: index -> (upper triangle row-major, log det W, sign Pf W).
+GOLDEN = {
+    0: (
+        [
+            -1.7496944402112695, 1.1490882185118256, 0.3071416818765366, 0.0, 0.0,
+            0.4467896072873113, 0.0, 0.0, 0.33052019114366477, -1.2292683650905576,
+            0.0, 0.0, -1.846598130619467, 0.0, 0.20759996743295636,
+        ],
+        0.3248086804441177,
+        1,
+    ),
+    513: (
+        [
+            1.4141511542108174, 4.392037526031809, -0.6084681347622314, 0.0, 0.0,
+            -0.7111225749080897, 0.0, 0.0, -0.3639424745271791, 1.6056017308914285,
+            0.0, 0.0, -2.232605601008105, 0.0, -0.6947431339370952,
+        ],
+        3.3900480452524153,
+        -1,
+    ),
+}
 
 
 def pfaffian_log_det(w: np.ndarray) -> tuple[float, int]:
@@ -82,21 +85,28 @@ def pfaffian_log_det(w: np.ndarray) -> tuple[float, int]:
 
 def test_sample_w_reproduces_golden_matrix():
     iu = np.triu_indices(6, 1)
-    scalar = support_stream_w(golden_matrix().entries, 7, 0)
-    assert np.array_equal(scalar[iu], GOLDEN_TRIANGLE)
-    w = sample_w(golden_matrix(), seed=7, index=0)
-    assert np.array_equal(w.entries, scalar)
-    log_det, sign_pf = pfaffian_log_det(w.entries)
-    assert log_det == GOLDEN_LOG_DET
-    assert sign_pf == GOLDEN_SIGN
-    assert math.isclose(naive_pfaffian(scalar), GOLDEN_SIGN * math.exp(GOLDEN_LOG_DET / 2), rel_tol=1e-12)
+    for index, (triangle, golden_log_det, golden_sign) in GOLDEN.items():
+        scalar = support_chunk_w(golden_matrix().entries, 7, index, estimator._CHUNK)
+        assert np.array_equal(scalar[iu], triangle)
+        w = sample_w(golden_matrix(), seed=7, index=index)
+        assert np.array_equal(w.entries, scalar)
+        log_det, sign_pf = pfaffian_log_det(w.entries)
+        assert log_det == golden_log_det
+        assert sign_pf == golden_sign
+        assert math.isclose(naive_pfaffian(scalar), golden_sign * math.exp(golden_log_det / 2), rel_tol=1e-12)
 
 
 def triangle_stream_w(a, seed, index):
-    """W from the normals of the whole upper triangle, scattered in row-major order."""
+    """W from the normals of the whole upper triangle, scattered in row-major order.
+
+    The normals are row index % _CHUNK of one draw of the chunk's rows from
+    a freshly keyed numpy Philox generator on stream (seed, index // _CHUNK).
+    """
     iu, ju = np.triu_indices(a.n, 1)
+    key = np.array([seed, index // estimator._CHUNK], dtype=np.uint64)
+    rows = np.random.Generator(np.random.Philox(key=key)).standard_normal((estimator._CHUNK, iu.size))
     w = np.zeros((a.n, a.n))
-    w[iu, ju] = gaussian_blocks(seed, index, 1, iu.size)[0] * np.sqrt(a.entries[iu, ju])
+    w[iu, ju] = rows[index % estimator._CHUNK] * np.sqrt(a.entries[iu, ju])
     w -= w.T
     return w
 
@@ -108,8 +118,9 @@ def test_complete_support_draws_the_whole_triangle():
     weighted = np.zeros((10, 10))
     weighted[np.triu_indices(10, 1)] = rng.uniform(0.01, 3.0, size=45)
     for a in (complete_graph(8).sym_matrix(), SymMatrix(weighted + weighted.T)):
-        for seed, index in ((0, 0), (7, 3), (2**64 - 1, 2**64 - 1)):
+        for seed, index in ((0, 0), (7, 3), (7, 515), (2**64 - 1, 2**64 - 1)):
             want = triangle_stream_w(a, seed, index)
+            assert np.array_equal(want, support_chunk_w(a.entries, seed, index, estimator._CHUNK))
             assert sample_w(a, seed, index).entries.tobytes() == want.tobytes()
 
 
@@ -120,17 +131,18 @@ def test_matching_support_draws_one_normal_per_edge(monkeypatch):
         a[i, i + 1] = a[i + 1, i] = 1.0
     calls = []
 
-    def spy(seed, first_index, num_blocks, count):
-        calls.append((num_blocks, count))
-        return gaussian_blocks(seed, first_index, num_blocks, count)
+    def spy(seed, key, rows, count):
+        calls.append((key, rows, count))
+        return gaussian_chunk(seed, key, rows, count)
 
-    monkeypatch.setattr(estimator, "gaussian_blocks", spy)
+    monkeypatch.setattr(estimator, "gaussian_chunk", spy)
     log_dets = sample_log_dets(SymMatrix(a), num, seed=3)
-    assert sum(rows for rows, _ in calls) == num
-    assert {count for _, count in calls} == {n // 2}
+    # one stream per 512-sample chunk, the last one short
+    assert calls == [(0, 512, n // 2), (1, 512, n // 2), (2, num - 1024, n // 2)]
     # each pair edge is a 1 x 1 bipartite block: log det W = 2 sum log|g|
-    for i in (0, 1, num - 1):
-        want = 2.0 * float(np.sum(np.log(np.abs(gaussian_blocks(3, i, 1, n // 2)[0]))))
+    for i in (0, 1, 511, 512, num - 1):
+        w = support_chunk_w(a, 3, i, 512)
+        want = 2.0 * float(np.sum(np.log(np.abs(w[np.arange(0, n, 2), np.arange(1, n, 2)]))))
         assert math.isclose(log_dets[i], want, rel_tol=1e-12)
 
 
@@ -164,39 +176,50 @@ def test_sample_w_zeros_off_the_support_are_positive():
             assert np.all(w[~off] != 0.0)
 
 
-def test_blocked_stream_equals_per_index_streams():
-    blocks = gaussian_blocks(3, first_index=10, num_blocks=7, count=15)
-    for r in range(7):
-        assert np.array_equal(blocks[r], gaussian_blocks(3, 10 + r, 1, 15)[0])
+def test_short_chunk_is_a_prefix_of_the_full_chunk():
+    full = gaussian_chunk(3, 10, 7, 15)
+    for rows in range(8):
+        assert np.array_equal(gaussian_chunk(3, 10, rows, 15), full[:rows])
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-@pytest.mark.parametrize("first_index", [0, 2**64 - 4])
+@pytest.mark.parametrize("key", [0, 2**64 - 4])
 @pytest.mark.parametrize("count", [0, 1, 3, 28, 1225])
-def test_blocked_stream_equals_fresh_philox_generators(seed, first_index, count):
-    # Oracle independent of hafkit: one freshly keyed numpy generator per
-    # row.  An odd count leaves raw words in Philox's buffer, and the next
-    # row must not consume them.  The key is built as a uint64 array, since
-    # numpy turns a list such as [0, 2**64 - 4] into float64.
-    num_blocks = 4
-    blocks = gaussian_blocks(seed, first_index, num_blocks, count)
-    assert blocks.shape == (num_blocks, count)
-    for r in range(num_blocks):
-        key = np.array([seed, first_index + r], dtype=np.uint64)
-        expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(count)
-        assert np.array_equal(blocks[r], expected)
-    assert np.array_equal(gaussian_blocks(seed, first_index + num_blocks - 1, 1, count)[0], expected)
+def test_blocked_stream_equals_fresh_philox_generators(seed, key, count):
+    # Oracle independent of hafkit: a freshly keyed numpy generator drawing
+    # the rows one at a time.  An odd count leaves a raw word in Philox's
+    # buffer, which the next row goes on from.  The key is built as a
+    # uint64 array, since numpy turns a list such as [0, 2**64 - 4] into
+    # float64.
+    rows = 4
+    blocks = gaussian_chunk(seed, key, rows, count)
+    assert blocks.shape == (rows, count)
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, key], dtype=np.uint64)))
+    for r in range(rows):
+        assert np.array_equal(blocks[r], gen.standard_normal(count))
+
+
+def test_stream_seeds_and_keys_span_64_bits():
+    top = 2**64 - 1
+    gen = np.random.Generator(np.random.Philox(key=np.array([top, top], dtype=np.uint64)))
+    assert np.array_equal(gaussian_chunk(top, top, 2, 3), gen.standard_normal((2, 3)))
+    for seed in (2**64, -1):
+        with pytest.raises(InputError, match="seed must fit in an unsigned 64-bit integer"):
+            gaussian_chunk(seed, 0, 1, 3)
 
 
 def test_gaussian_block_rejects_indices_outside_64_bits():
+    for key in (-1, 2**64):
+        with pytest.raises(InputError, match="stream key must fit in an unsigned 64-bit integer"):
+            gaussian_chunk(0, key, 1, 3)
     for index in (-1, 2**64):
-        with pytest.raises(InputError, match="index range must fit in unsigned 64-bit integers"):
-            gaussian_blocks(0, index, 1, 3)
+        with pytest.raises(InputError, match="sample index must fit in an unsigned 64-bit integer"):
+            sample_w(golden_matrix(), 0, index)
 
 
 def test_entry_variance_matches_profile():
     # A entry 4 -> W entry distributed as 2 g
-    g = gaussian_blocks(123, 0, 100_000, 1)[:, 0]
+    g = gaussian_chunk(123, 0, 100_000, 1)[:, 0]
     var = float(np.var(2.0 * g))
     assert abs(var - 4.0) < 0.1
 
@@ -211,8 +234,7 @@ def test_single_edge_mean_is_unbiased():
 
 def test_unbiased_on_random_01_matrices_large_sample():
     # 20 random 0/1 matrices, 1e6 samples each: mean det within 4 SE of the
-    # exact hafnian (one thread: the values do not depend on threads, and at
-    # n <= 8 the per-sample re-key holds the GIL, so more threads are slower)
+    # exact hafnian
     rng = np.random.default_rng(808)
     for k in range(20):
         n = int(rng.choice([4, 6, 8]))
@@ -332,18 +354,45 @@ def test_diagonal_scaling_shifts_log_det_exactly():
     ],
     ids=["k8", "counterexample_10"],
 )
-def test_chunk_size_does_not_change_log_dets(monkeypatch, a):
-    num = 4500  # not a multiple of 1000, the default chunk or 4096
+def test_sample_i_depends_on_neither_threads_nor_num_samples(a):
+    num = 4500  # eight full chunks and a short one
     want = sample_log_dets(a, num, seed=21)
-    for chunk in (estimator._CHUNK, 4096, 1000, 1):
-        monkeypatch.setattr(estimator, "_CHUNK", chunk)
-        for threads in (1, 2):
-            assert np.array_equal(sample_log_dets(a, num, seed=21, threads=threads), want)
+    for threads in (2, 4):
+        assert np.array_equal(sample_log_dets(a, num, seed=21, threads=threads), want)
+    # a short last chunk draws a prefix of the full chunk's rows
+    assert np.array_equal(sample_log_dets(a, 1000, seed=21), want[:1000])
+
+
+def test_sample_w_is_the_sampled_w_across_chunks():
+    # on a single full block, log det W of sample_w is bit for bit the
+    # sampled value, also at chunk edges and in a short last chunk
+    rng = np.random.default_rng(4407)
+    weighted = np.zeros((6, 6))
+    weighted[np.triu_indices(6, 1)] = rng.uniform(0.1, 2.0, size=15)
+    for seed, a in enumerate((complete_graph(8).sym_matrix(), SymMatrix(weighted + weighted.T))):
+        assert len(support_blocks(a)) == 1
+        log_dets = sample_log_dets(a, 4500, seed)
+        for i in (0, 511, 512, 4499):
+            assert np.linalg.slogdet(sample_w(a, seed, i).entries)[1] == log_dets[i]
+
+
+def test_sample_w_draws_in_the_memory_of_one_row():
+    # index 511 is the last row of its chunk: a whole chunk of scaled K_200
+    # would be 512 x 19,900 normals (80 MB)
+    b = scale_symmetric(complete_graph(200).sym_matrix(), residual_target=1e-10).b
+    tracemalloc.start()
+    try:
+        w = sample_w(b, 5, 511)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert np.array_equal(w.entries, support_chunk_w(b.entries, 5, 511, estimator._CHUNK))
 
 
 def full_w_log_dets(a, num, seed):
     """log|det W| of samples 0..num-1 from the full n x n W and one batched slogdet."""
-    ws = np.stack([support_stream_w(a.entries, seed, i) for i in range(num)])
+    ws = np.stack([support_chunk_w(a.entries, seed, i, estimator._CHUNK) for i in range(num)])
     return np.linalg.slogdet(ws)[1]
 
 

@@ -12,7 +12,6 @@ from hafkit import (
     eigenvalue_density,
     hafnian_exact,
     random_regular_graph,
-    sample_w,
     scale_symmetric,
     smallest_sv_tail,
     spectrum,
@@ -28,7 +27,7 @@ from hafkit.experiments import (
     run_sv_tail,
 )
 
-from helpers import random_skew
+from helpers import random_skew, support_stream_w
 
 
 def test_random_regular_graph_is_regular_and_seeded():
@@ -82,7 +81,7 @@ def test_density_counts_everything_at_large_eta():
     last = rep.rows[-1]
     assert last[0] == 10.0 and last[1] == 10.0 and last[2] == 10
     for t in range(20):
-        w = sample_w(b, 5, t)
+        w = SkewMatrix(support_stream_w(b.entries, 5, t))  # trial t's W
         assert spectrum(w).operator_norm < 5.0  # eta=10 >= 2||W||
 
 
@@ -90,7 +89,7 @@ def test_density_monotone_in_eta_per_trial():
     b = scale_symmetric(complete_graph(12).sym_matrix(), residual_target=1e-10).b
     etas = (0.2, 0.4, 0.8)
     for t in range(10):
-        w = sample_w(b, 6, t)
+        w = SkewMatrix(support_stream_w(b.entries, 6, t))  # trial t's W
         mags = np.abs(spectrum(w).eigenvalues_iw)
         counts = [int(np.sum(mags < e)) for e in etas]
         assert counts == sorted(counts)
@@ -104,7 +103,7 @@ def test_density_counts_match_independent_hermitian_eigensolve():
     trials = 40
     rep = eigenvalue_density(b, trials=trials, seed=9)
     etas = np.array([row[0] for row in rep.rows])
-    mags = np.abs([np.linalg.eigvalsh(1j * sample_w(b, 9, t).entries) for t in range(trials)])
+    mags = np.abs([np.linalg.eigvalsh(1j * support_stream_w(b.entries, 9, t)) for t in range(trials)])
     counts = (mags[:, :, None] < etas).sum(axis=1)
     assert counts[:, 0].max() > 0  # the smallest eta sees eigenvalues
     for k, (eta, mean_count, max_count, _) in enumerate(rep.rows):

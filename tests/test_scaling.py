@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hafkit import (
     InputError,
+    NumericalError,
     SymMatrix,
     audit_entry_bounds,
     complete_graph,
@@ -251,3 +253,22 @@ def test_entries_far_apart_keep_their_support(big):
     res = assert_matches_reference(a, 1e-12, 100)
     assert res.converged and res.iterations == 0
     assert np.array_equal(res.b.entries > 0, a > 0)
+
+
+def subnormal_blocks():
+    """Two K_4 blocks with entries 4.0 and 1e-320: d spans 10^160, so d d^T overflows."""
+    a = np.zeros((8, 8))
+    a[:4, :4] = 4.0
+    a[4:, 4:] = 1e-320
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def test_subnormal_entries_raise_numerical_error_without_warnings():
+    a = subnormal_blocks()
+    _, residual, _, _ = reference_scaling(a, 1.0 / 8, 10_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^D\*A\*D overflowed float64$") as info:
+            scale_symmetric(SymMatrix(a))
+    assert info.value.residual == residual
