@@ -10,6 +10,7 @@ counts, except for the timing_ms field.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -162,22 +163,20 @@ _threads_option = click.option(
 @main.command("exact")
 @click.option("--graph", "graph_path", type=click.Path(), default=None, help="Edge-list file.")
 @click.option("--matrix", "matrix_path", type=click.Path(), default=None, help="Matrix file.")
-@click.option("--cap", type=int, default=exact.DEFAULT_CAP, show_default=True)
 @_mapped_errors
-def exact_cmd(graph_path, matrix_path, cap):
+def exact_cmd(graph_path, matrix_path):
     """Exact hafnian / perfect matching count (small n)."""
     started = time.monotonic()
     if (graph_path is None) == (matrix_path is None):
         raise InputError("provide exactly one of --graph or --matrix")
     if graph_path is not None:
         g = io.read_edge_list(graph_path)
-        value = exact.count_perfect_matchings(g, cap=cap)
-        source = {"graph": str(graph_path)}
+        value = exact.count_perfect_matchings(g)
+        config = {"graph": str(graph_path)}
     else:
         a = io.read_symmetric_matrix(matrix_path)
-        value = exact.hafnian_exact(a, cap=cap)
-        source = {"matrix": str(matrix_path)}
-    config = {**source, "cap": cap}
+        value = exact.hafnian_exact(a)
+        config = {"matrix": str(matrix_path)}
     _emit(
         {
             "manifest": _manifest("exact", config, None, started),
@@ -274,24 +273,12 @@ def scale_cmd(matrix_path, residual, max_iter, theta, nu, emit_b):
     }
     if audit is not None:
         report["audit"] = {
-            "max_ok": audit.max_ok,
-            "min_ok": audit.min_ok,
+            "max_ok": audit.max_ok if theta is not None else None,
+            "min_ok": audit.min_ok if nu is not None else None,
             "theta": theta,
             "nu": nu,
         }
     _emit(report, EXIT_OK if result.converged else EXIT_NUMERICAL)
-
-
-def _expansion_json(rep: graphs.ExpansionReport) -> dict:
-    return {
-        "kappa": rep.kappa,
-        "level": rep.level,
-        "holds": rep.holds,
-        "witness": list(rep.witness) if rep.witness is not None else None,
-        "checked_mode": rep.checked_mode,
-        "sets_checked": rep.sets_checked,
-        "delta": rep.delta,
-    }
 
 
 @main.command("check")
@@ -331,7 +318,7 @@ def check_cmd(graph_path, kappa, level, weak, delta, mode, budget, seed, strict)
         "strict": strict,
     }
     report = {"manifest": _manifest("check", config, seed, started)}
-    report.update(_expansion_json(rep))
+    report.update(dataclasses.asdict(rep))
     _emit(report, EXIT_CHECK_FAILED if (strict and not rep.holds) else EXIT_OK)
 
 
@@ -376,7 +363,7 @@ def hypotheses_cmd(matrix_path, alpha, kappa, beta, theta, do_scale, mode, budge
                 "observed": rep.observed_min_degree,
                 "required": rep.required_min_degree,
             },
-            "strong_expansion": _expansion_json(rep.expansion),
+            "strong_expansion": dataclasses.asdict(rep.expansion),
             "max_entry": {
                 "ok": rep.max_entry_ok,
                 "observed": rep.max_entry,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InputError
 from .estimator import _logsumexp, _quantiles, sample_log_dets
-from .graphs import ExpansionReport, GraphEdgeList
+from .graphs import ExpansionReport, GraphEdgeList, _deficit_weights
 
 __all__ = [
     "CounterexampleSpec",
@@ -101,7 +101,8 @@ def check_weak_expansion_structural(
     automorphism by (a, b, c) = (#plain peripherals, #pairs hit once,
     #pairs fully inside).  Scanning those parameters covers every subset
     with |J| <= M/2, so the verdict is exact, with a concrete witness
-    materialized on violation.
+    materialized on violation.  Each deficit is decided in integers, with
+    kappa and delta read as the decimals they print as.
     """
     if delta is None:
         delta = spec.delta
@@ -111,6 +112,8 @@ def check_weak_expansion_structural(
     total = spec.total_vertices
     level = total // 2
     checked = 0
+    # unit times each deficit, in Python ints
+    unit, keep, per_vertex = _deficit_weights(kappa, delta)
 
     def report(witness=None):
         return ExpansionReport.verdict(kappa, level, "exhaustive", checked, witness, delta)
@@ -118,7 +121,7 @@ def check_weak_expansion_structural(
     # J meets the center: Con(J) = 1 and boundary(J) = complement of J
     for size in range(1, level + 1):
         checked += 1
-        if (total - size) - (1.0 - delta) * 1.0 - kappa * size < 0:
+        if unit * (total - size) - keep - per_vertex * size < 0:
             return report(range(size))
     # J avoids the center: boundary = center + partners of singly-hit pairs
     for a in range(0, n + 1):
@@ -129,7 +132,7 @@ def check_weak_expansion_structural(
                     continue
                 checked += 1
                 comps = a + b + c
-                if (n + b) - (1.0 - delta) * comps - kappa * size < 0:
+                if unit * (n + b) - keep * comps - per_vertex * size < 0:
                     witness = list(range(n, n + a))
                     witness += [2 * n + 2 * t for t in range(b)]
                     for t in range(c):

@@ -13,11 +13,19 @@ each state adding its terms in ascending ``j``.  Integer inputs are counted
 exactly: in int64 while no partial sum can reach 2^63, and in Python ints
 from the level where one could.  Other inputs are summed in float64.
 
+The one guard on the cost is the number of moves, the (state, partner)
+pairs the levels are built from: past 2^23 of them the DP stops and raises
+``InputError``.  Every move on an n-vertex support is also one on K_n, and
+K_n makes 0.75 M moves at n = 24 and 6.1 M at n = 28, so every input up to
+n = 28 is counted, and sparse ones well beyond (a 3-regular graph at
+n = 48 makes 0.45 M).  K_30 makes 17 M and is refused part way through its
+levels, before they hold 100 MB.
+
 Perfect matchings are found separately by an augmenting-path matcher with
-blossom contraction, usable far beyond the hafnian cap.  One perfect
-matching also gives the total support, the edges that lie on some cycle
-cover, by one strongly-connected-component pass (Dulmage-Mendelsohn), as
-the blocks over which every determinant with that support factors.
+blossom contraction, usable far beyond the reach of the hafnian DP.  One
+perfect matching also gives the total support, the edges that lie on some
+cycle cover, by one strongly-connected-component pass (Dulmage-Mendelsohn),
+as the blocks over which every determinant with that support factors.
 """
 
 from __future__ import annotations
@@ -38,13 +46,12 @@ __all__ = [
     "count_perfect_matchings",
     "perfect_matching",
     "total_support",
-    "DEFAULT_CAP",
 ]
 
-DEFAULT_CAP = 24
-
-# vertex sets are int64 bit masks, whatever the cap
+# vertex sets are int64 bit masks
 _MAX_N = 62
+# moves the DP may make while it builds its levels: K_28 makes 6.1 M
+_MAX_MOVES = 2**23
 # float64 holds every integer below 2^53; int64 every integer below 2^63
 _FLOAT_EXACT = 2**53
 _INT64_LIMIT = 2**63
@@ -85,8 +92,14 @@ def _hafnian_dp(a: np.ndarray) -> float | int:
     n = a.shape[0]
     nbrs = np.array([sum(1 << int(j) for j in np.flatnonzero(row)) for row in a], dtype=np.int64)
     levels = [np.array([(1 << n) - 1], dtype=np.int64)]
+    moves = 0
     for _ in range(n // 2):
-        children = [kids for *_, kids in _moves(levels[-1], nbrs)]
+        children = []
+        for *_, kids in _moves(levels[-1], nbrs):
+            moves += kids.size
+            if moves > _MAX_MOVES:
+                raise InputError(f"exact hafnian needs more than {_MAX_MOVES} DP moves at n={n}")
+            children.append(kids)
         if not children:
             return 0
         levels.append(np.unique(np.concatenate(children)))
@@ -102,11 +115,12 @@ def _hafnian_dp(a: np.ndarray) -> float | int:
     return val.tolist()[0]
 
 
-def hafnian_exact(a: SymMatrix, cap: int = DEFAULT_CAP) -> HafnianValue:
+def hafnian_exact(a: SymMatrix) -> HafnianValue:
     """Exact hafnian of a nonnegative symmetric matrix of even dimension.
 
     For a 0/1 adjacency matrix this is the number of perfect matchings.
-    Dimensions above ``cap``, or above 62 whatever the cap, are refused.
+    Dimensions above 62, and inputs whose DP would make more than 2^23
+    moves (K_n for every n above 28), are refused.
     Integer inputs below 2^53 are counted exactly, past int64 too.
     Otherwise, when entries are large enough that the float DP
     could overflow, the matrix is normalized by its maximum entry and only
@@ -116,8 +130,6 @@ def hafnian_exact(a: SymMatrix, cap: int = DEFAULT_CAP) -> HafnianValue:
     n = a.n
     if n > _MAX_N:
         raise InputError(f"exact hafnian needs n <= {_MAX_N} (int64 vertex masks), got n={n}")
-    if n > cap:
-        raise InputError(f"hafnian cap is {cap}, got n={n}")
     m = n // 2
     c = float(a.entries.max())
     if c < _FLOAT_EXACT and np.array_equal(a.entries, np.floor(a.entries)):
@@ -135,11 +147,11 @@ def hafnian_exact(a: SymMatrix, cap: int = DEFAULT_CAP) -> HafnianValue:
     return HafnianValue(log_value=log_value, value_if_small=value, n=n)
 
 
-def count_perfect_matchings(g: GraphEdgeList, cap: int = DEFAULT_CAP) -> HafnianValue:
+def count_perfect_matchings(g: GraphEdgeList) -> HafnianValue:
     """Number of perfect matchings of a simple graph (hafnian of its adjacency)."""
     if g.n % 2 != 0:
         raise InputError(f"perfect matchings need an even vertex count, got n={g.n}")
-    return hafnian_exact(g.sym_matrix(), cap=cap)
+    return hafnian_exact(g.sym_matrix())
 
 
 def _max_matching(n: int, adj: list[set]) -> list[int]:

@@ -11,7 +11,8 @@ subsets, each held as its members and their neighbour entries from a CSR
 index, so memory stays O(n + m) and a subset costs O(|J| * max degree).  A
 ``holds=False`` verdict carries the first violating subset as a witness,
 so negative verdicts are certificates regardless of mode; positive
-verdicts from sampled mode are only evidence.
+verdicts from sampled mode are only evidence.  Deficits are decided in
+integers, not in float64, so a deficit of exactly 0 holds.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -241,25 +243,42 @@ def min_degree(g: GraphEdgeList) -> int:
     return int(g.degrees().min())
 
 
+def _deficit_weights(kappa: float, delta: float) -> tuple[int, int, int]:
+    """Integers ``(unit, keep, per_vertex)``: 1 - delta = keep / unit, kappa = per_vertex / unit.
+
+    kappa and delta are read as the decimals they print as (0.1 is 1/10),
+    so unit times the deficit |boundary(J)| - (1-delta)*Con(J) - kappa*|J|,
+    unit*|boundary(J)| - keep*Con(J) - per_vertex*|J|, is an exact integer.
+    """
+    if not (math.isfinite(kappa) and math.isfinite(delta)):
+        raise InputError(f"kappa and delta must be finite, got {kappa} and {delta}")
+    k, d = Fraction(repr(float(kappa))), Fraction(repr(float(delta)))
+    unit = math.lcm(k.denominator, d.denominator)
+    return unit, int((1 - d) * unit), int(k * unit)
+
+
 def _first_violation(g: GraphEdgeList, subsets, kappa: float, delta: float, level: int):
     """``(checked, witness)``: the first subset whose expansion deficit is negative.
 
     ``subsets`` is any ordered iterable of distinct-vertex subsets of at most
-    ``level`` vertices, evaluated a chunk at a time; the deficit is
-    ``|boundary(J)| - (1-delta)*Con(J) - kappa*|J|`` in float64.  ``checked``
+    ``level`` vertices, evaluated a chunk at a time; the deficit
+    ``|boundary(J)| - (1-delta)*Con(J) - kappa*|J|`` is decided exactly, in
+    integers over the common denominator of ``_deficit_weights``: int64
+    where every term is below 2^63 / 3, Python ints otherwise.  ``checked``
     counts the subsets up to and including the witness (None if none violates).
     """
+    unit, keep, per_vertex = _deficit_weights(kappa, delta)
+    dtype = np.int64 if max(unit, keep, abs(per_vertex)) * g.n < 2**63 // 3 else object
     ev = _SubsetRows(g, level)
     subsets = iter(subsets)
     checked = 0
     while chunk := list(itertools.islice(subsets, ev.chunk)):
         ev.load(chunk)
-        # every rounded step of the deficit is monotone in Con(J), so a row
-        # that holds at the bound Con(J) <= most cannot violate and skips
-        # the exact count
-        need = ev.outside - (1.0 - delta) * ev.most - kappa * ev.sizes < 0
-        deficit = ev.outside - (1.0 - delta) * ev.components(need) - kappa * ev.sizes
-        bad = np.flatnonzero(deficit < 0)
+        base = unit * ev.outside.astype(dtype) - per_vertex * ev.sizes.astype(dtype)
+        # the deficit falls as Con(J) grows, so a row that holds at the
+        # bound Con(J) <= most cannot violate and skips the exact count
+        need = base - keep * ev.most.astype(dtype) < 0
+        bad = np.flatnonzero(base - keep * ev.components(need).astype(dtype) < 0)
         if bad.size:
             return checked + int(bad[0]) + 1, chunk[bad[0]]
         checked += len(chunk)

@@ -85,9 +85,11 @@ def scale_symmetric(
     max_iterations : int
         Iteration cap; hitting it yields ``converged=False``.
 
-    The start 1/sqrt(row sums) is exact for regular graphs.  Raises
-    ``NumericalError`` when diag(d) A diag(d) leaves float64, as it can
-    when d spans the range between normal and subnormal entries.
+    The start 1/sqrt(row sums) is exact for regular graphs.  B is
+    (d d^T) * A, and (d_i A_ij) d_j on the entries where d_i d_j
+    overflows, as it can when d spans the range between normal and
+    subnormal entries; ``NumericalError`` is raised only when an entry of
+    B is still not finite.
     """
     if residual_target is None:
         residual_target = 1.0 / a.n
@@ -107,6 +109,9 @@ def scale_symmetric(
     )
     with np.errstate(over="ignore", invalid="ignore"):
         b_arr = np.outer(d, d) * arr
+        # where d_i d_j overflows, d_i A'_ij first can stay in range
+        i, j = np.nonzero(np.triu(~np.isfinite(b_arr)))
+        b_arr[i, j] = b_arr[j, i] = d[i] * arr[i, j] * d[j]
     if not np.all(np.isfinite(b_arr)):
         raise NumericalError("D*A*D overflowed float64", residual=residual)
     return ScalingResult(

@@ -5,8 +5,10 @@ definitions (pairing enumeration, subset scans with their own BFS), not by
 calling into hafkit internals, so agreement is meaningful.
 """
 
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import digamma
@@ -116,7 +118,8 @@ def expansion_scan(n, edges, kappa, level, delta=0.0, subsets=None):
     Scans ``subsets`` in the order given, by default the subsets of size
     1..level in ``itertools.combinations`` order, and stops at the first
     one that violates it; ``sets_checked`` counts the subsets evaluated,
-    that one included.
+    that one included.  The inequality is decided in ``Fraction``s, with
+    kappa and delta read as the decimals they print as.
     """
     adj = {v: set() for v in range(n)}
     for u, v in edges:
@@ -126,12 +129,17 @@ def expansion_scan(n, edges, kappa, level, delta=0.0, subsets=None):
         subsets = itertools.chain.from_iterable(
             itertools.combinations(range(n), k) for k in range(1, level + 1)
         )
+    kappa, delta = Fraction(repr(float(kappa))), Fraction(repr(float(delta)))
+
+    @functools.cache  # Fraction arithmetic is slow; few (boundary, Con, |J|) recur
+    def violates(outside, comps, size):
+        return outside - (1 - delta) * comps < kappa * size
+
     checked = 0
     for js in subsets:
         checked += 1
         js = set(js)
-        lhs = len(_brute_boundary(adj, js)) - (1.0 - delta) * _brute_components(adj, js)
-        if lhs < kappa * len(js):
+        if violates(len(_brute_boundary(adj, js)), _brute_components(adj, js), len(js)):
             return False, tuple(sorted(js)), checked
     return True, None, checked
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ def test_exact_k8(runner, files):
     assert math.isclose(doc["log_haf"], math.log(105))
     assert doc["manifest"]["subcommand"] == "exact"
     assert doc["manifest"]["tool_version"] == hafkit.__version__
+    assert doc["manifest"]["full_config"] == {"graph": str(files / "k8.edges")}
 
 
 def test_exact_matrix_source(runner, files):
@@ -66,7 +68,7 @@ def test_threads_env_var_respected_and_harmless(runner, files):
 def test_exact_prints_counts_past_2_53_as_ints(runner, tmp_path):
     pairs = [(12 * c + i, 12 * c + j) for c in range(4) for i in range(12) for j in range(i + 1, 12)]
     io.write_edge_list(tmp_path / "k12x4.edges", hafkit.GraphEdgeList.from_pairs(48, pairs))
-    res = runner.invoke(main, ["exact", "--graph", str(tmp_path / "k12x4.edges"), "--cap", "48"])
+    res = runner.invoke(main, ["exact", "--graph", str(tmp_path / "k12x4.edges")])
     assert res.exit_code == 0
     assert f'"value": {10395**4}\n' in res.output
     x = 2**40 + 1
@@ -75,8 +77,19 @@ def test_exact_prints_counts_past_2_53_as_ints(runner, tmp_path):
     assert res.exit_code == 0
     assert '"value": 3626777458850484593885187\n' in res.output
     io.write_edge_list(tmp_path / "k64.edges", complete_graph(64))
-    res = runner.invoke(main, ["exact", "--graph", str(tmp_path / "k64.edges"), "--cap", "100"])
+    res = runner.invoke(main, ["exact", "--graph", str(tmp_path / "k64.edges")])
     assert res.exit_code == 2
+
+
+def test_exact_refuses_k40_and_has_no_cap_option(runner, files, tmp_path):
+    io.write_edge_list(tmp_path / "k40.edges", complete_graph(40))
+    res = runner.invoke(main, ["exact", "--graph", str(tmp_path / "k40.edges")])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == "input error: exact hafnian needs more than 8388608 DP moves at n=40\n"
+    res = runner.invoke(main, ["exact", "--graph", str(files / "k8.edges"), "--cap", "24"])
+    assert res.exit_code == 2
+    assert "No such option '--cap'" in res.output
 
 
 def test_exact_requires_one_source(runner, files):
@@ -163,17 +176,20 @@ def test_scale_converges_whatever_the_units(runner, tmp_path):
     assert json.loads(res.output)["converged"] is True
 
 
-def test_scale_overflowing_d_a_d_exits_3(runner, tmp_path):
-    # two K_4 blocks at 4.0 and 1e-320: d d^T overflows before it meets A
+def test_scale_subnormal_blocks_converge(runner, tmp_path):
+    # two K_4 blocks at 4.0 and 1e-320: d d^T overflows before it meets A,
+    # (d_i A_ij) d_j does not
     a = np.zeros((8, 8))
     a[:4, :4] = 4.0
     a[4:, 4:] = 1e-320
     np.fill_diagonal(a, 0.0)
     io.write_matrix(tmp_path / "subnormal.mat", a)
     res = runner.invoke(main, ["scale", "--matrix", str(tmp_path / "subnormal.mat")])
-    assert res.exit_code == 3
-    assert res.stdout == ""
-    assert res.stderr == "numerical error: D*A*D overflowed float64\n"
+    assert res.exit_code == 0
+    assert res.stderr == ""
+    doc = json.loads(res.stdout)
+    assert doc["converged"] is True and doc["iterations"] == 0
+    assert math.isclose(doc["max_entry"], 1 / 3) and math.isclose(doc["min_positive_entry"], 1 / 3)
 
 
 def test_scale_k8_and_emit_b(runner, files, tmp_path):
@@ -191,6 +207,18 @@ def test_scale_k8_and_emit_b(runner, files, tmp_path):
     assert len(doc["d"]) == 8
     b = io.read_symmetric_matrix(out)
     assert np.allclose(b.entries.sum(axis=1), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("given, verdict, unasked, bound", [
+    (["--theta", "0.5"], "max_ok", "min_ok", "nu"),
+    (["--nu", "1.0"], "min_ok", "max_ok", "theta"),
+])
+def test_scale_audits_only_the_bounds_given(runner, files, given, verdict, unasked, bound):
+    res = runner.invoke(main, ["scale", "--matrix", str(files / "k8.mat")] + given)
+    assert res.exit_code == 0
+    audit = json.loads(res.output)["audit"]
+    assert audit[verdict] is True
+    assert audit[unasked] is None and audit[bound] is None
 
 
 def test_check_strong_failure_strict_exit_4(runner, files):
@@ -222,6 +250,18 @@ def test_check_weak_needs_delta(runner, files):
     assert res.exit_code == 0
     doc = json.loads(res.output)
     assert doc["holds"] is True and doc["level"] == 4
+
+
+def test_check_weak_decides_a_zero_deficit_exactly(runner, tmp_path):
+    # J = {0} has deficit 1 - 0.9 - 0.1 = 0 exactly; {0, 1} violates
+    io.write_edge_list(tmp_path / "path.edges", hafkit.GraphEdgeList.from_pairs(4, [(0, 1), (1, 2), (2, 3)]))
+    res = runner.invoke(
+        main,
+        ["check", "--graph", str(tmp_path / "path.edges"), "--kappa", "0.1", "--weak", "--delta", "0.1"],
+    )
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert (doc["holds"], doc["witness"], doc["sets_checked"]) == (False, [0, 1], 5)
 
 
 def test_check_strong_needs_level(runner, files):
@@ -323,6 +363,18 @@ def test_schema_and_version(runner):
     res = runner.invoke(main, ["--version"])
     assert res.exit_code == 0
     assert hafkit.__version__ in res.output
+
+
+def test_readme_examples_use_only_existing_options():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8").replace("\\\n", " ")
+    examples = [ln.split("#")[0].split() for ln in text.splitlines() if ln.startswith("hafkit ")]
+    assert len(examples) >= 12
+    for words in examples:
+        command = main.commands.get(words[1], main)
+        known = {opt for p in command.params for opt in p.opts + p.secondary_opts}
+        used = {w for w in words if w.startswith("--")}
+        assert used <= known, f"{' '.join(words)}: {sorted(used - known)}"
 
 
 def _validate(doc, schema):

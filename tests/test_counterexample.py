@@ -100,6 +100,19 @@ def test_structural_matches_generic_exhaustive_on_small_graphs():
         assert generic.holds == structural.holds
 
 
+def test_structural_zero_deficit_holds_exactly():
+    # one pair and no other vertices inside J: 2 - 0.9 * 2 - 0.05 * 4 is
+    # exactly 0, negative in float64, so the first witness is a later orbit
+    spec = CounterexampleSpec(delta=0.1, n_center=2, m_pairs=2)
+    rep = check_weak_expansion_structural(spec, kappa=0.05)
+    assert (rep.holds, rep.witness, rep.sets_checked) == (False, (2, 3, 4, 5), 16)
+    generic = check_weak_expansion(build_counterexample(spec), kappa=0.05, delta=0.1)
+    assert generic.witness == rep.witness
+    # the orbit of (4, 5, 6, 7) violates as soon as kappa is any larger
+    rep = check_weak_expansion_structural(spec, kappa=0.0500001)
+    assert (rep.holds, rep.witness, rep.sets_checked) == (False, (4, 5, 6, 7), 6)
+
+
 def test_structural_finds_witness_when_kappa_too_large():
     spec = CounterexampleSpec(delta=0.12, n_center=4, m_pairs=1)
     rep = check_weak_expansion_structural(spec, kappa=5.0)

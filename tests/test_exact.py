@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,9 +44,9 @@ def test_single_weighted_edge():
     assert math.isclose(v.log_value, math.log(2.5))
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 18, 20, 22, 24, 26])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 18, 20, 22, 24, 26, 28])
 def test_complete_graph_double_factorial(n):
-    v = hafnian_exact(complete_graph(n).sym_matrix(), cap=n)
+    v = hafnian_exact(complete_graph(n).sym_matrix())
     assert v.value_if_small == double_factorial(n - 1)
     assert float(v.value_if_small).is_integer()
 
@@ -154,7 +156,7 @@ def test_integer_counts_stay_exact_past_int64():
 def test_count_above_2_53_is_an_exact_int():
     # four disjoint K_12: 10395^4 is about 1.17e16, past 2^53, so no float64 holds it
     pairs = [(12 * c + i, 12 * c + j) for c in range(4) for i in range(12) for j in range(i + 1, 12)]
-    v = count_perfect_matchings(GraphEdgeList.from_pairs(48, pairs), cap=48)
+    v = count_perfect_matchings(GraphEdgeList.from_pairs(48, pairs))
     assert float(10395**4) != 10395**4
     assert type(v.value_if_small) is int and v.value_if_small == 10395**4
     assert math.isclose(v.log_value, 4 * math.log(10395), rel_tol=1e-15)
@@ -163,8 +165,27 @@ def test_count_above_2_53_is_an_exact_int():
 @pytest.mark.parametrize("n, seed", [(40, 1), (40, 2), (48, 3)])
 def test_sparse_counts_match_memo_oracle(n, seed):
     g = random_regular_graph(n, 3, seed)
-    count = count_perfect_matchings(g, cap=n).value_if_small
+    count = count_perfect_matchings(g).value_if_small
     assert count == memo_matchings(n, g.edges) > 0
+
+
+@pytest.mark.parametrize("n", [30, 40, 62])
+def test_dense_supports_past_the_move_budget_are_refused_early(n):
+    # K_30 makes 17.0 M moves, past the 2^23 budget part way through its
+    # levels; K_40 and K_62 pass it sooner.  On a 2-vCPU VM the refusals
+    # take 0.7-2.0 s and at most 92 MiB traced; the full DP on K_40 would
+    # need several GB
+    a = complete_graph(n).sym_matrix()
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(InputError, match=r"more than 8388608 DP moves at n=\d+$"):
+            hafnian_exact(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 5.0
+    assert peak < 128 * 2**20
 
 
 def test_all_zero_matrix_and_no_matching_graph():
@@ -178,12 +199,10 @@ def test_all_zero_matrix_and_no_matching_graph():
 def test_input_errors():
     with pytest.raises(InputError):
         hafnian_exact(SymMatrix(np.zeros((3, 3))))  # odd
-    with pytest.raises(InputError):
-        hafnian_exact(complete_graph(26).sym_matrix())  # over cap
-    with pytest.raises(InputError):
-        hafnian_exact(complete_graph(10).sym_matrix(), cap=8)
-    with pytest.raises(InputError):
-        hafnian_exact(complete_graph(64).sym_matrix(), cap=10**6)  # int64 vertex masks
+    with pytest.raises(InputError, match="DP moves"):
+        hafnian_exact(complete_graph(30).sym_matrix())  # over the move budget
+    with pytest.raises(InputError, match="int64 vertex masks"):
+        hafnian_exact(complete_graph(64).sym_matrix())
     with pytest.raises(InputError):
         count_perfect_matchings(GraphEdgeList.from_pairs(3, [(0, 1)]))
     with pytest.raises(InputError):

@@ -196,7 +196,7 @@ def test_spectrum_minimum_matches_independent_bidiagonalization():
 def test_complete_family_closed_form_matches_exact_dp():
     for member in complete_family(range(2, 25, 2)):
         assert member.exact_log_haf == hafnian_exact(member.matrix).log_value
-    # past the DP's default cap the closed form still gives log (n-1)!!
+    # past the DP's move budget the closed form still gives log (n-1)!!
     (big,) = complete_family([40])
     assert big.exact_log_haf == pytest.approx(math.lgamma(41) - 20 * math.log(2) - math.lgamma(21))
     with pytest.raises(InputError):

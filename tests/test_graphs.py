@@ -197,6 +197,32 @@ def test_weak_expansion_basics():
         check_weak_expansion(complete_graph(6), kappa=0.1, delta=1.5)
 
 
+def test_zero_weak_deficit_holds_exactly():
+    # J = {0}: 1 - (1 - 0.1) * 1 - 0.1 * 1 is exactly 0, -2.8e-17 in float64;
+    # J = {0, 1} is the first subset that violates: 1 - 0.9 - 0.2 < 0
+    path = GraphEdgeList.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
+    rep = assert_scan_matches_reference(path, 0.1, 2, delta=0.1)
+    assert (rep.holds, rep.witness, rep.sets_checked) == (False, (0, 1), 5)
+    # the same tie with kappa = delta = 1e-300, decided in Python ints
+    rep = assert_scan_matches_reference(path, 1e-300, 2, delta=1e-300)
+    assert (rep.holds, rep.witness, rep.sets_checked) == (False, (0, 1), 5)
+
+
+def test_zero_strong_deficit_at_25_vertices_holds_exactly():
+    # J = N(0) = the clique 1..25 has boundary {0, 26, ..., 32} and one
+    # component: 8 - 1 - 0.28 * 25 is exactly 0, while 0.28 * 25 rounds to
+    # 7.000000000000001 in float64
+    clique = list(itertools.combinations(range(1, 26), 2))
+    pendants = [(26 + t, 1 + 2 * t) for t in range(7)] + [(26 + t, 2 + 2 * t) for t in range(7)]
+    g = GraphEdgeList.from_pairs(33, [(0, v) for v in range(1, 26)] + clique + pendants)
+    assert len(boundary(g, range(1, 26))) == 8 and 0.28 * 25 > 7
+    candidates = list(_adversarial_candidates(g, 25))
+    for kappa, want in ((0.28, (True, None, 249)), (0.2800001, (False, tuple(range(1, 26)), 223))):
+        rep = check_strong_expansion(g, kappa, 25, mode="sampled", budget=0)
+        assert (rep.holds, rep.witness, rep.sets_checked) == want
+        assert expansion_scan(g.n, g.edges, kappa, 25, subsets=candidates) == want
+
+
 def test_expansion_input_errors():
     g = complete_graph(6)
     with pytest.raises(InputError):
@@ -207,6 +233,8 @@ def test_expansion_input_errors():
         check_strong_expansion(complete_graph(30), 0.1, level=15, budget=1000)
     with pytest.raises(InputError):
         check_strong_expansion(g, 0.1, level=2, mode="guess")
+    with pytest.raises(InputError):
+        check_strong_expansion(g, math.inf, level=2)
 
 
 def test_hypotheses_scaled_complete_graph_all_pass():

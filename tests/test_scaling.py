@@ -6,7 +6,6 @@ import pytest
 
 from hafkit import (
     InputError,
-    NumericalError,
     SymMatrix,
     audit_entry_bounds,
     complete_graph,
@@ -255,20 +254,24 @@ def test_entries_far_apart_keep_their_support(big):
     assert np.array_equal(res.b.entries > 0, a > 0)
 
 
-def subnormal_blocks():
-    """Two K_4 blocks with entries 4.0 and 1e-320: d spans 10^160, so d d^T overflows."""
+def test_subnormal_blocks_converge_as_the_step_loop_without_warnings():
+    # two K_4 blocks with entries 4.0 and 1e-320: d spans 10^160, so d d^T
+    # overflows on the small block, where B is taken as (d_i A_ij) d_j
     a = np.zeros((8, 8))
     a[:4, :4] = 4.0
     a[4:, 4:] = 1e-320
     np.fill_diagonal(a, 0.0)
-    return a
-
-
-def test_subnormal_entries_raise_numerical_error_without_warnings():
-    a = subnormal_blocks()
-    _, residual, _, _ = reference_scaling(a, 1.0 / 8, 10_000)
+    d, residual, iterations, converged = reference_scaling(a, 1.0 / 8, 10_000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match=r"^D\*A\*D overflowed float64$") as info:
-            scale_symmetric(SymMatrix(a))
-    assert info.value.residual == residual
+        res = scale_symmetric(SymMatrix(a))
+    assert converged and res.converged
+    assert (res.residual, res.iterations) == (residual, iterations)
+    assert np.array_equal(res.d, d)
+    b = res.b.entries
+    assert np.array_equal(b[:4, :4], np.outer(d[:4], d[:4]) * a[:4, :4])
+    assert not np.any(b[:4, 4:]) and not np.any(b[4:, :4])
+    for i in range(4, 8):
+        for j in range(i + 1, 8):
+            assert b[i, j] == b[j, i] == d[i] * a[i, j] * d[j]
+    assert np.max(np.abs(b.sum(axis=1) - 1.0)) <= 4e-16
