@@ -10,7 +10,6 @@ counts, except for the timing_ms field.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import sys
@@ -214,21 +213,10 @@ def estimate_cmd(matrix_path, samples, seed, quantiles, with_exact, threads):
         "quantiles": list(qs),
         "exact": with_exact,
     }
-    report = {
-        "manifest": _manifest("estimate", config, seed, started),
-        "n": summary.n,
-        "num_samples": summary.num_samples,
-        "seed": summary.seed,
-        "mean_det_log": summary.mean_det_log,
-        "logdet_mean": summary.logdet_mean,
-        "logdet_std": summary.logdet_std,
-        "logdet_quantiles": summary.logdet_quantiles,
-        "num_zero_det": summary.num_zero_det,
-    }
-    if with_exact:
-        report["exact_log_haf"] = summary.exact_log_haf
-        report["error_median"] = summary.error_stats.median_abs_error
-        report["error_max"] = summary.error_stats.max_abs_error
+    report = {"manifest": _manifest("estimate", config, seed, started), **jsonout.fields(summary)}
+    if not with_exact:
+        for key in ("exact_log_haf", "error_median", "error_max"):
+            del report[key]
     _emit(report)
 
 
@@ -295,10 +283,12 @@ def scale_cmd(matrix_path, residual, max_iter, theta, nu, emit_b):
 def check_cmd(graph_path, kappa, level, weak, delta, mode, budget, seed, strict):
     """Strong (or weak) expansion check of an edge-list graph."""
     started = time.monotonic()
+    if weak and delta is None:
+        raise InputError("--weak requires --delta")
+    if delta is not None and not weak:
+        raise InputError("--delta requires --weak")
     g = io.read_edge_list(graph_path)
     if weak:
-        if delta is None:
-            raise InputError("--weak requires --delta")
         rep = graphs.check_weak_expansion(
             g, kappa, delta, mode=mode, budget=budget, seed=seed, level=level
         )
@@ -317,8 +307,7 @@ def check_cmd(graph_path, kappa, level, weak, delta, mode, budget, seed, strict)
         "seed": seed,
         "strict": strict,
     }
-    report = {"manifest": _manifest("check", config, seed, started)}
-    report.update(dataclasses.asdict(rep))
+    report = {"manifest": _manifest("check", config, seed, started), **jsonout.fields(rep)}
     _emit(report, EXIT_CHECK_FAILED if (strict and not rep.holds) else EXIT_OK)
 
 
@@ -363,7 +352,7 @@ def hypotheses_cmd(matrix_path, alpha, kappa, beta, theta, do_scale, mode, budge
                 "observed": rep.observed_min_degree,
                 "required": rep.required_min_degree,
             },
-            "strong_expansion": dataclasses.asdict(rep.expansion),
+            "strong_expansion": rep.expansion,
             "max_entry": {
                 "ok": rep.max_entry_ok,
                 "observed": rep.max_entry,
@@ -399,20 +388,7 @@ def counterexample_cmd(delta, n_center, m_pairs, samples, seed, emit_graph, thre
         "seed": seed,
         "emit_graph": str(emit_graph) if emit_graph else None,
     }
-    _emit(
-        {
-            "manifest": _manifest("counterexample", config, seed, started),
-            "total_vertices": rep.total_vertices,
-            "n_center": rep.n_center,
-            "m_pairs": rep.m_pairs,
-            "delta": rep.delta,
-            "log_haf": rep.log_haf,
-            "mean_det_log": rep.mean_det_log,
-            "logdet_quantiles": rep.logdet_quantiles,
-            "median_signed_error": rep.median_signed_error,
-            "fraction_below": rep.fraction_below,
-        }
-    )
+    _emit({"manifest": _manifest("counterexample", config, seed, started), **jsonout.fields(rep)})
 
 
 @main.command("experiment")
@@ -430,19 +406,13 @@ def experiment_cmd(kind, config_path, threads):
         raise InputError(f"cannot read {config_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{config_path}: invalid JSON: {exc}") from exc
-    config = {**experiments.DEFAULTS[kind], **config}
-    if kind == "sv-tail":
-        body = experiments.run_sv_tail(config)
-    elif kind == "density":
-        body = experiments.run_density(config)
-    else:
-        body = experiments.run_concentration(config, threads=threads)
-    seed = config["seed"]
+    config = experiments.resolve(kind, config)
+    report = experiments.run(kind, config, threads)
     _emit(
         {
-            "manifest": _manifest("experiment", {"kind": kind, **config}, seed, started),
+            "manifest": _manifest("experiment", {"kind": kind, **config}, config["seed"], started),
             "kind": kind,
-            "report": body,
+            "report": report,
         }
     )
 

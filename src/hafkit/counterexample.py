@@ -145,12 +145,10 @@ def check_weak_expansion_structural(
 class BiasReport:
     """Sampled distribution of log det against the exact log E det = log n!."""
 
+    total_vertices: int
     n_center: int
     m_pairs: int
     delta: float
-    total_vertices: int
-    num_samples: int
-    seed: int
     log_haf: float
     mean_det_log: float
     logdet_quantiles: dict
@@ -180,12 +178,10 @@ def run_bias_experiment(
     fraction_below = {float(c): float(np.mean(shifted <= -c * total)) for c in DEFAULT_C_GRID}
     mean_det_log = _logsumexp(log_dets) - math.log(num_samples)
     return BiasReport(
+        total_vertices=total,
         n_center=spec.n_center,
         m_pairs=spec.m_pairs,
         delta=spec.delta,
-        total_vertices=total,
-        num_samples=num_samples,
-        seed=seed,
         log_haf=log_haf,
         mean_det_log=mean_det_log,
         logdet_quantiles=_quantiles(np.sort(log_dets), (0.05, 0.25, 0.5, 0.75, 0.95)),

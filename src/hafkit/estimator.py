@@ -50,7 +50,6 @@ from .linalg import SkewMatrix, SymMatrix
 from .rng import check_seed, gaussian_chunk, stream
 
 __all__ = [
-    "ErrorStats",
     "EstimatorSummary",
     "sample_w",
     "sample_log_dets",
@@ -65,12 +64,6 @@ _CHUNK = 512
 
 
 @dataclass(frozen=True)
-class ErrorStats:
-    median_abs_error: float
-    max_abs_error: float
-
-
-@dataclass(frozen=True)
 class EstimatorSummary:
     """Monte Carlo aggregate over det(W) samples.
 
@@ -80,7 +73,9 @@ class EstimatorSummary:
     ``num_zero_det``; ``logdet_std`` is taken over the finite samples.
     Zeros are decided exactly by matching: ``num_zero_det`` equals
     ``num_samples`` when the support of A has no perfect matching, and is
-    0 otherwise (a singular draw has probability zero).
+    0 otherwise (a singular draw has probability zero).  Given the exact
+    log haf, ``error_median`` and ``error_max`` are the median and max of
+    |log haf - log det| over the samples.
     """
 
     n: int
@@ -92,7 +87,8 @@ class EstimatorSummary:
     logdet_quantiles: dict
     num_zero_det: int
     exact_log_haf: float | None = None
-    error_stats: ErrorStats | None = None
+    error_median: float | None = None
+    error_max: float | None = None
 
 
 def _layout(a: SymMatrix) -> tuple[int, np.ndarray, np.ndarray]:
@@ -248,8 +244,8 @@ def estimate(
 
     If the support of ``a`` admits no perfect matching every determinant is
     zero and ``mean_det_log`` comes back -inf; that is a result, not an
-    error.  Supplying ``exact_log_haf`` fills ``error_stats`` with the
-    median and max of |log haf - log det| over the samples.
+    error.  Supplying ``exact_log_haf`` fills ``error_median`` and
+    ``error_max``.
     """
     a.require_even()
     for q in quantiles:
@@ -265,15 +261,12 @@ def estimate(
         logdet_mean = float(np.mean(log_dets))
     logdet_std = float(np.std(finite)) if finite.size else 0.0
     qmap = _quantiles(np.sort(log_dets), quantiles)
-    error_stats = None
+    error_median = error_max = None
     if exact_log_haf is not None:
         with np.errstate(invalid="ignore"):
             errs = np.abs(exact_log_haf - log_dets)
         errs[np.isnan(errs)] = 0.0  # both -inf: det and haf are exactly zero together
-        error_stats = ErrorStats(
-            median_abs_error=float(np.median(errs)),
-            max_abs_error=float(np.max(errs)),
-        )
+        error_median, error_max = float(np.median(errs)), float(np.max(errs))
     return EstimatorSummary(
         n=a.n,
         num_samples=num_samples,
@@ -284,5 +277,6 @@ def estimate(
         logdet_quantiles=qmap,
         num_zero_det=num_zero,
         exact_log_haf=exact_log_haf,
-        error_stats=error_stats,
+        error_median=error_median,
+        error_max=error_max,
     )

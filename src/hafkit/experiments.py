@@ -1,7 +1,10 @@
 """Desk-scale experiment harness: singular-value tails, eigenvalue crowding
 near zero, and error-concentration curves across matrix families.
 
-Every experiment is a pure function of (inputs, seed), and all aggregation
+``run`` is the CLI's entry: it lays a JSON config over ``DEFAULTS``, checks
+its keys, builds the matrix or family it names, and returns the
+experiment's report dataclass, which the CLI prints field by field.  Every
+experiment is a pure function of (inputs, seed), and all aggregation
 runs in trial order.  The two spectral experiments share one trial loop,
 which lays out the support once and gathers trial t's W from a one-row
 draw of the counter-based stream keyed by (seed, t), the layout and streams
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,13 +29,15 @@ from .errors import InputError, NumericalError
 from .estimator import _gather, _layout, sample_log_dets
 from .graphs import GraphEdgeList
 from .linalg import SkewMatrix, SymMatrix, spectrum
-from .rng import gaussian_chunk
+from .rng import check_seed, gaussian_chunk
 from . import io as _io
 from . import scaling as _scaling
 
 __all__ = [
     "TailReport",
+    "DensityRow",
     "DensityReport",
+    "ErrorRow",
     "ConcentrationReport",
     "FamilyMember",
     "complete_graph",
@@ -40,9 +46,8 @@ __all__ = [
     "smallest_sv_tail",
     "eigenvalue_density",
     "concentration_error",
-    "run_sv_tail",
-    "run_density",
-    "run_concentration",
+    "resolve",
+    "run",
 ]
 
 # config defaults of each CLI experiment; the manifest reports them merged
@@ -68,7 +73,7 @@ def random_regular_graph(n: int, d: int, seed: int) -> GraphEdgeList:
         raise InputError("n * d must be even for a d-regular graph")
     if not (0 < d < n):
         raise InputError("degree must satisfy 0 < d < n")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     stubs = np.repeat(np.arange(n), d)
     while True:
         perm = rng.permutation(stubs)
@@ -88,6 +93,36 @@ def random_regular_graph(n: int, d: int, seed: int) -> GraphEdgeList:
             return GraphEdgeList.from_pairs(n, edges)
 
 
+_REQUIRED = object()
+
+
+def _value(obj: dict, key: str, types, what: str, default=_REQUIRED):
+    """``obj[key]`` if it is an instance of ``types`` and no bool; else an InputError naming ``key``.
+
+    An absent key gives ``default``, or an InputError if there is none.
+    """
+    if key not in obj:
+        if default is _REQUIRED:
+            raise InputError(f"missing key {key!r}")
+        return default
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise InputError(f"{key!r} must be {what}, got {value!r}")
+    return value
+
+
+def _count(obj: dict, key: str, default=_REQUIRED) -> int:
+    return _value(obj, key, int, "an integer", default)
+
+
+def _list(obj: dict, key: str, types, what: str, default=_REQUIRED):
+    """A list under ``key`` whose items are instances of ``types`` and no bools."""
+    values = _value(obj, key, (list, tuple), f"a list of {what}", default)
+    if any(isinstance(v, bool) or not isinstance(v, types) for v in values):
+        raise InputError(f"{key!r} must be a list of {what}, got {values!r}")
+    return values
+
+
 def matrix_from_source(source: dict) -> SymMatrix:
     """Resolve a matrix-source config dict to a SymMatrix.
 
@@ -96,20 +131,22 @@ def matrix_from_source(source: dict) -> SymMatrix:
     (delta, n_center, m_pairs?).  ``scaled: true`` replaces the adjacency
     by its doubly stochastic scaling.
     """
+    if not isinstance(source, dict):
+        raise InputError(f"a matrix source must be a JSON object, got {type(source).__name__}")
     kind = source.get("kind")
     if kind == "file":
-        return _io.read_symmetric_matrix(source["path"])
+        return _io.read_symmetric_matrix(_value(source, "path", str, "a string"))
     if kind == "complete":
-        a = complete_graph(int(source["n"])).sym_matrix()
+        a = complete_graph(_count(source, "n")).sym_matrix()
     elif kind == "random_regular":
         a = random_regular_graph(
-            int(source["n"]), int(source["d"]), int(source.get("graph_seed", 0))
+            _count(source, "n"), _count(source, "d"), _count(source, "graph_seed", 0)
         ).sym_matrix()
     elif kind == "counterexample":
         spec = CounterexampleSpec(
-            delta=float(source["delta"]),
-            n_center=int(source["n_center"]),
-            m_pairs=source.get("m_pairs"),
+            delta=float(_value(source, "delta", (int, float), "a number")),
+            n_center=_count(source, "n_center"),
+            m_pairs=_value(source, "m_pairs", (int, type(None)), "an integer or null", None),
         )
         a = build_counterexample(spec).sym_matrix()
     else:
@@ -134,10 +171,11 @@ def _trial_spectra(a: SymMatrix, trials: int, seed: int):
 
 @dataclass(frozen=True)
 class TailReport:
+    """``cdf`` maps each threshold, ascending, to the share of trials at or below it."""
+
     n: int
     trials: int
     seed: int
-    thresholds: tuple
     cdf: dict
     median_smallest_singular: float
     fitted_exponent: float | None
@@ -164,11 +202,17 @@ def smallest_sv_tail(a: SymMatrix, trials: int, seed: int, thresholds) -> TailRe
         n=a.n,
         trials=trials,
         seed=seed,
-        thresholds=thresholds,
         cdf=cdf,
         median_smallest_singular=float(np.median(sn)),
         fitted_exponent=fitted,
     )
+
+
+class DensityRow(NamedTuple):
+    eta: float
+    mean_count: float
+    max_count: int
+    ratio: float  # mean_count / (n * eta)
 
 
 @dataclass(frozen=True)
@@ -179,7 +223,7 @@ class DensityReport:
     trials: int
     seed: int
     max_entry: float
-    rows: tuple  # (eta, mean_count, max_count, ratio=mean/(n*eta)) per eta
+    rows: tuple[DensityRow, ...]
 
 
 def default_eta_grid(max_entry: float) -> np.ndarray:
@@ -213,7 +257,7 @@ def eigenvalue_density(
         mags = np.abs(s.eigenvalues_iw)
         counts[t] = [int(np.sum(mags < eta)) for eta in etas]
     rows = tuple(
-        (
+        DensityRow(
             float(eta),
             float(np.mean(counts[:, k])),
             int(np.max(counts[:, k])),
@@ -233,12 +277,19 @@ class FamilyMember:
     exact_log_haf: float
 
 
+class ErrorRow(NamedTuple):
+    size: int
+    median_abs_error: float
+    q90_abs_error: float
+    median_signed_error: float
+
+
 @dataclass(frozen=True)
 class ConcentrationReport:
     family: str
     samples_per_member: int
     seed: int
-    rows: tuple  # per member: (size, median_abs_error, q90_abs_error, median_signed_error)
+    rows: tuple[ErrorRow, ...]
     fitted_exponent: float | None
     r_squared: float | None
 
@@ -264,7 +315,7 @@ def concentration_error(
         signed = log_dets - member.exact_log_haf
         abs_err = np.abs(signed)
         rows.append(
-            (
+            ErrorRow(
                 member.size,
                 float(np.median(abs_err)),
                 float(np.quantile(abs_err, 0.9)),
@@ -315,81 +366,42 @@ def counterexample_family(n_centers, delta: float) -> list[FamilyMember]:
     return members
 
 
-def run_sv_tail(config: dict) -> dict:
-    """CLI adapter: config {matrix, trials, seed, thresholds} -> plain dict."""
-    config = {**DEFAULTS["sv-tail"], **config}
-    a = matrix_from_source(config["matrix"])
-    rep = smallest_sv_tail(
-        a,
-        trials=int(config["trials"]),
-        seed=int(config["seed"]),
-        thresholds=config["thresholds"],
-    )
-    return {
-        "n": rep.n,
-        "trials": rep.trials,
-        "seed": rep.seed,
-        "cdf": {str(t): p for t, p in rep.cdf.items()},
-        "median_smallest_singular": rep.median_smallest_singular,
-        "fitted_exponent": rep.fitted_exponent,
-    }
+def resolve(kind: str, config) -> dict:
+    """``config``, a JSON object, laid over the defaults of experiment ``kind``."""
+    if kind not in DEFAULTS:
+        raise InputError(f"unknown experiment {kind!r}")
+    if not isinstance(config, dict):
+        raise InputError(f"an experiment config must be a JSON object, got {type(config).__name__}")
+    return {**DEFAULTS[kind], **config}
 
 
-def run_density(config: dict) -> dict:
-    """CLI adapter: config {matrix, trials, seed, eta_grid?} -> plain dict."""
-    config = {**DEFAULTS["density"], **config}
-    b = matrix_from_source(config["matrix"])
-    rep = eigenvalue_density(
-        b,
-        trials=int(config["trials"]),
-        seed=int(config["seed"]),
-        eta_grid=config["eta_grid"],
-    )
-    return {
-        "n": rep.n,
-        "trials": rep.trials,
-        "seed": rep.seed,
-        "max_entry": rep.max_entry,
-        "rows": [
-            {"eta": eta, "mean_count": mean, "max_count": mx, "ratio": ratio}
-            for eta, mean, mx, ratio in rep.rows
-        ],
-    }
+def run(kind: str, config, threads: int = 1):
+    """The report of experiment ``kind``: "sv-tail" gives a TailReport, "density"
+    a DensityReport, "concentration" a ConcentrationReport.
 
-
-def run_concentration(config: dict, threads: int = 1) -> dict:
-    """CLI adapter: config {family, samples_per_n, seed} -> plain dict."""
-    config = {**DEFAULTS["concentration"], **config}
-    fam = config.get("family", {})
-    kind = fam.get("kind")
-    if kind == "complete":
-        members = complete_family(fam.get("ns", (8, 10, 12, 14)))
-    elif kind == "counterexample":
-        members = counterexample_family(
-            fam.get("n_centers", (10, 15, 19, 24)), float(fam.get("delta", 0.12))
-        )
-    else:
-        raise InputError(f"unknown family kind {kind!r}")
-    rep = concentration_error(
-        members,
-        samples_per_member=int(config["samples_per_n"]),
-        seed=int(config["seed"]),
-        family=kind,
-        threads=threads,
-    )
-    return {
-        "family": rep.family,
-        "samples_per_member": rep.samples_per_member,
-        "seed": rep.seed,
-        "rows": [
-            {
-                "size": size,
-                "median_abs_error": med,
-                "q90_abs_error": q90,
-                "median_signed_error": signed,
-            }
-            for size, med, q90, signed in rep.rows
-        ],
-        "fitted_exponent": rep.fitted_exponent,
-        "r_squared": rep.r_squared,
-    }
+    sv-tail reads {matrix, trials, seed, thresholds}, density {matrix,
+    trials, seed, eta_grid}, concentration {family, samples_per_n, seed}.
+    """
+    config = resolve(kind, config)
+    seed = _count(config, "seed")
+    if kind == "concentration":
+        samples = _count(config, "samples_per_n")
+        fam = _value(config, "family", dict, "an object")
+        family = fam.get("kind")
+        if family == "complete":
+            members = complete_family(_list(fam, "ns", int, "integers", (8, 10, 12, 14)))
+        elif family == "counterexample":
+            members = counterexample_family(
+                _list(fam, "n_centers", int, "integers", (10, 15, 19, 24)),
+                float(_value(fam, "delta", (int, float), "a number", 0.12)),
+            )
+        else:
+            raise InputError(f"unknown family kind {family!r}")
+        return concentration_error(members, samples, seed, family=family, threads=threads)
+    trials = _count(config, "trials")
+    source = _value(config, "matrix", dict, "an object")
+    if kind == "sv-tail":
+        thresholds = _list(config, "thresholds", (int, float), "numbers")
+        return smallest_sv_tail(matrix_from_source(source), trials, seed, thresholds)
+    eta_grid = None if config["eta_grid"] is None else _list(config, "eta_grid", (int, float), "numbers")
+    return eigenvalue_density(matrix_from_source(source), trials, seed, eta_grid)

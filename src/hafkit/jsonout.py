@@ -3,17 +3,20 @@
 Floats are printed with 17 significant digits (full round-trip precision);
 non-finite values become the strings "-inf", "inf", "nan" since bare JSON
 has no spelling for them.  Dict insertion order is preserved, so identical
-report structures serialize to identical bytes.
+report structures serialize to identical bytes.  A dataclass instance or a
+NamedTuple prints as the object of its fields, in declaration order, so a
+result type is its own report.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 
-__all__ = ["dumps", "format_float"]
+__all__ = ["dumps", "fields", "format_float"]
 
 
 def format_float(x: float) -> str:
@@ -24,6 +27,13 @@ def format_float(x: float) -> str:
     if x == -math.inf:
         return '"-inf"'
     return format(x, ".17g")
+
+
+def fields(record) -> dict:
+    """The fields of a dataclass instance or a NamedTuple, in declaration order."""
+    if isinstance(record, tuple):
+        return record._asdict()
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
 
 def _escape(s: str) -> str:
@@ -51,6 +61,10 @@ def _emit(obj, indent: int, pieces: list):
         pieces.append(format_float(float(obj)))
     elif isinstance(obj, str):
         pieces.append(_escape(obj))
+    elif (isinstance(obj, tuple) and hasattr(obj, "_fields")) or (
+        dataclasses.is_dataclass(obj) and not isinstance(obj, type)
+    ):
+        _emit(fields(obj), indent, pieces)
     elif isinstance(obj, dict):
         if not obj:
             pieces.append("{}")

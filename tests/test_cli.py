@@ -37,6 +37,25 @@ def files(tmp_path):
     return tmp_path
 
 
+# small configs of each experiment, as the CLI reads them
+EXPERIMENT_CONFIGS = {
+    "sv-tail": {
+        "matrix": {"kind": "complete", "n": 8, "scaled": True},
+        "trials": 20,
+        "seed": 3,
+        "thresholds": [1e-6, 0.1],
+    },
+    "density": {"matrix": {"kind": "complete", "n": 10, "scaled": True}, "trials": 5, "seed": 4},
+    "concentration": {"family": {"kind": "complete", "ns": [6, 8]}, "samples_per_n": 50, "seed": 5},
+}
+
+
+def run_experiment(runner, tmp_path, kind, config):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(config))
+    return runner.invoke(main, ["experiment", kind, "--config", str(path)])
+
+
 def strip_timing(text: str) -> str:
     return re.sub(r'"timing_ms": \d+', '"timing_ms": 0', text)
 
@@ -314,34 +333,19 @@ def test_counterexample_command(runner, tmp_path):
 
 
 def test_experiment_commands(runner, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "matrix": {"kind": "complete", "n": 8, "scaled": True},
-        "trials": 20,
-        "seed": 3,
-        "thresholds": [1e-6, 0.1],
-    }))
-    res = runner.invoke(main, ["experiment", "sv-tail", "--config", str(cfg)])
+    res = run_experiment(runner, tmp_path, "sv-tail", EXPERIMENT_CONFIGS["sv-tail"])
     assert res.exit_code == 0
     doc = json.loads(res.output)
     assert doc["kind"] == "sv-tail"
     assert doc["report"]["trials"] == 20
 
-    dcfg = tmp_path / "dcfg.json"
-    dcfg.write_text(json.dumps({
-        "matrix": {"kind": "complete", "n": 10, "scaled": True}, "trials": 5, "seed": 4,
-    }))
-    res = runner.invoke(main, ["experiment", "density", "--config", str(dcfg)])
+    res = run_experiment(runner, tmp_path, "density", EXPERIMENT_CONFIGS["density"])
     assert res.exit_code == 0
     rows = json.loads(res.output)["report"]["rows"]
     means = [r["mean_count"] for r in rows]
     assert means == sorted(means)
 
-    ccfg = tmp_path / "ccfg.json"
-    ccfg.write_text(json.dumps({
-        "family": {"kind": "complete", "ns": [6, 8]}, "samples_per_n": 50, "seed": 5,
-    }))
-    res = runner.invoke(main, ["experiment", "concentration", "--config", str(ccfg)])
+    res = run_experiment(runner, tmp_path, "concentration", EXPERIMENT_CONFIGS["concentration"])
     assert res.exit_code == 0
 
     bad = tmp_path / "bad.json"
@@ -353,6 +357,68 @@ def test_experiment_commands(runner, tmp_path):
     wrong.write_text(json.dumps({"family": {"kind": "nope"}}))
     res = runner.invoke(main, ["experiment", "concentration", "--config", str(wrong)])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        [1, 2],
+        {"trials": 5, "seed": 0},
+        {"matrix": {"kind": "complete", "n": 8}, "trials": "x"},
+        {"matrix": {"kind": "complete", "n": 8}, "seed": None},
+        {"matrix": {"kind": "complete", "n": "abc"}},
+        {"matrix": {"kind": "random_regular", "n": 8, "d": 3, "graph_seed": -1}},
+    ],
+    ids=["list", "no-matrix", "string-trials", "null-seed", "string-n", "negative-graph-seed"],
+)
+def test_malformed_experiment_config_exits_2(runner, tmp_path, config):
+    res = run_experiment(runner, tmp_path, "sv-tail", config)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("input error:")
+
+
+def test_check_delta_needs_weak(runner, files):
+    res = runner.invoke(
+        main,
+        ["check", "--graph", str(files / "k8.edges"), "--kappa", "0.1", "--level", "2", "--delta", "0.1"],
+    )
+    assert res.exit_code == 2
+    assert res.stderr == "input error: --delta requires --weak\n"
+
+
+ESTIMATE_KEYS = [
+    "manifest", "n", "num_samples", "seed", "mean_det_log", "logdet_mean", "logdet_std",
+    "logdet_quantiles", "num_zero_det",
+]
+
+
+def test_report_key_order(runner, files, tmp_path):
+    args = ["estimate", "--matrix", str(files / "k8.mat"), "--samples", "50", "--seed", "1"]
+    assert list(json.loads(runner.invoke(main, args).output)) == ESTIMATE_KEYS
+    assert list(json.loads(runner.invoke(main, args + ["--exact"]).output)) == ESTIMATE_KEYS + [
+        "exact_log_haf", "error_median", "error_max",
+    ]
+    res = runner.invoke(main, ["counterexample", "--n-center", "4", "--m-pairs", "1", "--samples", "50"])
+    assert list(json.loads(res.output)) == [
+        "manifest", "total_vertices", "n_center", "m_pairs", "delta", "log_haf", "mean_det_log",
+        "logdet_quantiles", "median_signed_error", "fraction_below",
+    ]
+    reports = {
+        kind: json.loads(run_experiment(runner, tmp_path, kind, config).output)["report"]
+        for kind, config in EXPERIMENT_CONFIGS.items()
+    }
+    assert list(reports["sv-tail"]) == [
+        "n", "trials", "seed", "cdf", "median_smallest_singular", "fitted_exponent",
+    ]
+    assert list(reports["density"]) == ["n", "trials", "seed", "max_entry", "rows"]
+    assert all(list(row) == ["eta", "mean_count", "max_count", "ratio"] for row in reports["density"]["rows"])
+    assert list(reports["concentration"]) == [
+        "family", "samples_per_member", "seed", "rows", "fitted_exponent", "r_squared",
+    ]
+    assert all(
+        list(row) == ["size", "median_abs_error", "q90_abs_error", "median_signed_error"]
+        for row in reports["concentration"]["rows"]
+    )
 
 
 def test_schema_and_version(runner):
@@ -396,25 +462,29 @@ def _validate(doc, schema):
 def test_all_reports_validate_against_schema(runner, files):
     schema = json.loads(runner.invoke(main, ["--schema"]).output)
     defs = schema["$defs"]
-    outputs = {
-        "exact": runner.invoke(main, ["exact", "--graph", str(files / "k8.edges")]).output,
-        "estimate": runner.invoke(
-            main, ["estimate", "--matrix", str(files / "k8.mat"), "--samples", "50", "--seed", "1"]
-        ).output,
-        "scale": runner.invoke(main, ["scale", "--matrix", str(files / "k8.mat")]).output,
-        "check": runner.invoke(
+    estimate = ["estimate", "--matrix", str(files / "k8.mat"), "--samples", "50", "--seed", "1"]
+    outputs = [
+        ("exact", runner.invoke(main, ["exact", "--graph", str(files / "k8.edges")]).output),
+        ("estimate", runner.invoke(main, estimate).output),
+        ("estimate", runner.invoke(main, estimate + ["--exact"]).output),
+        ("scale", runner.invoke(main, ["scale", "--matrix", str(files / "k8.mat")]).output),
+        ("check", runner.invoke(
             main, ["check", "--graph", str(files / "k8.edges"), "--kappa", "0.2", "--level", "3"]
-        ).output,
-        "hypotheses": runner.invoke(
+        ).output),
+        ("hypotheses", runner.invoke(
             main,
             ["hypotheses", "--matrix", str(files / "k8.mat"), "--alpha", "0.3", "--kappa", "0.1",
              "--beta", "2", "--theta", "0.2", "--scale"],
-        ).output,
-        "counterexample": runner.invoke(
+        ).output),
+        ("counterexample", runner.invoke(
             main, ["counterexample", "--n-center", "4", "--m-pairs", "1", "--samples", "50"]
-        ).output,
-    }
-    for name, text in outputs.items():
+        ).output),
+    ]
+    outputs += [
+        ("experiment", run_experiment(runner, files, kind, config).output)
+        for kind, config in EXPERIMENT_CONFIGS.items()
+    ]
+    for name, text in outputs:
         doc = json.loads(text)
         _validate(doc, schema)
         for key in defs[name]["required"]:

@@ -22,9 +22,7 @@ from hafkit.experiments import (
     counterexample_family,
     default_eta_grid,
     matrix_from_source,
-    run_concentration,
-    run_density,
-    run_sv_tail,
+    run,
 )
 
 from helpers import random_skew, support_stream_w
@@ -48,7 +46,7 @@ def test_sv_tail_half_normal_edge():
         p_true = math.erf(t / math.sqrt(2))
         se = math.sqrt(p_true * (1 - p_true) / 1000)
         assert abs(rep.cdf[t] - p_true) <= 3 * se
-    cdf_vals = [rep.cdf[t] for t in rep.thresholds]
+    cdf_vals = [rep.cdf[t] for t in sorted(rep.cdf)]
     assert cdf_vals == sorted(cdf_vals)  # CDF nondecreasing in threshold
     assert rep.fitted_exponent is None or rep.fitted_exponent > 0
 
@@ -157,13 +155,13 @@ def test_concentration_counterexample_family_negative_medians():
 def test_experiments_deterministic():
     cfg = {"matrix": {"kind": "complete", "n": 8, "scaled": True}, "trials": 50, "seed": 11,
            "thresholds": [1e-6, 0.01, 0.1]}
-    assert run_sv_tail(cfg) == run_sv_tail(cfg)
+    assert run("sv-tail", cfg) == run("sv-tail", cfg)
     dcfg = {"matrix": {"kind": "complete", "n": 10, "scaled": True}, "trials": 10, "seed": 12}
-    assert run_density(dcfg) == run_density(dcfg)
+    assert run("density", dcfg) == run("density", dcfg)
     ccfg = {"family": {"kind": "complete", "ns": [6, 8]}, "samples_per_n": 50, "seed": 13}
-    assert run_concentration(ccfg) == run_concentration(ccfg)
+    assert run("concentration", ccfg) == run("concentration", ccfg)
     # worker count changes wall time only
-    assert run_concentration(ccfg, threads=3) == run_concentration(ccfg, threads=1)
+    assert run("concentration", ccfg, threads=3) == run("concentration", ccfg, threads=1)
 
 
 def test_matrix_from_source_kinds(tmp_path):

@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -114,3 +116,50 @@ def test_jsonout_string_escapes():
     assert json.loads(text)["s"] == s
     # short escapes where JSON has them, \u00XX for other controls, non-ASCII as is
     assert jsonout.dumps("\b\f\x1f\u03b4") == '"\\b\\f\\u001f\u03b4"'
+
+
+class _Row(NamedTuple):
+    eta: float
+    count: int
+
+
+@dataclass(frozen=True)
+class _Inner:
+    ok: bool
+
+
+@dataclass(frozen=True)
+class _Outer:
+    zeta: int
+    quantiles: dict
+    inner: _Inner
+    rows: tuple
+    pair: tuple
+
+
+def test_jsonout_prints_records_as_objects_in_field_order():
+    rep = _Outer(
+        zeta=3,
+        quantiles={0.5: -math.inf, 0.25: 1.5},
+        inner=_Inner(ok=True),
+        rows=(_Row(0.1, 2), _Row(1.0, 5)),
+        pair=(1, 2.5),
+    )
+    text = jsonout.dumps(rep)
+    assert text == jsonout.dumps(
+        {
+            "zeta": 3,
+            "quantiles": {0.5: -math.inf, 0.25: 1.5},
+            "inner": {"ok": True},
+            "rows": [{"eta": 0.1, "count": 2}, {"eta": 1.0, "count": 5}],
+            "pair": [1, 2.5],
+        }
+    )
+    parsed = json.loads(text)
+    assert list(parsed) == ["zeta", "quantiles", "inner", "rows", "pair"]
+    assert list(parsed["quantiles"].items()) == [("0.5", "-inf"), ("0.25", 1.5)]
+    assert parsed["inner"] == {"ok": True}
+    assert [list(r) for r in parsed["rows"]] == [["eta", "count"]] * 2
+    assert parsed["pair"] == [1, 2.5]
+    assert jsonout.dumps((1, 2.5)) == "[\n  1,\n  2.5\n]"
+    assert jsonout.fields(_Row(0.1, 2)) == {"eta": 0.1, "count": 2}
