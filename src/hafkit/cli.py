@@ -202,6 +202,7 @@ def estimate_cmd(matrix_path, samples, seed, quantiles, with_exact, threads):
     except ValueError as exc:
         raise InputError(f"bad quantile list {quantiles!r}: {exc}") from exc
     a = io.read_symmetric_matrix(matrix_path)
+    estimator.check_arguments(samples, seed, threads, qs)  # before the exact DP, which can take seconds
     exact_log = exact.hafnian_exact(a).log_value if with_exact else None
     summary = estimator.estimate(
         a, samples, seed, quantiles=qs, exact_log_haf=exact_log, threads=threads

@@ -2,31 +2,35 @@
 
 A sample is the skew-symmetric matrix W with W[i, j] = g_ij * sqrt(A[i, j])
 for i < j, where the g_ij are standard normals; det(W) is an unbiased
-estimator of haf(A).  A sample's row of normals gives one normal to each
-edge of A's support (A[i, j] > 0, i < j), in row-major order, and nothing
-to the zero entries; on a complete support that is the whole upper
-triangle.  That rule is coded once, in the layout ``_layout`` builds per
-matrix: every W and every block of W is one gather of a row of normals
+estimator of haf(A).  Every nonzero term of det(W) is a cycle cover of the
+support, so det(W) is a polynomial in the entries of the total support
+alone, the edges that lie on some cycle cover.  A sample's row of normals
+therefore gives one normal to each edge of the total support (A[i, j] > 0,
+i < j, on a cycle cover), in row-major order, and nothing to any other
+entry; a support without a perfect matching draws none.  On a support that
+is its own total support (K_n, a connected regular graph, any scalable
+matrix) that is every support edge, and on a complete support the whole
+upper triangle.  That rule is coded once, in the layout ``_plan`` builds
+per matrix: every W and every block of W is one gather of a row of normals
 through it.  The rows come from counter-based streams (``rng``): sample i
 is row i % _CHUNK of the (_CHUNK x m) draw of the stream keyed by (seed,
-i // _CHUNK), m being the support-edge count.  Batches of W are evaluated in
-log domain by LAPACK's LU (``np.linalg.slogdet``) and aggregated with
-log-sum-exp, since the values span hundreds of orders of magnitude once n
-is large.  Whether det(W) is zero is decided exactly, once per matrix, by a
-perfect-matching check on the support of A: rounding leaves tiny nonzero
-pivots where the true determinant vanishes, so no floating-point kernel can
-decide it.  The Parlett-Reid Pfaffian of ``sample_w``
-(``linalg.pfaffian_log_stack``) is the oracle that carries the sign.
+i // _CHUNK), m being the edge count of the total support.  Batches of W
+are evaluated in log domain by LAPACK's LU (``np.linalg.slogdet``) and
+aggregated with log-sum-exp, since the values span hundreds of orders of
+magnitude once n is large.  Whether det(W) is zero is decided exactly, once
+per matrix, by a perfect-matching check on the support of A: rounding
+leaves tiny nonzero pivots where the true determinant vanishes, so no
+floating-point kernel can decide it.  The Parlett-Reid Pfaffian of
+``sample_w`` (``linalg.pfaffian_log_stack``) is the oracle that carries the
+sign.
 
-Every nonzero term of det(W) is a cycle cover of the support, so det(W)
-depends only on the entries of its total support.  The pass that finds it
-from the matching of the zero decision (``exact.total_support``) returns
-its blocks, over which det(W) factors: a bipartite pair of parts U and V
-contributes det(W[U, V])^2, any other block S its skew block W[S, S].
-Each chunk draws one row of support-edge normals per sample, gathers every
-block from them, and takes one batched ``slogdet`` per group of same-sized
-blocks, adding a group's log-dets in block order.  A single non-bipartite
-block over all vertices is the full W.
+The pass that finds the total support from the matching of the zero
+decision (``exact.support_blocks``) returns its blocks, over which det(W)
+factors: a bipartite pair of parts U and V contributes det(W[U, V])^2, any
+other block S its skew block W[S, S].  Each chunk draws one row of normals
+per sample, gathers every block from them, and takes one batched
+``slogdet`` per group of same-sized blocks, adding a group's log-dets in
+block order.  A single non-bipartite block over all vertices is the full W.
 
 Sampling is embarrassingly parallel: each chunk is one draw from its own
 stream, chunk boundaries do not depend on the worker count, and aggregation
@@ -44,8 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .exact import perfect_matching, total_support
-from .graphs import large_entries_graph
+from .exact import support_blocks
 from .linalg import SkewMatrix, SymMatrix
 from .rng import check_seed, gaussian_chunk, stream
 
@@ -53,13 +56,14 @@ __all__ = [
     "EstimatorSummary",
     "sample_w",
     "sample_log_dets",
+    "check_arguments",
     "estimate",
 ]
 
 # samples per stream: part of the stream contract, so changing it changes
 # every sampled bit past sample 0.  It also bounds what each pool thread
-# holds: one chunk of the n=50 counterexample (901 normals and 24x24 blocks
-# per sample) peaks at 5.8 MiB of traced allocation.
+# holds: one chunk of the n=50 counterexample (577 normals and 24x24 blocks
+# per sample) peaks at 4.6 MiB of traced allocation.
 _CHUNK = 512
 
 
@@ -91,24 +95,44 @@ class EstimatorSummary:
     error_max: float | None = None
 
 
-def _layout(a: SymMatrix) -> tuple[int, np.ndarray, np.ndarray]:
-    """``(m, pos, weight)``: where the normals of one sample go in W.
+def _layout(a: SymMatrix, blocks=None) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(m, pos, weight)``: where the normals of one row go in W.
 
-    A sample's row holds m normals and gives the k-th to the k-th edge
-    of A's support (A[i, j] > 0, i < j) in row-major order.  ``pos[i, j] =
-    pos[j, i]`` is the position of edge {i, j}; ``weight`` is +sqrt(A[i, j])
-    above the diagonal, -sqrt(A[i, j]) below it and 0 elsewhere.  Gathering
-    through the whole tables gives W, through ``np.ix_(rows, cols)`` cuts of
-    them the block W[rows, cols].
+    A row holds m normals and gives the k-th to the k-th edge, in row-major
+    order, of A's support (A[i, j] > 0, i < j), or of its part inside
+    ``blocks`` (``exact.support_blocks``) when they are given.  ``pos[i, j]
+    = pos[j, i]`` is the position of edge {i, j}; ``weight`` is
+    +sqrt(A[i, j]) above the diagonal, -sqrt(A[i, j]) below it and 0 off
+    the edges.  Gathering through the whole tables gives W, through
+    ``np.ix_(rows, cols)`` cuts of them the block W[rows, cols].
     """
-    upper = np.triu(a.entries > 0, 1)
+    edges = a.entries > 0
+    if blocks is not None:
+        inside = np.zeros_like(edges)
+        for rows, cols, _ in blocks:
+            inside[np.ix_(rows, cols)] = True
+        edges &= inside | inside.T
+    upper = np.triu(edges, 1)
     m = int(np.count_nonzero(upper))
     pos = np.zeros((a.n, a.n), dtype=np.intp)
     pos[upper] = np.arange(m)  # a boolean mask visits the upper triangle row-major
     pos += pos.T
-    weight = np.sqrt(np.triu(a.entries, 1))
+    weight = np.sqrt(np.where(upper, a.entries, 0.0))
     weight -= weight.T
     return m, pos, weight
+
+
+def _plan(a: SymMatrix):
+    """``(m, pos, weight, blocks)`` of a sample, or None when every det(W) is zero.
+
+    The layout covers the edges of the total support only: the blocks of
+    ``exact.support_blocks``, found from one perfect matching of A's
+    support.  Without one (or at odd n) there is nothing to draw.
+    """
+    blocks = support_blocks(a)
+    if blocks is None:
+        return None
+    return (*_layout(a, blocks), blocks)
 
 
 def _gather(x: np.ndarray, pos: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -129,14 +153,19 @@ def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
     """One realization of W = sqrt(A) (element-wise) * skew Gaussian.
 
     This is the W of sample ``index`` of ``sample_log_dets``: the k-th edge
-    of A's support in row-major order takes the k-th normal of row index %
-    _CHUNK of stream (seed, index // _CHUNK) (``_layout``); entries off the
-    support are +0.0.  The rows before it are drawn into the same m-normal
-    buffer and discarded, so memory stays O(n^2 + m) at any index.
+    of A's total support in row-major order takes the k-th normal of row
+    index % _CHUNK of stream (seed, index // _CHUNK) (``_plan``); entries
+    off the total support are +0.0, and a support without a perfect
+    matching gives the zero matrix.  The rows before it are drawn into the
+    same m-normal buffer and discarded, so memory stays O(n^2 + m) at any
+    index.
     """
     if not (0 <= index < 1 << 64):
         raise InputError("sample index must fit in an unsigned 64-bit integer")
-    m, pos, weight = _layout(a)
+    plan = _plan(a)
+    if plan is None:
+        return SkewMatrix(np.zeros((a.n, a.n)))
+    m, pos, weight, _ = plan
     gen = stream(seed, index // _CHUNK)
     row = np.empty(m)
     for _ in range(index % _CHUNK + 1):
@@ -145,7 +174,7 @@ def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
 
 
 def _block_groups(pos: np.ndarray, weight: np.ndarray, blocks) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Gather plan of ``total_support``'s blocks: ``(pos, weight, power)`` per block size and kind.
+    """Gather plan of ``support_blocks``' blocks: ``(pos, weight, power)`` per block size and kind.
 
     ``pos`` and ``weight`` stack the layout tables cut to each block, so
     that ``_gather`` of a chunk's normals gives every block of the group.
@@ -170,28 +199,35 @@ def _logdet_chunk(groups, num_normals: int, seed: int, first: int, count: int) -
     return log_dets
 
 
+def check_arguments(num_samples: int, seed: int, threads: int, quantiles=()) -> int:
+    """Refuse what no sampling run accepts, before any work on A; returns the seed as an int."""
+    for q in quantiles:
+        if not (0.0 < q < 1.0):
+            raise InputError(f"quantiles must lie in (0, 1), got {q}")
+    seed = check_seed(seed)
+    if num_samples < 1:
+        raise InputError("num_samples must be >= 1")
+    if threads < 1:
+        raise InputError("threads must be >= 1")
+    return seed
+
+
 def sample_log_dets(a: SymMatrix, num_samples: int, seed: int, threads: int = 1) -> np.ndarray:
     """log det(W) for sample indices 0..num_samples-1.
 
     A support without a perfect matching (or an odd dimension) makes every
     det(W) exactly zero: that is decided once, by a matching check, and the
     result is all -inf without drawing any samples.  Otherwise each chunk
-    of _CHUNK samples is one draw of one normal per support edge per
-    sample, sample i is the W of ``sample_w(a, seed, i)``, and det(W) is
-    taken block by block over the blocks of the total support.
+    of _CHUNK samples is one draw of one normal per edge of the total
+    support per sample, sample i is the W of ``sample_w(a, seed, i)``, and
+    det(W) is taken block by block over the blocks of the total support.
     """
-    seed = check_seed(seed)
-    if num_samples < 1:
-        raise InputError("num_samples must be >= 1")
-    if threads < 1:
-        raise InputError("threads must be >= 1")
-    n = a.n
-    support = large_entries_graph(a, 0.0)
-    match = perfect_matching(support) if n % 2 == 0 else None
-    if match is None:
+    seed = check_arguments(num_samples, seed, threads)
+    plan = _plan(a)
+    if plan is None:
         return np.full(num_samples, -np.inf)
-    m, pos, weight = _layout(a)
-    groups = _block_groups(pos, weight, total_support(support, match))
+    m, pos, weight, blocks = plan
+    groups = _block_groups(pos, weight, blocks)
     log_dets = np.empty(num_samples)
     starts = list(range(0, num_samples, _CHUNK))
 
@@ -248,9 +284,7 @@ def estimate(
     ``error_max``.
     """
     a.require_even()
-    for q in quantiles:
-        if not (0.0 < q < 1.0):
-            raise InputError(f"quantiles must lie in (0, 1), got {q}")
+    check_arguments(num_samples, seed, threads, quantiles)
     log_dets = sample_log_dets(a, num_samples, seed, threads=threads)
     num_zero = int(np.sum(log_dets == -np.inf))
     mean_det_log = _logsumexp(log_dets) - math.log(num_samples)

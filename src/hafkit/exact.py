@@ -46,6 +46,7 @@ __all__ = [
     "count_perfect_matchings",
     "perfect_matching",
     "total_support",
+    "support_blocks",
 ]
 
 # vertex sets are int64 bit masks
@@ -154,7 +155,7 @@ def count_perfect_matchings(g: GraphEdgeList) -> HafnianValue:
     return hafnian_exact(g.sym_matrix())
 
 
-def _max_matching(n: int, adj: list[set]) -> list[int]:
+def _max_matching(n: int, adj) -> list[int]:
     """Maximum matching in a general graph (augmenting paths + blossoms)."""
     match = [-1] * n
     parent = [-1] * n
@@ -298,12 +299,18 @@ def total_support(g: GraphEdgeList, cover: list[int]) -> list[tuple[list[int], l
     adj = g.adjacency_sets()
     if sorted(cover) != list(range(g.n)) or any(k not in adj[i] for i, k in enumerate(cover)):
         raise InputError("cover must be a permutation with every (i, cover[i]) an edge")
-    inverse = [0] * g.n
+    return _blocks(adj, cover)
+
+
+def _blocks(adj, cover: list[int]) -> list[tuple[list[int], list[int], int]]:
+    """``total_support``'s blocks from the neighbours of every vertex and a valid cover."""
+    n = len(adj)
+    inverse = [0] * n
     for i, k in enumerate(cover):
         inverse[k] = i
-    label = _strong_components([[inverse[k] for k in adj[i]] for i in range(g.n)])
+    label = _strong_components([[inverse[k] for k in adj[i]] for i in range(n)])
     members: dict[int, list[int]] = {}
-    for v in range(g.n):
+    for v in range(n):
         members.setdefault(label[v], []).append(v)
     blocks = []
     for rows in members.values():  # in order of lowest vertex
@@ -313,3 +320,17 @@ def total_support(g: GraphEdgeList, cover: list[int]) -> list[tuple[list[int], l
         elif rows[0] < cols[0]:
             blocks.append((rows, cols, 2))
     return blocks
+
+
+def support_blocks(a: SymMatrix) -> list[tuple[list[int], list[int], int]] | None:
+    """``total_support``'s blocks for the support of A, or None if it has no perfect matching.
+
+    The support is every A[i, j] > 0.  Matcher and component pass read
+    neighbour lists cut straight from A, so the work space is n^2 list
+    slots, not the edge set of a ``GraphEdgeList``.
+    """
+    if a.n % 2 != 0:
+        return None
+    adj = [np.flatnonzero(row).tolist() for row in a.entries > 0]
+    match = _max_matching(a.n, adj)
+    return None if -1 in match else _blocks(adj, match)

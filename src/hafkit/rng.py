@@ -5,10 +5,13 @@ ziggurat, so its normals are a pure function of the key: golden tests pin
 the exact values.  Who owns which stream is the caller's contract.  The
 estimator keys one stream per chunk of ``estimator._CHUNK`` samples, and
 sample i is row i % _CHUNK of the (rows x m) draw of chunk i // _CHUNK; a
-spectral trial t is a one-row draw of stream (seed, t).  A row holds one
-normal per edge of A's support, in row-major order (``estimator._layout``
-places them in W), so m is the edge count: n(n-1)/2 on a complete
-support, n/2 on a perfect matching.
+spectral trial t is a one-row draw of stream (seed, t).  A sample's row
+holds one normal per edge of A's total support, the support edges on some
+cycle cover, and a trial's row one per edge of A's support, in row-major
+order either way (``estimator._layout`` places them in W).  So m is the
+edge count of that edge set: n(n-1)/2 on a complete support, n/2 on a
+perfect matching, and for samples of the n=50 counterexample 577 of its
+901 support edges.
 
 A key costs a fresh generator, about 11 us on a 2-vCPU VM, more than the
 normals of a small sample; one key per chunk of 512 samples leaves the bulk

@@ -186,55 +186,80 @@ def _philox(seed: int, key: int):
     return np.random.Generator(np.random.Philox(key=np.array([seed, key], dtype=np.uint64)))
 
 
-def _entrywise_w(a: np.ndarray, gen) -> np.ndarray:
+def support_edges(a: np.ndarray) -> list:
+    """Edges (i, j), i < j, of the support of ``a`` (a[i, j] > 0), in row-major order."""
+    iu, ju = np.nonzero(np.triu(a > 0, 1))
+    return list(zip(iu.tolist(), ju.tolist()))
+
+
+def sample_edges(a: np.ndarray) -> list:
+    """Edges a sample draws one normal for, in row-major order.
+
+    The edges of ``brute_total_support`` when the support of ``a`` has a
+    perfect matching (``memo_matchings``), and none when it has not.
+    """
+    n = a.shape[0]
+    edges = support_edges(a)
+    if n % 2 or memo_matchings(n, edges) == 0:
+        return []
+    return sorted(brute_total_support(n, edges))
+
+
+def counterexample_edges(n_center: int, m_pairs: int) -> list:
+    """``sample_edges`` of the center-clique counterexample, in closed form.
+
+    Every plain peripheral needs a center partner, so a perfect matching
+    gives the whole center to them and pairs each paired vertex with its
+    partner: the total support is the center-plain K_{n,n} and the pair
+    edges, n^2 + m edges.
+    """
+    n = n_center
+    edges = [(c, n + p) for c in range(n) for p in range(n)]
+    return edges + [(2 * n + 2 * t, 2 * n + 2 * t + 1) for t in range(m_pairs)]
+
+
+def _entrywise_w(a: np.ndarray, gen, edges) -> np.ndarray:
     """W from the next normals of ``gen``, assembled one entry at a time.
 
-    One standard normal per edge of the support of ``a`` (a[i, j] > 0,
-    i < j), visiting the edges in row-major order; the normal times
-    sqrt(a[i, j]) goes to W[i, j] and its negative to W[j, i].
+    One standard normal per edge (i, j) of ``edges``, in the order given;
+    the normal times sqrt(a[i, j]) goes to W[i, j] and its negative to
+    W[j, i].  Every other entry is +0.0.
     """
     n = a.shape[0]
     w = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i, j] > 0:
-                w[i, j] = gen.standard_normal() * math.sqrt(a[i, j])
-                w[j, i] = -w[i, j]
+    for i, j in edges:
+        w[i, j] = gen.standard_normal() * math.sqrt(a[i, j])
+        w[j, i] = -w[i, j]
     return w
 
 
 def support_stream_w(a: np.ndarray, seed: int, index: int) -> np.ndarray:
-    """W of spectral trial ``index``: the first normals of stream (seed, index)."""
-    return _entrywise_w(a, _philox(seed, index))
+    """W of spectral trial ``index``: stream (seed, index) gives every support edge a normal."""
+    return _entrywise_w(a, _philox(seed, index), support_edges(a))
 
 
-def support_chunk_w(a: np.ndarray, seed: int, index: int, chunk: int) -> np.ndarray:
+def support_chunk_w(a: np.ndarray, seed: int, index: int, chunk: int, edges=None) -> np.ndarray:
     """W of sample ``index`` when each ``chunk`` samples share one stream.
 
-    Stream (seed, index // chunk) draws and discards (index % chunk) * m
-    normals, m being the number of support edges of ``a``, in pieces that
-    ignore row boundaries; W then takes the next m normals.
+    The normals go to ``edges``, by default ``sample_edges(a)``, m of
+    them.  Stream (seed, index // chunk) draws and discards (index % chunk)
+    * m normals, in pieces that ignore row boundaries; W then takes the
+    next m normals.
     """
+    edges = sample_edges(a) if edges is None else edges
     gen = _philox(seed, index // chunk)
-    skip = (index % chunk) * int(np.count_nonzero(np.triu(a > 0, 1)))
+    skip = (index % chunk) * len(edges)
     while skip:
         piece = min(skip, 1 << 16)
         gen.standard_normal(piece)
         skip -= piece
-    return _entrywise_w(a, gen)
+    return _entrywise_w(a, gen, edges)
 
 
-def chunk_stream_ws(a: np.ndarray, seed: int, num: int, chunk: int) -> np.ndarray:
-    """W of samples 0..num-1 as one (num, n, n) stack, ``chunk`` samples per stream.
-
-    For each chunk c a freshly keyed numpy Philox generator on stream
-    (seed, c) draws a whole (chunk, m) array; row r gives sample c * chunk +
-    r its normals, one per support edge in row-major order, placed as
-    ``support_chunk_w`` places them one at a time.  With chunk = 1, W[t] is
-    the W of spectral trial t.
-    """
+def _stream_ws(a: np.ndarray, seed: int, num: int, chunk: int, edges) -> np.ndarray:
     n = a.shape[0]
-    iu, ju = np.nonzero(np.triu(a > 0, 1))  # row-major
+    iu = np.array([i for i, _ in edges], dtype=np.intp)
+    ju = np.array([j for _, j in edges], dtype=np.intp)
     scale = np.sqrt(a[iu, ju])
     ws = np.zeros((num, n, n))
     for first in range(0, num, chunk):
@@ -243,6 +268,23 @@ def chunk_stream_ws(a: np.ndarray, seed: int, num: int, chunk: int) -> np.ndarra
         ws[first : first + rows, iu, ju] = g[:rows] * scale
     ws -= ws.transpose(0, 2, 1)
     return ws
+
+
+def chunk_stream_ws(a: np.ndarray, seed: int, num: int, chunk: int, edges=None) -> np.ndarray:
+    """W of samples 0..num-1 as one (num, n, n) stack, ``chunk`` samples per stream.
+
+    For each chunk c a freshly keyed numpy Philox generator on stream
+    (seed, c) draws a whole (chunk, m) array; row r gives sample c * chunk +
+    r its normals, one per edge of ``edges`` (by default
+    ``sample_edges(a)``), placed as ``support_chunk_w`` places them one at
+    a time.
+    """
+    return _stream_ws(a, seed, num, chunk, sample_edges(a) if edges is None else edges)
+
+
+def trial_stream_ws(a: np.ndarray, seed: int, num: int) -> np.ndarray:
+    """W of spectral trials 0..num-1: trial t is stream (seed, t), one normal per support edge."""
+    return _stream_ws(a, seed, num, 1, support_edges(a))
 
 
 def random_symmetric01(rng, n, p=0.5) -> np.ndarray:
@@ -401,3 +443,17 @@ def counterexample_log_det_mean(n_center: int, m_pairs: int) -> float:
     """
     center = sum(float(digamma(k / 2.0)) + math.log(2.0) for k in range(1, n_center + 1))
     return center + m_pairs * (float(digamma(0.5)) + math.log(2.0))
+
+
+def counterexample_log_det_law(n_center: int, m_pairs: int, num: int, seed: int) -> np.ndarray:
+    """``num`` independent draws from the law of log det W on the counterexample.
+
+    As in ``counterexample_log_det_mean``: log det W is the sum of log
+    chi^2_k for k = 1..n and one log chi^2_1 per pair, all independent,
+    drawn here by numpy's ``chisquare`` from its own ``default_rng(seed)``.
+    """
+    rng = np.random.default_rng(seed)
+    draws = np.zeros(num)
+    for k in [*range(1, n_center + 1), *[1] * m_pairs]:
+        draws += np.log(rng.chisquare(k, num))
+    return draws

@@ -39,7 +39,7 @@ from hafkit import (
 from hafkit.cli import main as cli_main
 from hafkit.experiments import complete_family, concentration_error, counterexample_family
 from hafkit.scaling import audit_entry_bounds
-from helpers import brute_expansion, chunk_stream_ws, random_symmetric01, scalable_graph
+from helpers import brute_expansion, random_symmetric01, scalable_graph, trial_stream_ws
 
 SEED = 2024
 
@@ -235,7 +235,7 @@ def test_criterion_11_eigenvalue_density_regression():
     assert max(ratios) <= bound
     # monotonicity of N(eta) in eta, exact per trial
     etas = [row[0] for row in rep.rows]
-    for w in chunk_stream_ws(b.entries, SEED, 50, 1):  # trial t is stream (SEED, t)
+    for w in trial_stream_ws(b.entries, SEED, 50):  # trial t is stream (SEED, t)
         mags = np.abs(spectrum(SkewMatrix(w)).eigenvalues_iw)
         counts = [int(np.sum(mags < eta)) for eta in etas]
         assert counts == sorted(counts)

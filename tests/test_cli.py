@@ -179,6 +179,21 @@ def test_estimate_negative_seed_rejected(runner, files):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [["--samples", "0"], ["--threads", "0"], ["--quantiles", "1.5"], ["--seed", "-1"]],
+    ids=["samples", "threads", "quantiles", "seed"],
+)
+def test_estimate_exact_checks_arguments_before_the_dp(runner, files, monkeypatch, bad):
+    def refuse(a):
+        raise AssertionError("hafnian_exact ran before the arguments were checked")
+
+    monkeypatch.setattr(hafkit.exact, "hafnian_exact", refuse)
+    res = runner.invoke(main, ["estimate", "--matrix", str(files / "k8.mat"), "--exact", *bad])
+    assert res.exit_code == 2
+    assert "input error" in res.output
+
+
 def test_scale_star_exits_3(runner, files):
     res = runner.invoke(main, ["scale", "--matrix", str(files / "star.mat"), "--max-iter", "200"])
     assert res.exit_code == 3

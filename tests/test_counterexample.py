@@ -17,7 +17,7 @@ from hafkit import (
 from hafkit.estimator import _CHUNK
 from hafkit.linalg import pfaffian_log_stack
 
-from helpers import chunk_stream_ws, counterexample_log_det_mean
+from helpers import chunk_stream_ws, counterexample_edges, counterexample_log_det_law, counterexample_log_det_mean
 
 
 def test_spec_validation_and_defaults():
@@ -171,10 +171,11 @@ def test_bias_negative_median_at_moderate_size():
 def test_sampled_log_dets_agree_with_pfaffian_at_sampling_sizes(n_center):
     # the LU path against the Parlett-Reid oracle on the same W, M = 20..50,
     # to the bound of acceptance criterion 04
-    a = build_counterexample(CounterexampleSpec(delta=0.12, n_center=n_center)).sym_matrix()
+    spec = CounterexampleSpec(delta=0.12, n_center=n_center)
+    a = build_counterexample(spec).sym_matrix()
     num = 2048
     log_dets = sample_log_dets(a, num, seed=41)
-    ws = chunk_stream_ws(a.entries, 41, num, _CHUNK)
+    ws = chunk_stream_ws(a.entries, 41, num, _CHUNK, counterexample_edges(n_center, spec.m_pairs))
     for i in (0, _CHUNK - 1, num - 1):
         assert np.array_equal(sample_w(a, 41, i).entries, ws[i])
     log_pf, sign = pfaffian_log_stack(ws)
@@ -191,6 +192,25 @@ def test_log_det_mean_matches_the_exact_law(n_center):
     law = counterexample_log_det_mean(n_center, spec.m_pairs)
     se = float(np.std(log_dets)) / math.sqrt(log_dets.size)
     assert abs(float(np.mean(log_dets)) - law) <= 4.0 * se
+
+
+@pytest.mark.parametrize("n_center", [10, 24])
+def test_bias_report_matches_the_chi_square_law(n_center):
+    # the median and every fraction_below of 16384 samples are shares of
+    # samples on one side of a line; the law's share of 400,000 draws lies
+    # within 4 pooled binomial standard errors of each
+    spec = CounterexampleSpec(delta=0.12, n_center=n_center)
+    num, draws = 16384, 400_000
+    rep = run_bias_experiment(spec, num, seed=1410)
+    law = counterexample_log_det_law(n_center, spec.m_pairs, draws, seed=1411) - rep.log_haf
+
+    def agree(sampled, drawn):
+        p = (sampled * num + drawn * draws) / (num + draws)
+        return abs(sampled - drawn) <= 4.0 * math.sqrt(p * (1.0 - p) * (1.0 / num + 1.0 / draws))
+
+    assert agree(0.5, float(np.mean(law <= rep.median_signed_error)))
+    for c, share in rep.fraction_below.items():
+        assert agree(share, float(np.mean(law <= -c * rep.total_vertices)))
 
 
 def test_bias_report_identical_across_threads():

@@ -29,7 +29,9 @@ from helpers import (
     naive_pfaffian,
     random_graph_with_matching,
     random_symmetric01,
+    sample_edges,
     support_chunk_w,
+    support_edges,
     tutte_barrier_support,
 )
 
@@ -52,7 +54,8 @@ def golden_matrix():
 
 
 # samples (seed=7, index) on golden_matrix(), taken from
-# helpers.support_chunk_w: one normal per support edge, row-major.  Sample 0
+# helpers.support_chunk_w: one normal per edge of the total support, which
+# is every support edge here, row-major.  Sample 0
 # is the first row of stream (7, 0), sample 513 the second row of stream
 # (7, 1).  Each entry: index -> (upper triangle row-major, log det W, sign Pf W).
 GOLDEN = {
@@ -139,11 +142,57 @@ def test_matching_support_draws_one_normal_per_edge(monkeypatch):
     log_dets = sample_log_dets(SymMatrix(a), num, seed=3)
     # one stream per 512-sample chunk, the last one short
     assert calls == [(0, 512, n // 2), (1, 512, n // 2), (2, num - 1024, n // 2)]
-    # each pair edge is a 1 x 1 bipartite block: log det W = 2 sum log|g|
+    # each pair edge is a 1 x 1 bipartite block: log det W = 2 sum log|g|;
+    # a perfect matching is its own total support
     for i in (0, 1, 511, 512, num - 1):
-        w = support_chunk_w(a, 3, i, 512)
+        w = support_chunk_w(a, 3, i, 512, support_edges(a))
         want = 2.0 * float(np.sum(np.log(np.abs(w[np.arange(0, n, 2), np.arange(1, n, 2)]))))
         assert math.isclose(log_dets[i], want, rel_tol=1e-12)
+
+
+def lacking_total_support(seed):
+    """Weighted random support on 12 vertices with a perfect matching and edges on no cycle cover."""
+    rng = np.random.default_rng(seed)
+    n = 12
+    while True:
+        a = np.zeros((n, n))
+        for u, v in random_graph_with_matching(rng, n, 0.2):
+            a[u, v] = a[v, u] = rng.uniform(0.1, 2.0)
+        if len(sample_edges(a)) < len(support_edges(a)):
+            return SymMatrix(a)
+
+
+def test_total_support_draws_one_normal_per_edge(monkeypatch):
+    counts = []
+
+    def spy(seed, key, rows, count):
+        counts.append(count)
+        return gaussian_chunk(seed, key, rows, count)
+
+    monkeypatch.setattr(estimator, "gaussian_chunk", spy)
+    # the counterexample's total support is the center-plain K_{n,n} and the
+    # pair edges: 577 of 901 support edges at n_center = 24, 1,800 of 18,580
+    # at (40, 200)
+    for n_center, m_pairs, want in ((24, 1, 577), (40, 200, 1800)):
+        a = build_counterexample(CounterexampleSpec(delta=0.12, n_center=n_center, m_pairs=m_pairs))
+        counts.clear()
+        sample_log_dets(a.sym_matrix(), 600, seed=3)
+        assert counts == [want, want]
+    # random supports: the brute-force total support, and no draw at all
+    # without a perfect matching
+    rng = np.random.default_rng(4408)
+    pruned = unmatched = 0
+    for k in range(40):
+        n = int(rng.choice([6, 8, 10]))
+        a = random_symmetric01(rng, n, p=float(rng.uniform(0.15, 0.5))) * rng.uniform(0.1, 2.0, (n, n))
+        a = np.triu(a, 1) + np.triu(a, 1).T
+        want = len(sample_edges(a))
+        pruned += 0 < want < len(support_edges(a))
+        unmatched += want == 0
+        counts.clear()
+        sample_log_dets(SymMatrix(a), 10, seed=k)
+        assert counts == ([want] if want else [])
+    assert pruned >= 5 and unmatched >= 5
 
 
 def test_sample_w_structure():
@@ -162,18 +211,25 @@ def test_zero_matrix_gives_zero_sample():
 
 def test_sample_w_zeros_off_the_support_are_positive():
     # SVD can depend on the sign of a zero entry, so W holds +0.0 wherever
-    # A is zero, the diagonal included
+    # it draws no normal: where A is zero, the diagonal included, on support
+    # edges that lie on no cycle cover, and everywhere without a perfect
+    # matching
     rng = np.random.default_rng(4405)
+    pruned = 0
     for k in range(12):
         n = int(rng.choice([6, 9, 12]))
         a = random_symmetric01(rng, n, p=float(rng.uniform(0.1, 0.6)))
         a *= rng.uniform(0.1, 2.0, (n, n))
         a = SymMatrix(np.triu(a, 1) + np.triu(a, 1).T)
+        drawn = np.zeros((n, n), dtype=bool)
+        for i, j in sample_edges(a.entries):
+            drawn[i, j] = drawn[j, i] = True
+        pruned += np.any(drawn) and np.any(drawn != (a.entries > 0))
         for index in (0, 1, 2**64 - 1):
             w = sample_w(a, k, index).entries
-            off = a.entries == 0
-            assert np.all(w[off] == 0.0) and not np.any(np.signbit(w[off]))
-            assert np.all(w[~off] != 0.0)
+            assert np.all(w[~drawn] == 0.0) and not np.any(np.signbit(w[~drawn]))
+            assert np.all(w[drawn] != 0.0)
+    assert pruned >= 1
 
 
 def test_short_chunk_is_a_prefix_of_the_full_chunk():
@@ -351,8 +407,10 @@ def test_diagonal_scaling_shifts_log_det_exactly():
     [
         complete_graph(8).sym_matrix(),
         build_counterexample(CounterexampleSpec(delta=0.12, n_center=10)).sym_matrix(),
+        build_counterexample(CounterexampleSpec(delta=0.12, n_center=24)).sym_matrix(),
+        lacking_total_support(4410),
     ],
-    ids=["k8", "counterexample_10"],
+    ids=["k8", "counterexample_10", "counterexample_24", "lacking_total_support"],
 )
 def test_sample_i_depends_on_neither_threads_nor_num_samples(a):
     num = 4500  # eight full chunks and a short one
@@ -387,12 +445,29 @@ def test_sample_w_draws_in_the_memory_of_one_row():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
-    assert np.array_equal(w.entries, support_chunk_w(b.entries, 5, 511, estimator._CHUNK))
+    # K_200 is its own total support
+    assert np.array_equal(w.entries, support_chunk_w(b.entries, 5, 511, estimator._CHUNK, support_edges(b.entries)))
+
+
+def test_one_chunk_holds_the_normals_of_the_total_support():
+    # a chunk of the (40, 200) counterexample draws 512 x 1,800 normals and
+    # gathers blocks of as many entries, not 512 x 18,580 normals (76 MB)
+    a = build_counterexample(CounterexampleSpec(delta=0.12, n_center=40, m_pairs=200)).sym_matrix()
+    tracemalloc.start()
+    try:
+        sample_log_dets(a, estimator._CHUNK, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    normals = estimator._CHUNK * 1800 * 8
+    blocks = estimator._CHUNK * (40 * 40 + 200) * 8
+    assert peak < normals + 2 * blocks
 
 
 def full_w_log_dets(a, num, seed):
     """log|det W| of samples 0..num-1 from the full n x n W and one batched slogdet."""
-    ws = np.stack([support_chunk_w(a.entries, seed, i, estimator._CHUNK) for i in range(num)])
+    edges = sample_edges(a.entries)
+    ws = np.stack([support_chunk_w(a.entries, seed, i, estimator._CHUNK, edges) for i in range(num)])
     return np.linalg.slogdet(ws)[1]
 
 
@@ -510,6 +585,11 @@ def test_sampled_blocks_are_the_blocks_of_sample_w():
         a = many_blocks(rng, num, size)
         assert len(support_blocks(a)) == num
         assert np.array_equal(sample_log_dets(a, 40, seed=num), blocks_cut_from_sample_w(a, 40, num))
+    # supports whose edges are not all on a cycle cover: the counterexample
+    # (a 24 x 24 bipartite pair and a 1 x 1 pair) and a random one
+    cx = build_counterexample(CounterexampleSpec(delta=0.12, n_center=24)).sym_matrix()
+    for seed, a in enumerate((cx, lacking_total_support(4411))):
+        assert np.array_equal(sample_log_dets(a, 40, seed=seed), blocks_cut_from_sample_w(a, 40, seed))
 
 
 def test_quantile_helper_handles_minus_inf():
