@@ -63,7 +63,11 @@ __all__ = [
 # samples per stream: part of the stream contract, so changing it changes
 # every sampled bit past sample 0.  It also bounds what each pool thread
 # holds: one chunk of the n=50 counterexample (577 normals and 24x24 blocks
-# per sample) peaks at 4.6 MiB of traced allocation.
+# per sample) peaks at 4.6 MiB of traced allocation.  numpy's batched
+# slogdet releases the GIL only for a stack of more than 500 matrices, so
+# a full chunk factors in parallel with other pool threads and a short last
+# chunk does not; evaluating a chunk in slices of fewer rows would
+# serialize the pool.
 _CHUNK = 512
 
 
@@ -156,9 +160,10 @@ def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
     of A's total support in row-major order takes the k-th normal of row
     index % _CHUNK of stream (seed, index // _CHUNK) (``_plan``); entries
     off the total support are +0.0, and a support without a perfect
-    matching gives the zero matrix.  The rows before it are drawn into the
-    same m-normal buffer and discarded, so memory stays O(n^2 + m) at any
-    index.
+    matching gives the zero matrix.  The rows before it are drawn in
+    slices of at most max(1, 2^15 // m) rows into one buffer and
+    discarded; each draw continues the stream, so memory stays O(n^2 + m)
+    at any index.
     """
     if not (0 <= index < 1 << 64):
         raise InputError("sample index must fit in an unsigned 64-bit integer")
@@ -167,10 +172,15 @@ def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
         return SkewMatrix(np.zeros((a.n, a.n)))
     m, pos, weight, _ = plan
     gen = stream(seed, index // _CHUNK)
-    row = np.empty(m)
-    for _ in range(index % _CHUNK + 1):
-        gen.standard_normal(out=row)
-    return SkewMatrix(_gather(row, pos, weight))
+    skip = index % _CHUNK
+    # the rows before it go through one buffer of at most 2^15 normals (256 KiB)
+    buf = np.empty((max(1, min(skip, (1 << 15) // m)), m))
+    while skip:
+        part = buf[: min(skip, len(buf))]
+        gen.standard_normal(out=part)
+        skip -= len(part)
+    gen.standard_normal(out=buf[0])
+    return SkewMatrix(_gather(buf[0], pos, weight))
 
 
 def _block_groups(pos: np.ndarray, weight: np.ndarray, blocks) -> list[tuple[np.ndarray, np.ndarray, int]]:
@@ -248,7 +258,9 @@ def _logsumexp(values: np.ndarray) -> float:
     m = float(np.max(values))
     if m == -math.inf:
         return -math.inf
-    return m + math.log(float(np.sum(np.exp(values - m))))
+    t = np.subtract(values, m)
+    np.exp(t, out=t)
+    return m + math.log(float(np.sum(t)))
 
 
 def _quantiles(sorted_vals: np.ndarray, qs) -> dict:
@@ -286,21 +298,28 @@ def estimate(
     a.require_even()
     check_arguments(num_samples, seed, threads, quantiles)
     log_dets = sample_log_dets(a, num_samples, seed, threads=threads)
-    num_zero = int(np.sum(log_dets == -np.inf))
+    # the summary's bits depend on summing in index order, so the sums come
+    # first; then the array is sorted, and reused for the errors, in place
+    num_zero = int(np.count_nonzero(log_dets == -np.inf))
     mean_det_log = _logsumexp(log_dets) - math.log(num_samples)
-    finite = log_dets[np.isfinite(log_dets)]
     if num_zero > 0:
         logdet_mean = -math.inf
+        finite = log_dets[np.isfinite(log_dets)]
     else:
         logdet_mean = float(np.mean(log_dets))
+        finite = log_dets
     logdet_std = float(np.std(finite)) if finite.size else 0.0
-    qmap = _quantiles(np.sort(log_dets), quantiles)
+    log_dets.sort()
+    qmap = _quantiles(log_dets, quantiles)
     error_median = error_max = None
     if exact_log_haf is not None:
+        errs = log_dets
         with np.errstate(invalid="ignore"):
-            errs = np.abs(exact_log_haf - log_dets)
+            np.subtract(exact_log_haf, errs, out=errs)
+        np.abs(errs, out=errs)
         errs[np.isnan(errs)] = 0.0  # both -inf: det and haf are exactly zero together
-        error_median, error_max = float(np.median(errs)), float(np.max(errs))
+        error_max = float(np.max(errs))
+        error_median = float(np.median(errs, overwrite_input=True))
     return EstimatorSummary(
         n=a.n,
         num_samples=num_samples,

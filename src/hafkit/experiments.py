@@ -8,9 +8,13 @@ experiment is a pure function of (inputs, seed), and all aggregation
 runs in trial order.  The two spectral experiments share one trial loop,
 which lays out the support once and gathers trial t's W from a one-row
 draw of the counter-based stream keyed by (seed, t), the layout and streams
-the estimator uses.  Trials are not chunked as samples are: a trial's SVD
-costs milliseconds against a fraction of one for its normals.  The
-concentration experiment samples through ``estimator.sample_log_dets``.
+the estimator uses.  Trials are not chunked as samples are: a trial's
+eigensolve costs milliseconds against a fraction of one for its normals.
+``sv-tail`` takes the SVD of each W (``linalg.spectrum``).  ``density``
+only counts, so it counts the eigenvalues of the Gram matrix W^T W below
+eta^2, and takes the SVD only for a trial where one of them lies within
+rounding of some eta^2.  The concentration experiment samples through
+``estimator.sample_log_dets``.
 Constants appearing in the underlying tail bounds are existential, so
 reports expose fitted exponents and ratio columns rather than asserting any
 particular constant; regression tests freeze first-run values instead.
@@ -159,14 +163,14 @@ def matrix_from_source(source: dict) -> SymMatrix:
     return a
 
 
-def _trial_spectra(a: SymMatrix, trials: int, seed: int):
-    """Spectrum of W for trial indices 0..trials-1, from one layout of A's support.
+def _trial_ws(a: SymMatrix, trials: int, seed: int):
+    """W of trial indices 0..trials-1, gathered through one layout of A's support.
 
     Trial t's normals are stream (seed, t), one row of m.
     """
     m, pos, weight = _layout(a)
     for t in range(trials):
-        yield spectrum(SkewMatrix(_gather(gaussian_chunk(seed, t, 1, m)[0], pos, weight)))
+        yield _gather(gaussian_chunk(seed, t, 1, m)[0], pos, weight)
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,7 @@ def smallest_sv_tail(a: SymMatrix, trials: int, seed: int, thresholds) -> TailRe
         raise InputError("need at least one threshold")
     if trials < 1:
         raise InputError("trials must be >= 1")
-    sn = np.array([s.smallest_singular for s in _trial_spectra(a, trials, seed)])
+    sn = np.array([spectrum(SkewMatrix(w)).smallest_singular for w in _trial_ws(a, trials, seed)])
     cdf = {t: float(np.mean(sn <= t)) for t in thresholds}
     # crude power-law fit of the tail over thresholds with mass
     pts = [(t, p) for t, p in cdf.items() if p > 0]
@@ -236,6 +240,28 @@ def default_eta_grid(max_entry: float) -> np.ndarray:
     return np.geomspace(lo, 1.0, 8)
 
 
+def _singular_value_counts(w: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """#{singular values of W below eta} for each eta of the ascending ``etas``.
+
+    The eigenvalues of iW are the singular values of W with signs, so this
+    is #{eigenvalues of iW in (-eta, eta)}.  It counts the eigenvalues of
+    the Gram matrix W^T W, the squared singular values, below eta^2, one
+    symmetric eigensolve at about half the cost of the SVD.  Forming W^T W
+    and ``eigvalsh`` err by at most tol = 4 n eps ||W||_F^2, ||W||_F^2 being
+    the sum of those eigenvalues.  If one of them lies within tol of some
+    eta^2, as a zero singular value does at a tiny eta, rounding could
+    decide the count, and the trial counts the singular values of
+    ``linalg.spectrum`` instead.
+    """
+    ev = np.linalg.eigvalsh(w.T @ w)
+    tol = 4 * w.shape[0] * np.finfo(np.float64).eps * float(ev.sum())
+    eta2 = etas * etas
+    below = np.searchsorted(ev, eta2 - tol)  # #{ev < eta^2 - tol}
+    if np.array_equal(below, np.searchsorted(ev, eta2 + tol, side="right")):
+        return below
+    return np.searchsorted(spectrum(SkewMatrix(w)).singular_values[::-1], etas)
+
+
 def eigenvalue_density(
     b: SymMatrix, trials: int, seed: int, eta_grid=None
 ) -> DensityReport:
@@ -253,9 +279,8 @@ def eigenvalue_density(
     if etas.size == 0 or np.any(etas <= 0):
         raise InputError("eta grid must be nonempty and positive")
     counts = np.empty((trials, etas.size), dtype=np.int64)
-    for t, s in enumerate(_trial_spectra(b, trials, seed)):
-        mags = np.abs(s.eigenvalues_iw)
-        counts[t] = [int(np.sum(mags < eta)) for eta in etas]
+    for t, w in enumerate(_trial_ws(b, trials, seed)):
+        counts[t] = _singular_value_counts(w, etas)
     rows = tuple(
         DensityRow(
             float(eta),

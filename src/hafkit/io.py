@@ -56,10 +56,12 @@ def read_symmetric_matrix(path) -> SymMatrix:
 
 def write_matrix(path, matrix) -> None:
     arr = matrix.entries if hasattr(matrix, "entries") else np.asarray(matrix)
+    # "%.17g" of a Python float is format(x, ".17g"); one format per row
+    line = " ".join(["%.17g"] * arr.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{arr.shape[0]}\n")
-        for row in arr:
-            fh.write(" ".join(format(x, ".17g") for x in row) + "\n")
+        for row in arr.tolist():
+            fh.write(line % tuple(row))
 
 
 def read_edge_list(path) -> GraphEdgeList:

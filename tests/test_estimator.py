@@ -24,6 +24,7 @@ from hafkit.linalg import pfaffian_log_stack
 from hafkit.rng import gaussian_chunk
 
 from helpers import (
+    counterexample_edges,
     memo_matchings,
     naive_hafnian,
     naive_pfaffian,
@@ -319,6 +320,47 @@ def test_estimate_against_exact_k8():
     assert s.error_max >= s.error_median
 
 
+def test_estimate_summary_is_the_plain_aggregate_of_the_samples():
+    # estimate sums in index order, then sorts its array and takes the errors
+    # in it, in place: bit for bit what plain numpy gives on the samples
+    six = np.zeros((6, 6))
+    for i, j in [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]:
+        six[i, j] = six[j, i] = 1.0
+    for a, exact in ((complete_graph(8).sym_matrix(), math.log(105.0)), (SymMatrix(six), -math.inf)):
+        for num in (1, 2, 1999, 3000):
+            s = estimate(a, num, seed=4, exact_log_haf=exact)
+            x = sample_log_dets(a, num, seed=4)
+            top = float(np.max(x))
+            lse = -math.inf if top == -math.inf else top + math.log(float(np.sum(np.exp(x - top))))
+            finite = x[np.isfinite(x)]
+            with np.errstate(invalid="ignore"):
+                errs = np.abs(exact - x)
+            errs[np.isnan(errs)] = 0.0
+            assert s.num_zero_det == int(np.sum(x == -np.inf))
+            assert s.mean_det_log == lse - math.log(num)
+            assert s.logdet_mean == (float(np.mean(x)) if finite.size == num else -math.inf)
+            assert s.logdet_std == (float(np.std(finite)) if finite.size else 0.0)
+            assert s.logdet_quantiles == _quantiles(np.sort(x), (0.05, 0.25, 0.5, 0.75, 0.95))
+            assert (s.error_median, s.error_max) == (float(np.median(errs)), float(np.max(errs)))
+
+
+def test_estimate_aggregates_in_the_memory_of_two_sample_arrays():
+    # past sampling, estimate holds the log-dets and one scratch array of
+    # as many floats; a chunk's evaluation is measured on its own
+    k8 = complete_graph(8).sym_matrix()
+    num = 200_000
+    tracemalloc.start()
+    try:
+        sample_log_dets(k8, estimator._CHUNK, seed=3)
+        chunk = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        estimate(k8, num, seed=3, exact_log_haf=math.log(105.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * num + chunk
+
+
 def test_no_matching_support_reports_minus_inf():
     star = np.zeros((4, 4))
     star[0, 1:] = 1
@@ -447,6 +489,21 @@ def test_sample_w_draws_in_the_memory_of_one_row():
     assert peak < 2 * 2**20
     # K_200 is its own total support
     assert np.array_equal(w.entries, support_chunk_w(b.entries, 5, 511, estimator._CHUNK, support_edges(b.entries)))
+
+
+def test_sample_w_skips_rows_in_slices_that_continue_the_stream():
+    # the rows before a sample are drawn r = max(1, 2^15 // m) at a time:
+    # r = 42 on K_40 (780 edges), 56 on the n_center = 24 counterexample (577)
+    spec = CounterexampleSpec(delta=0.12, n_center=24)
+    cases = (
+        (complete_graph(40).sym_matrix(), support_edges(complete_graph(40).sym_matrix().entries)),
+        (build_counterexample(spec).sym_matrix(), counterexample_edges(24, spec.m_pairs)),
+    )
+    for a, edges in cases:
+        r = (1 << 15) // len(edges)
+        for index in (0, r - 1, r, 2 * r + 1, 511, 512):
+            want = support_chunk_w(a.entries, 6, index, estimator._CHUNK, edges)
+            assert sample_w(a, 6, index).entries.tobytes() == want.tobytes()
 
 
 def test_one_chunk_holds_the_normals_of_the_total_support():

@@ -109,6 +109,61 @@ def test_density_counts_match_independent_hermitian_eigensolve():
         assert max_count == int(np.max(counts[:, k]))
 
 
+def svd_density_rows(a, trials, seed, etas):
+    """Density rows from #{eigenvalues of iW in (-eta, eta)} of ``spectrum``'s SVD, trial by trial."""
+    counts = np.array([
+        [int(np.sum(np.abs(spectrum(SkewMatrix(support_stream_w(a.entries, seed, t))).eigenvalues_iw) < eta))
+         for eta in etas]
+        for t in range(trials)
+    ])
+    return tuple(
+        (float(eta), float(np.mean(counts[:, k])), int(np.max(counts[:, k])), float(np.mean(counts[:, k]) / (a.n * eta)))
+        for k, eta in enumerate(etas)
+    )
+
+
+def zero_row_support():
+    rng = np.random.default_rng(15)
+    a = np.triu(rng.uniform(0.1, 2.0, (30, 30)) * (rng.random((30, 30)) < 0.5), 1)
+    a[[3, 17], :] = a[:, [3, 17]] = 0.0  # two isolated vertices: two exact zero singular values
+    return SymMatrix(a + a.T)
+
+
+def test_density_counts_equal_the_svd_counts():
+    k60 = scale_symmetric(complete_graph(60).sym_matrix(), residual_target=1e-10).b
+    rr40 = scale_symmetric(random_regular_graph(40, 5, seed=2).sym_matrix(), residual_target=1e-10).b
+    k15 = complete_graph(15).sym_matrix()
+    cases = (
+        (k60, None),
+        (rr40, None),
+        (k15, (0.5, 1.0, 2.0, 4.0)),
+        (k15, (1e-12, 1e-9, 1e-6, 0.5)),
+        (zero_row_support(), (1e-14, 1e-3, 0.1, 0.5, 1.0, 2.0)),
+    )
+    for seed, (a, grid) in enumerate(cases):
+        rep = eigenvalue_density(a, trials=20, seed=seed, eta_grid=grid)
+        etas = [row.eta for row in rep.rows]
+        assert rep.rows == svd_density_rows(a, 20, seed, etas)
+
+
+def test_density_counts_the_zero_singular_value_of_odd_n():
+    # W of odd order has an exact zero singular value; the Gram matrix shows
+    # it as an eigenvalue of order eps ||W||^2, far above eta^2 = 1e-24, so
+    # these trials must count from the SVD
+    rep = eigenvalue_density(complete_graph(15).sym_matrix(), trials=20, seed=2, eta_grid=(1e-12, 1e-9, 1e-6, 0.5))
+    for row in rep.rows[:3]:
+        assert (row.mean_count, row.max_count) == (1.0, 1)
+
+
+def test_sv_tail_takes_the_svd_of_each_trial():
+    b = scale_symmetric(random_regular_graph(30, 3, seed=4).sym_matrix(), residual_target=1e-10).b
+    thresholds = (1e-8, 1e-4, 1e-2, 0.1, 0.5)
+    rep = smallest_sv_tail(b, trials=60, seed=4, thresholds=thresholds)
+    sn = np.array([spectrum(SkewMatrix(support_stream_w(b.entries, 4, t))).smallest_singular for t in range(60)])
+    assert rep.median_smallest_singular == float(np.median(sn))
+    assert rep.cdf == {t: float(np.mean(sn <= t)) for t in thresholds}
+
+
 def test_density_regular_graph_comparable_to_complete_baseline():
     g = random_regular_graph(100, 3, seed=11)
     b3 = scale_symmetric(g.sym_matrix(), residual_target=1e-10).b

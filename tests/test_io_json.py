@@ -31,6 +31,18 @@ def test_matrix_roundtrip_preserves_floats(tmp_path):
     assert np.array_equal(back.entries, a)  # 17 significant digits round-trip
 
 
+def test_matrix_writes_each_entry_as_format_17g(tmp_path):
+    # the text is that of one format(x, ".17g") per entry, signed zeros,
+    # subnormals and huge values included
+    rng = np.random.default_rng(19)
+    special = np.array([[0.0, -0.0, 0.1], [1e-320, 1e300, -2.5], [math.pi, 3.0, -1e-300]])
+    for k, arr in enumerate((special, rng.standard_normal((7, 7)) * 10.0 ** rng.integers(-300, 300, (7, 7)))):
+        path = tmp_path / f"m{k}.mat"
+        io.write_matrix(path, arr)
+        want = f"{arr.shape[0]}\n" + "".join(" ".join(format(x, ".17g") for x in row) + "\n" for row in arr)
+        assert path.read_bytes() == want.encode("utf-8")
+
+
 def test_matrix_parse_errors(tmp_path):
     cases = [
         "",  # empty
