@@ -66,6 +66,13 @@ def complete_graph(n: int) -> GraphEdgeList:
     return GraphEdgeList.from_pairs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def _complete_matrix(n: int) -> SymMatrix:
+    """Adjacency matrix of K_n, built without its n(n-1)/2 edge pairs."""
+    if n < 1:
+        raise InputError("graph must have at least one vertex")
+    return SymMatrix(np.ones((n, n)) - np.eye(n))
+
+
 def random_regular_graph(n: int, d: int, seed: int) -> GraphEdgeList:
     """Random d-regular graph via the pairing model, rejecting bad pairings.
 
@@ -141,7 +148,7 @@ def matrix_from_source(source: dict) -> SymMatrix:
     if kind == "file":
         return _io.read_symmetric_matrix(_value(source, "path", str, "a string"))
     if kind == "complete":
-        a = complete_graph(_count(source, "n")).sym_matrix()
+        a = _complete_matrix(_count(source, "n"))
     elif kind == "random_regular":
         a = random_regular_graph(
             _count(source, "n"), _count(source, "d"), _count(source, "graph_seed", 0)
@@ -373,7 +380,7 @@ def complete_family(ns) -> list[FamilyMember]:
     """Complete-graph adjacency family; log haf(K_n) = log (n-1)!! exactly."""
     members = []
     for n in map(int, ns):
-        a = complete_graph(n).sym_matrix()
+        a = _complete_matrix(n)
         a.require_even()
         exact = math.log(math.prod(range(1, n, 2)))
         members.append(FamilyMember(size=n, matrix=a, exact_log_haf=exact))

@@ -3,16 +3,20 @@
 The expansion checks quantify over vertex subsets, which is exponential in
 general.  ``mode="exhaustive"`` enumerates every subset up to the requested
 level in ``itertools.combinations`` order (guarded by a budget), and so
-does ``mode="sampled"`` when its budget covers every subset; otherwise it
-takes a deterministic list of adversarial candidates, then seeded random
-subsets.  Every mode, and the public ``boundary`` and
-``connected_components_within``, runs one evaluator: chunks of up to 1024
-subsets, each held as its members and their neighbour entries from a CSR
-index, so memory stays O(n + m) and a subset costs O(|J| * max degree).  A
-``holds=False`` verdict carries the first violating subset as a witness,
-so negative verdicts are certificates regardless of mode; positive
-verdicts from sampled mode are only evidence.  Deficits are decided in
-integers, not in float64, so a deficit of exactly 0 holds.
+does ``mode="sampled"`` when its budget covers every subset: these scans
+unrank their subsets as int arrays, a chunk at a time, never a whole level.
+Otherwise sampled mode takes a deterministic list of adversarial
+candidates, then seeded random subsets.  Every mode, and the public
+``boundary`` and ``connected_components_within``, runs one evaluator on
+chunks of up to 1024 subsets.  It indexes each vertex's neighbourhood once
+as (64-bit word, bits) pairs, ORs a chunk's pairs into the words of J and
+N(J), and reads |boundary(J)| and a bound on Con(J) from popcounts; only
+subsets that could violate at that bound get vertex-level neighbour
+entries and an exact Con(J).  Memory stays O(n + m).  A ``holds=False``
+verdict carries the first violating subset as a witness, so negative
+verdicts are certificates regardless of mode; positive verdicts from
+sampled mode are only evidence.  Deficits are decided in integers, not in
+float64, so a deficit of exactly 0 holds.
 """
 
 from __future__ import annotations
@@ -138,22 +142,48 @@ def _check_subset(g: GraphEdgeList, j) -> frozenset:
 
 
 _ROWS = 1024
-_CELLS = 1 << 20
 _ENTRIES = 1 << 18
+
+
+def _bit(v: np.ndarray) -> np.ndarray:
+    """Vertex ``v``'s bit in its word, word ``v // 64``."""
+    return np.left_shift(np.uint64(1), (v & 63).astype(np.uint64))
+
+
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The indices ``first[i]``, ..., ``first[i] + count[i] - 1`` for each i in turn."""
+    return np.arange(count.sum()) + np.repeat(first + count - np.cumsum(count), count)
+
+
+def _or_by_key(key: np.ndarray, order: np.ndarray, *words: np.ndarray):
+    """The distinct values of ``key[order]``, which is ascending, and the OR of each of ``words`` under each."""
+    key = key[order]
+    # the first key starts a run, if there is a key at all
+    heads = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1))[:key.size]
+    return key[heads], [np.bitwise_or.reduceat(w[order], heads) for w in words]
+
+
+def _popcount_rows(row: np.ndarray, words: np.ndarray, rows: int) -> np.ndarray:
+    """Set bits of ``words`` summed per ``row``."""
+    return np.bincount(row, weights=np.bitwise_count(words), minlength=rows).astype(np.intp)
 
 
 class _SubsetRows:
     """Boundary sizes and component counts of vertex subsets, a chunk of rows at a time.
 
-    The graph is kept as a CSR neighbour index: the neighbours of ``v`` are
-    ``nbr[start[v]:start[v] + deg[v]]``.  A chunk is kept as the list of its
-    members and the list of their neighbour entries, each entry naming the
-    cell ``row * n + vertex`` it points to.  Two tables indexed by cell,
-    allocated once, give each entry the member it points to (-1 outside the
-    subset) and pick one entry per distinct cell.  A chunk has at most
-    ``chunk`` rows, so the tables hold at most max(n, 2**20) cells and the
-    entry lists about 2**18 entries: memory is O(n + m), and a chunk costs
-    O(members + entries).
+    Each vertex ``v`` is indexed once as (word, reach, own) triples:
+    ``reach`` has bit ``u % 64`` set for each neighbour ``u`` in word
+    ``u // 64``, and ``own`` has ``v``'s bit in ``v``'s word.  That is one
+    triple per vertex when n <= 64, and at most deg(v) + 1 otherwise.  A
+    chunk is a flat array of members with the size of each row; keyed by
+    (word, row), the members' triples OR into the words of N(J) and of J.
+    |boundary(J)| is the popcount of N(J) & ~J, and the members with a
+    neighbour in J are N(J) & J.  Only the rows ``components`` is asked for
+    get vertex-level neighbour entries, from a CSR index (the neighbours of
+    ``v`` are ``nbr[start[v]:start[v] + deg[v]]``).  A chunk has at most
+    ``chunk`` rows of at most ``size`` members, so at most ``_ENTRIES``
+    neighbour entries and as many triples, plus one per member: memory
+    stays O(n + m).
     """
 
     def __init__(self, g: GraphEdgeList, size: int, rows: int = _ROWS):
@@ -163,39 +193,56 @@ class _SubsetRows:
         self.nbr = np.concatenate((ends[1::2], ends[0::2]))[np.argsort(src, kind="stable")]
         self.deg = np.bincount(src, minlength=n)
         self.start = np.cumsum(self.deg) - self.deg
+        # every vertex gets a triple for its own word, with or without neighbours there
+        v = np.concatenate((src, np.arange(n)))
+        u = np.concatenate((ends[1::2], ends[0::2], np.arange(n)))
+        bit, edge = _bit(u), np.arange(v.size) < src.size
+        words = -(-n // 64)
+        key = v * words + (u >> 6)
+        key, (self.reach, self.own) = _or_by_key(
+            key, np.argsort(key), np.where(edge, bit, 0), np.where(edge, 0, bit))
+        self.word = key % words
+        self.triples = np.bincount(key // words, minlength=n)
+        self.first = np.cumsum(self.triples) - self.triples
+        # numpy sorts 8- and 16-bit keys stably by radix
+        self.narrow = np.min_scalar_type(words - 1)
         widest = max(1, size * int(self.deg.max()))
-        self.chunk = max(1, min(rows, _CELLS // n, _ENTRIES // widest))
-        self.member = np.full(self.chunk * n, -1, dtype=np.int32)
-        self.first = np.zeros(self.chunk * n, dtype=np.int32)
+        self.chunk = max(1, min(rows, _ENTRIES // widest))
 
-    def load(self, subsets: list) -> None:
-        """Evaluate up to ``chunk`` distinct-vertex subsets of at most ``size`` vertices.
+    def load(self, vert: np.ndarray, sizes: np.ndarray) -> None:
+        """Evaluate one chunk: the rows' members in turn in ``vert``, row lengths in ``sizes``.
 
-        Sets ``sizes`` (|J|), ``outside`` (|boundary(J)|) and ``most``, an
-        upper bound on Con(J): |J| less half, rounded up, of the members
-        with a neighbour in J, since a component with an edge has two.
+        Rows hold distinct vertices.  Sets ``outside`` (|boundary(J)|) and
+        ``most``, an upper bound on Con(J): |J| less half, rounded up, of
+        the members with a neighbour in J, since a component with an edge
+        has two.
         """
-        n, rows = self.n, len(subsets)
-        self.sizes = np.fromiter(map(len, subsets), np.intp, rows)
-        vert = np.fromiter(itertools.chain.from_iterable(subsets), np.intp, int(self.sizes.sum()))
-        self.row = np.repeat(np.arange(rows), self.sizes)
-        deg = self.deg[vert]
-        self.owner = np.repeat(np.arange(vert.size), deg)
-        at = np.arange(self.owner.size) + (self.start[vert] + deg - np.cumsum(deg))[self.owner]
-        self.erow = self.row[self.owner]
-        self.cell = self.erow * n + self.nbr[at]
-        members = self.row * n + vert
-        self.member[members] = np.arange(vert.size)
-        self.tgt = self.member[self.cell]
-        self.member[members] = -1
-        entry = np.arange(self.cell.size)
-        self.first[self.cell] = entry
-        self.distinct = self.first[self.cell] == entry
-        linked = np.bincount(self.tgt + 1, minlength=vert.size + 1)[1:] > 0
-        linked = np.bincount(self.row[linked], minlength=rows)
-        distinct = np.bincount(self.erow, weights=self.distinct, minlength=rows)
-        self.outside = distinct.astype(np.intp) - linked
-        self.most = self.sizes - (linked + 1) // 2
+        rows = sizes.size
+        self.vert, self.sizes = vert, sizes
+        self.row = np.repeat(np.arange(rows), sizes)
+        count = self.triples[vert]
+        at = _ranges(self.first[vert], count)
+        word = self.word[at]
+        # stable in the word, so rows stay ascending within each word
+        order = np.argsort(word.astype(self.narrow), kind="stable")
+        key, (reach, own) = _or_by_key(
+            word * rows + np.repeat(self.row, count), order, self.reach[at], self.own[at])
+        self.key, self.outer = key, reach & ~own
+        row = key % rows
+        self.outside = _popcount_rows(row, self.outer, rows)
+        linked = _popcount_rows(row, reach & own, rows)
+        self.most = sizes - (linked + 1) // 2
+
+    def subset(self, i: int) -> list:
+        """Row ``i``'s members, as Python ints."""
+        at = int(self.sizes[:i].sum())
+        return self.vert[at:at + int(self.sizes[i])].tolist()
+
+    def boundary(self) -> np.ndarray:
+        """The vertices of boundary(J) of a one-row chunk, ascending."""
+        bits = np.unpackbits(self.outer.astype("<u8").view(np.uint8), bitorder="little")
+        at = np.flatnonzero(bits)
+        return self.key[at // 64] * 64 + at % 64
 
     def components(self, need: np.ndarray) -> np.ndarray:
         """Con(J) on the rows where ``need`` is true, ``most`` on the others.
@@ -204,9 +251,22 @@ class _SubsetRows:
         neighbours', then to its label's label, until no label moves; each
         component then has exactly one member labelled itself.
         """
-        inner = (self.tgt >= 0) & need[self.erow]
-        a, b = self.owner[inner], self.tgt[inner]
-        label = np.arange(self.row.size)
+        if not need.any():
+            return self.most
+        n = self.n
+        sel = np.flatnonzero(need[self.row])
+        vert, row = self.vert[sel], self.row[sel]
+        deg = self.deg[vert]
+        owner = np.repeat(np.arange(vert.size), deg)
+        cell = row[owner] * n + self.nbr[_ranges(self.start[vert], deg)]
+        # each neighbour entry's member, found among the sorted member cells
+        cells = row * n + vert
+        order = np.argsort(cells)
+        cells = cells[order]
+        at = np.searchsorted(cells, cell).clip(max=max(vert.size - 1, 0))
+        inner = cells[at] == cell
+        a, b = owner[inner], order[at[inner]]
+        label = np.arange(vert.size)
         if a.size:
             heads = np.flatnonzero(np.diff(a, prepend=-1))
             tails = a[heads]
@@ -217,21 +277,20 @@ class _SubsetRows:
                 if np.array_equal(low, label):
                     break
                 label = low
-        con = np.bincount(self.row[label == np.arange(self.row.size)], minlength=len(need))
+        con = np.bincount(row[label == np.arange(vert.size)], minlength=len(need))
         return np.where(need, con, self.most)
 
 
 def _one_row(g: GraphEdgeList, j) -> _SubsetRows:
     js = _check_subset(g, j)
     ev = _SubsetRows(g, len(js), rows=1)
-    ev.load([js])
+    ev.load(np.fromiter(js, np.intp, len(js)), np.array([len(js)]))
     return ev
 
 
 def boundary(g: GraphEdgeList, j) -> frozenset:
     """External boundary: vertices outside J adjacent to some vertex of J."""
-    ev = _one_row(g, j)
-    return frozenset(ev.cell[ev.distinct & (ev.tgt < 0)].tolist())
+    return frozenset(_one_row(g, j).boundary().tolist())
 
 
 def connected_components_within(g: GraphEdgeList, j) -> int:
@@ -257,32 +316,69 @@ def _deficit_weights(kappa: float, delta: float) -> tuple[int, int, int]:
     return unit, int((1 - d) * unit), int(k * unit)
 
 
-def _first_violation(g: GraphEdgeList, subsets, kappa: float, delta: float, level: int):
+def _first_violation(ev: _SubsetRows, chunks, kappa: float, delta: float):
     """``(checked, witness)``: the first subset whose expansion deficit is negative.
 
-    ``subsets`` is any ordered iterable of distinct-vertex subsets of at most
-    ``level`` vertices, evaluated a chunk at a time; the deficit
+    ``chunks`` yields ``(vert, sizes)`` chunks of at most ``ev.chunk``
+    distinct-vertex subsets, in order; the deficit
     ``|boundary(J)| - (1-delta)*Con(J) - kappa*|J|`` is decided exactly, in
     integers over the common denominator of ``_deficit_weights``: int64
     where every term is below 2^63 / 3, Python ints otherwise.  ``checked``
     counts the subsets up to and including the witness (None if none violates).
     """
     unit, keep, per_vertex = _deficit_weights(kappa, delta)
-    dtype = np.int64 if max(unit, keep, abs(per_vertex)) * g.n < 2**63 // 3 else object
-    ev = _SubsetRows(g, level)
-    subsets = iter(subsets)
+    dtype = np.int64 if max(unit, keep, abs(per_vertex)) * ev.n < 2**63 // 3 else object
     checked = 0
-    while chunk := list(itertools.islice(subsets, ev.chunk)):
-        ev.load(chunk)
-        base = unit * ev.outside.astype(dtype) - per_vertex * ev.sizes.astype(dtype)
+    for vert, sizes in chunks:
+        ev.load(vert, sizes)
+        base = unit * ev.outside.astype(dtype) - per_vertex * sizes.astype(dtype)
         # the deficit falls as Con(J) grows, so a row that holds at the
         # bound Con(J) <= most cannot violate and skips the exact count
         need = base - keep * ev.most.astype(dtype) < 0
         bad = np.flatnonzero(base - keep * ev.components(need).astype(dtype) < 0)
         if bad.size:
-            return checked + int(bad[0]) + 1, chunk[bad[0]]
-        checked += len(chunk)
+            return checked + int(bad[0]) + 1, ev.subset(int(bad[0]))
+        checked += sizes.size
     return checked, None
+
+
+def _combinations(n: int, level: int, rows: int):
+    """Every subset of 1..level vertices as ``(vert, sizes)`` chunks, in ``itertools.combinations`` order.
+
+    A chunk holds up to ``rows`` consecutive k-subsets, unranked from their
+    ranks in lexicographic order, so no level is held whole.  With
+    below_j(x) = C(n, k-j) - C(n-x, k-j), the number of (k-j)-subsets of
+    range(n) whose least member lies below x, member j of the subset of
+    rank r is the largest x with below_j(x) <= r_j, where r_0 = r and
+    r_{j+1} = r_j - below_j(x) + below_{j+1}(x + 1).  Counts are int64: a
+    scan reaches a level of 2^63 subsets only after 2^63 / n of them.
+    """
+    comb = np.ones(n + 1, dtype=np.int64)  # C(m, r) for m = 0..n, from r = 0
+    combs = []
+    for k in range(1, level + 1):
+        comb = np.concatenate(([0], np.cumsum(comb[:-1])))
+        combs.append(comb)
+        below = [c[n] - c[::-1] for c in combs[::-1]]
+        # below_j(0) = 0 <= r_j, so x is the count of below_j(1..n) <= r_j
+        search = [b[1:] for b in below]
+        step = [below[j + 1][1:] - below[j][:-1] for j in range(k - 1)]
+        total = int(comb[n])
+        for first in range(0, total, rows):
+            r = np.arange(first, min(first + rows, total), dtype=np.int64)
+            members = []
+            for j in range(k):
+                members.append(np.searchsorted(search[j], r, side="right"))
+                if j < k - 1:
+                    r += step[j][members[j]]
+            yield np.column_stack(members).ravel(), np.full(r.size, k)
+
+
+def _listed(subsets, rows: int):
+    """``(vert, sizes)`` chunks of at most ``rows`` of the given subsets, in order."""
+    subsets = iter(subsets)
+    while chunk := list(itertools.islice(subsets, rows)):
+        sizes = np.fromiter(map(len, chunk), np.intp, len(chunk))
+        yield np.fromiter(itertools.chain.from_iterable(chunk), np.intp, int(sizes.sum())), sizes
 
 
 def _adversarial_candidates(g: GraphEdgeList, level: int):
@@ -354,13 +450,12 @@ def _check_expansion(g, kappa, delta, level, mode, budget, seed):
         )
     # a budget covering the whole subset space buys the full scan in
     # combinations order; otherwise candidates first, then seeded draws
+    ev = _SubsetRows(g, level)
     if total <= budget:
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(range(g.n), k) for k in range(1, level + 1)
-        )
+        chunks = _combinations(g.n, level, ev.chunk)
     else:
-        subsets = _sampled_subsets(g, level, budget, seed)
-    checked, witness = _first_violation(g, subsets, kappa, delta, level)
+        chunks = _listed(_sampled_subsets(g, level, budget, seed), ev.chunk)
+    checked, witness = _first_violation(ev, chunks, kappa, delta)
     delta = None if delta == 0.0 else delta
     return ExpansionReport.verdict(kappa, level, mode, checked, witness, delta)
 

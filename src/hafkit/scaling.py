@@ -13,10 +13,10 @@ step (see ``_fixed_point``).  It runs on A' = A / 4^k, with k chosen so
 that max A' lies in [1, 4) (or above, where that would push a positive
 entry below the normal range), and returns d = d' / 2^k: a power of two
 commutes with rounding, so every iterate is the one on A times 2^k, bit for
-bit, while the divergence window on d' is relative to A, so the verdict
-does not depend on the units of A.  The entry-size audit compares the
-scaled entries with the n^-theta / n^-2nu bounds of the concentration
-theorem.
+bit, while the divergence rule bounds only the spread max d' / min d',
+so the verdict depends neither on the units of A nor on where its blocks
+sit.  The entry-size audit compares the scaled entries with the
+n^-theta / n^-2nu bounds of the concentration theorem.
 """
 
 from __future__ import annotations
@@ -127,6 +127,7 @@ def scale_symmetric(
 
 _FIRST_BLOCK = 8
 _MAX_BLOCK = 256
+_SPREAD = 1e200
 
 
 def _fixed_point(arr, d, residual_target, max_iterations):
@@ -138,11 +139,13 @@ def _fixed_point(arr, d, residual_target, max_iterations):
     block, in this order at each step k:
     a non-finite or nonpositive r_k stops without updating the residual;
     residual max|r_k - 1| <= target converges; k >= max_iterations stops;
-    a d_{k+1} outside [1e-100, 1e100] stops before the step is taken (d
-    diverges when the support admits no doubly stochastic scaling, and
-    stopping there keeps the outer product d d^T finite).  The first step
-    at which a rule fires decides the result, so it is the same as that of
-    one step at a time; steps computed past it are discarded.
+    a d_{k+1} whose spread max d / min d exceeds 1e200 stops before the
+    step is taken (the spread diverges when the support admits no doubly
+    stochastic scaling; a step's result does not depend on the level of d,
+    so a bounded spread keeps d finite wherever the scaling's diagonal
+    sits).  The first step at which a rule fires decides the result, so it
+    is the same as that of one step at a time; steps computed past it are
+    discarded.
 
     Returns ``(d, residual, iterations, converged)``.
     """
@@ -172,7 +175,7 @@ def _fixed_point(arr, d, residual_target, max_iterations):
             res = np.max(np.abs(rs - 1.0), axis=1)
             converged = ~bad & (res <= residual_target)
             d_new = ds[1:]
-            diverged = (np.max(d_new, axis=1) > 1e100) | (np.min(d_new, axis=1) < 1e-100)
+            diverged = np.max(d_new, axis=1) > _SPREAD * np.min(d_new, axis=1)
         capped = iterations + np.arange(m) >= max_iterations
         fired = np.flatnonzero(bad | converged | capped | diverged)
         if fired.size:

@@ -156,7 +156,7 @@ def reference_scaling(a, residual_target, max_iterations, d0=None):
     Each step computes r = d * (A d), stops on a non-finite or nonpositive
     r (residual kept from the step before), on max|r - 1| <= target
     (converged) or on reaching max_iterations, and otherwise takes
-    d <- d / sqrt(r) unless that leaves [1e-100, 1e100].
+    d <- d / sqrt(r) unless that makes max d / min d exceed 1e200.
     """
     d = 1.0 / np.sqrt(a.sum(axis=1)) if d0 is None else np.array(d0, dtype=np.float64)
     iterations = 0
@@ -171,7 +171,7 @@ def reference_scaling(a, residual_target, max_iterations, d0=None):
         if iterations >= max_iterations:
             return d, residual, iterations, False
         d_new = d / np.sqrt(r)
-        if np.max(d_new) > 1e100 or np.min(d_new) < 1e-100:
+        if np.max(d_new) > 1e200 * np.min(d_new):
             return d, residual, iterations, False
         d = d_new
         iterations += 1

@@ -335,6 +335,9 @@ def planted_pair_graph(n, u, v):
     (48, 1024),  # first row of the next chunk
     (70, 2047),  # n past any int64 mask, on a chunk boundary
     (70, 2414),  # the very last pair
+    (64, 2015),  # (62, 63): the last two bits of the one word
+    (65, 2079),  # (63, 64): the pair straddles the first two words
+    (129, 6174),  # (63, 127): the last bits of words 0 and 1, with a third word
 ])
 def test_chunked_scan_finds_planted_violation(n, index):
     u, v = list(itertools.combinations(range(n), 2))[index]
@@ -432,8 +435,9 @@ def test_sampled_mode_holding_counts_candidates_and_budget():
 
 def test_public_helpers_match_bruteforce():
     rng = np.random.default_rng(78)
-    for t in range(60):
-        n = int(rng.integers(1, 40))
+    for t in range(64):
+        # past the first 60 draws, graphs of two and three 64-bit words
+        n = int(rng.integers(1, 40)) if t < 60 else (65, 129)[t % 2]
         g = random_graph(rng, n, float(rng.uniform(0.0, 0.6)))
         adj = g.adjacency_sets()
         k = 0 if t % 10 == 0 else int(rng.integers(0, n + 1))
@@ -484,6 +488,22 @@ def test_large_sparse_graph_checks_in_linear_memory():
     adj = g.adjacency_sets()
     assert bnd == frozenset(_brute_boundary(adj, js))
     assert con == _brute_components(adj, js)
+
+
+def test_sampled_check_at_n_50000_stays_linear_in_memory():
+    # n/64 words per vertex would take 312 MB here; the n = 3000 check above
+    # cannot tell that from O(n + m)
+    import tracemalloc
+
+    g = random_regular_graph(50_000, 3, seed=5)
+    tracemalloc.start()
+    try:
+        rep = check_strong_expansion(g, 0.5, 10, mode="sampled", budget=2000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert rep.holds and rep.sets_checked > 2000
 
 
 def test_components_of_a_long_path():

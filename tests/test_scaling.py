@@ -187,8 +187,8 @@ def test_star_stall_bit_identical_to_step_loop(cap):
     star = adjacency([(0, 1), (0, 2), (0, 3)], 4).entries
     res = assert_matches_reference(star, 0.25, cap)
     assert not res.converged
-    # at cap 1000 the diagonal leaves [1e-100, 1e100] first, after 836 steps
-    assert res.iterations == min(cap, 836)
+    # at cap 1000 the spread max d / min d passes 1e200 first, after 837 steps
+    assert res.iterations == min(cap, 837)
 
 
 def test_target_first_met_at_each_step_bit_identical():
@@ -252,6 +252,17 @@ def test_entries_far_apart_keep_their_support(big):
     res = assert_matches_reference(a, 1e-12, 100)
     assert res.converged and res.iterations == 0
     assert np.array_equal(res.b.entries > 0, a > 0)
+
+
+def test_blocks_far_apart_converge_wherever_they_sit():
+    # weighted K_4 blocks at 1e150 and 1e-60: on A / 4^k the small block's
+    # d' sits near 1e105, which only a bound on the spread of d' admits
+    rng = np.random.default_rng(49)
+    a = np.zeros((8, 8))
+    for lo, s in ((0, 1e150), (4, 1e-60)):
+        x = np.triu(rng.uniform(0.5, 2.0, size=(4, 4)), 1)
+        a[lo:lo + 4, lo:lo + 4] = (x + x.T) * s
+    assert assert_matches_reference(a, 1e-12, 100_000).converged
 
 
 def test_subnormal_blocks_converge_as_the_step_loop_without_warnings():
