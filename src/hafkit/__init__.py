@@ -22,7 +22,7 @@ from .estimator import (
     sample_log_dets,
     sample_w,
 )
-from .exact import HafnianValue, count_perfect_matchings, hafnian_exact, perfect_matching
+from .exact import HafnianValue, count_perfect_matchings, hafnian_exact
 from .experiments import (
     complete_graph,
     concentration_error,
@@ -68,7 +68,6 @@ __all__ = [
     "HafnianValue",
     "hafnian_exact",
     "count_perfect_matchings",
-    "perfect_matching",
     "EstimatorSummary",
     "sample_w",
     "sample_log_dets",

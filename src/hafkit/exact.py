@@ -21,11 +21,12 @@ n = 28 is counted, and sparse ones well beyond (a 3-regular graph at
 n = 48 makes 0.45 M).  K_30 makes 17 M and is refused part way through its
 levels, before they hold 100 MB.
 
-Perfect matchings are found separately by an augmenting-path matcher with
-blossom contraction, usable far beyond the reach of the hafnian DP.  One
-perfect matching also gives the total support, the edges that lie on some
-cycle cover, by one strongly-connected-component pass (Dulmage-Mendelsohn),
-as the blocks over which every determinant with that support factors.
+``support_blocks(a)`` decides whether the support of A has a perfect
+matching, by an augmenting-path matcher with blossom contraction usable far
+beyond the reach of the hafnian DP, and from that matching finds the total
+support, the edges that lie on some cycle cover, by one
+strongly-connected-component pass (Dulmage-Mendelsohn), as the blocks over
+which every determinant with that support factors.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ __all__ = [
     "HafnianValue",
     "hafnian_exact",
     "count_perfect_matchings",
-    "perfect_matching",
-    "total_support",
     "support_blocks",
 ]
 
@@ -103,7 +102,9 @@ def _hafnian_dp(a: np.ndarray) -> float | int:
             children.append(kids)
         if not children:
             return 0
-        levels.append(np.unique(np.concatenate(children)))
+        level = np.concatenate(children)
+        level.sort()  # then keep each mask that differs from its predecessor
+        levels.append(level[np.insert(level[1:] != level[:-1], 0, True)])
     row_max = int(a.sum(axis=1).max())
     val = np.ones(1, dtype=a.dtype)
     for masks, below in zip(levels[-2::-1], levels[:0:-1]):
@@ -233,14 +234,6 @@ def _max_matching(n: int, adj) -> list[int]:
     return match
 
 
-def perfect_matching(g: GraphEdgeList) -> list[int] | None:
-    """Partner of every vertex in one perfect matching, or None if there is none."""
-    if g.n % 2 != 0:
-        raise InputError(f"perfect matchings need an even vertex count, got n={g.n}")
-    match = _max_matching(g.n, g.adjacency_sets())
-    return match if all(m != -1 for m in match) else None
-
-
 def _strong_components(succ: list[list[int]]) -> list[int]:
     """Strongly connected component label of every node (iterative Tarjan)."""
     n = len(succ)
@@ -282,28 +275,21 @@ def _strong_components(succ: list[list[int]]) -> list[int]:
     return label
 
 
-def total_support(g: GraphEdgeList, cover: list[int]) -> list[tuple[list[int], list[int], int]]:
-    """``(rows, cols, power)`` of every block of the total support of ``g``.
-
-    ``cover`` is one cycle cover, as a permutation with every
-    ``(i, cover[i])`` an edge; a perfect matching is one.  Edge (i, k) lies
-    on a cycle cover iff i and cover^-1(k) share a strongly connected
-    component of the digraph i -> cover^-1(k) over all edges (i, k)
-    (Dulmage-Mendelsohn); any determinant with support g factors over
-    these components.  A component R has columns cover(R), by symmetry R
-    itself or another component: ``(R, R, 1)`` is one skew block W[R, R],
-    ``(R, cover(R), 2)`` a bipartite pair, det(W[R, cover(R)])^2, listed
-    once, from the side of its lowest vertex.  Blocks come in order of
-    their lowest vertex, rows and columns sorted.
-    """
-    adj = g.adjacency_sets()
-    if sorted(cover) != list(range(g.n)) or any(k not in adj[i] for i, k in enumerate(cover)):
-        raise InputError("cover must be a permutation with every (i, cover[i]) an edge")
-    return _blocks(adj, cover)
-
-
 def _blocks(adj, cover: list[int]) -> list[tuple[list[int], list[int], int]]:
-    """``total_support``'s blocks from the neighbours of every vertex and a valid cover."""
+    """``(rows, cols, power)`` of every block of the total support.
+
+    ``adj`` lists the neighbours of every vertex and ``cover`` is one cycle
+    cover, as a permutation with every ``(i, cover[i])`` an edge; a perfect
+    matching is one.  Edge (i, k) lies on a cycle cover iff i and
+    cover^-1(k) share a strongly connected component of the digraph
+    i -> cover^-1(k) over all edges (i, k) (Dulmage-Mendelsohn); any
+    determinant with this support factors over these components.  A
+    component R has columns cover(R), by symmetry R itself or another
+    component: ``(R, R, 1)`` is one skew block W[R, R], ``(R, cover(R), 2)``
+    a bipartite pair, det(W[R, cover(R)])^2, listed once, from the side of
+    its lowest vertex.  Blocks come in order of their lowest vertex, rows
+    and columns sorted.
+    """
     n = len(adj)
     inverse = [0] * n
     for i, k in enumerate(cover):
@@ -323,7 +309,7 @@ def _blocks(adj, cover: list[int]) -> list[tuple[list[int], list[int], int]]:
 
 
 def support_blocks(a: SymMatrix) -> list[tuple[list[int], list[int], int]] | None:
-    """``total_support``'s blocks for the support of A, or None if it has no perfect matching.
+    """``_blocks`` of the support of A, or None if it has no perfect matching.
 
     The support is every A[i, j] > 0.  Matcher and component pass read
     neighbour lists cut straight from A, so the work space is n^2 list

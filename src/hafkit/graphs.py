@@ -529,6 +529,8 @@ def check_theorem_hypotheses(
     expansion with parameter kappa up to level floor(n(1-alpha)/(1+kappa/4)),
     and max entry of B at most n^-theta.
     """
+    if not all(map(math.isfinite, (alpha, kappa, beta, theta))):
+        raise InputError(f"alpha, kappa, beta and theta must be finite, got {(alpha, kappa, beta, theta)}")
     n = a.n
     if scale:
         res = _scaling.scale_symmetric(a)

@@ -93,8 +93,8 @@ def scale_symmetric(
     """
     if residual_target is None:
         residual_target = 1.0 / a.n
-    if residual_target <= 0:
-        raise InputError("residual_target must be positive")
+    if not 0 < residual_target < math.inf:
+        raise InputError(f"residual_target must be positive and finite, got {residual_target}")
     if max_iterations < 1:
         raise InputError("max_iterations must be >= 1")
     top = np.frexp(a.entries.max())[1]

@@ -303,6 +303,24 @@ def test_check_strong_needs_level(runner, files):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scale", "--residual", "nan"],
+        ["scale", "--residual", "inf"],
+        ["hypotheses", "--alpha", "nan", "--kappa", "0.25", "--beta", "2", "--theta", "0.5"],
+        ["hypotheses", "--alpha", "0.5", "--kappa", "0.25", "--beta", "nan", "--theta", "0.5"],
+        ["hypotheses", "--alpha", "0.5", "--kappa", "0.25", "--beta", "2", "--theta", "nan"],
+    ],
+    ids=["residual-nan", "residual-inf", "alpha-nan", "beta-nan", "theta-nan"],
+)
+def test_non_finite_parameters_exit_2(runner, files, args):
+    res = runner.invoke(main, [args[0], "--matrix", str(files / "k8.mat"), *args[1:]])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert re.search(r"must be (positive and )?finite", res.stderr)
+
+
 def test_hypotheses_k16(runner, tmp_path):
     io.write_matrix(tmp_path / "k16.mat", complete_graph(16).sym_matrix())
     res = runner.invoke(

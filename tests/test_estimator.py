@@ -18,12 +18,12 @@ from hafkit import (
 )
 from hafkit import estimator
 from hafkit.estimator import _quantiles
-from hafkit.exact import perfect_matching, total_support
-from hafkit.graphs import large_entries_graph
+from hafkit.exact import support_blocks
 from hafkit.linalg import pfaffian_log_stack
 from hafkit.rng import gaussian_chunk
 
 from helpers import (
+    chunk_stream_ws,
     counterexample_edges,
     memo_matchings,
     naive_hafnian,
@@ -523,14 +523,22 @@ def test_one_chunk_holds_the_normals_of_the_total_support():
 
 def full_w_log_dets(a, num, seed):
     """log|det W| of samples 0..num-1 from the full n x n W and one batched slogdet."""
-    edges = sample_edges(a.entries)
-    ws = np.stack([support_chunk_w(a.entries, seed, i, estimator._CHUNK, edges) for i in range(num)])
-    return np.linalg.slogdet(ws)[1]
+    return np.linalg.slogdet(chunk_stream_ws(a.entries, seed, num, estimator._CHUNK))[1]
 
 
-def support_blocks(a):
-    g = large_entries_graph(a, 0.0)
-    return total_support(g, perfect_matching(g))
+def block_edges(a):
+    """Support edges inside a block of ``support_blocks``, in row-major order.
+
+    The edges a sample draws for, where ``sample_edges``' brute force is
+    too slow (n > 12).
+    """
+    pairs = {(i, k) for rows, cols, _ in support_blocks(a) for i in rows for k in cols}
+    return [(i, k) for i, k in support_edges(a.entries) if (i, k) in pairs or (k, i) in pairs]
+
+
+def stream_edges(a):
+    """Edges a sample of ``a`` draws for: ``sample_edges`` up to n = 12, else ``block_edges``."""
+    return sample_edges(a.entries) if a.n <= 12 else block_edges(a)
 
 
 def test_one_full_block_is_bit_identical_to_the_full_w():
@@ -582,15 +590,18 @@ def test_blocks_agree_with_pfaffian_and_keep_zero_decisions():
             assert np.all(log_dets == -np.inf)
             continue
         kinds_seen.add(kind)
-        ws = np.stack([sample_w(SymMatrix(a), k, i).entries for i in range(200)])
+        ws = chunk_stream_ws(a, k, 200, estimator._CHUNK, stream_edges(SymMatrix(a)))
         log_pf, sign = pfaffian_log_stack(ws)
         assert np.all(sign != 0)
         assert float(np.max(np.abs(log_dets - 2.0 * log_pf))) <= 1e-8
     assert kinds_seen == {"bipartite", "disconnected", "matching", "mixed"}
 
 
-def blocks_cut_from_sample_w(a, num, seed):
-    """log det W from the blocks of ``total_support`` cut out of ``sample_w``'s W.
+def blocks_cut_from_full_ws(a, num, seed, edges=None):
+    """log det W from the blocks of ``support_blocks`` cut out of the full Ws.
+
+    The Ws are ``chunk_stream_ws``' over ``edges``, by default
+    ``stream_edges(a)``.
 
     Float addition is not associative, so the sum runs in sample_log_dets'
     order: blocks of one size and kind form a group, a group's log|det|s
@@ -600,7 +611,7 @@ def blocks_cut_from_sample_w(a, num, seed):
     groups = {}
     for rows, cols, power in support_blocks(a):
         groups.setdefault((len(rows), power), []).append(np.ix_(rows, cols))
-    ws = [sample_w(a, seed, i).entries for i in range(num)]
+    ws = chunk_stream_ws(a.entries, seed, num, estimator._CHUNK, stream_edges(a) if edges is None else edges)
     log_dets = np.zeros(num)
     for (_, power), cuts in groups.items():
         per_block = np.linalg.slogdet(np.stack([np.stack([w[cut] for cut in cuts]) for w in ws]))[1]
@@ -632,21 +643,26 @@ def test_sampled_blocks_are_the_blocks_of_sample_w():
         n = int(rng.choice([6, 8, 10, 12, 14, 16]))
         a = random_support(rng, kind, n) * rng.uniform(0.1, 2.0, (n, n))
         a = SymMatrix(np.triu(a, 1) + np.triu(a, 1).T)
-        if perfect_matching(large_entries_graph(a, 0.0)) is None:
+        if support_blocks(a) is None:
             continue
         kinds_seen.add(kind)
-        assert np.array_equal(sample_log_dets(a, 300, seed=k), blocks_cut_from_sample_w(a, 300, k))
+        assert np.array_equal(sample_log_dets(a, 300, seed=k), blocks_cut_from_full_ws(a, 300, k))
     assert kinds_seen == {"bipartite", "disconnected", "matching", "mixed"}
     # groups of many blocks: 150 1x1 bipartite pairs, 40 K_4
     for num, size in ((150, 2), (40, 4)):
         a = many_blocks(rng, num, size)
         assert len(support_blocks(a)) == num
-        assert np.array_equal(sample_log_dets(a, 40, seed=num), blocks_cut_from_sample_w(a, 40, num))
+        edges = support_edges(a.entries)  # every edge of a disjoint K_size is on a cycle cover
+        assert np.array_equal(sample_log_dets(a, 40, seed=num), blocks_cut_from_full_ws(a, 40, num, edges))
     # supports whose edges are not all on a cycle cover: the counterexample
     # (a 24 x 24 bipartite pair and a 1 x 1 pair) and a random one
-    cx = build_counterexample(CounterexampleSpec(delta=0.12, n_center=24)).sym_matrix()
-    for seed, a in enumerate((cx, lacking_total_support(4411))):
-        assert np.array_equal(sample_log_dets(a, 40, seed=seed), blocks_cut_from_sample_w(a, 40, seed))
+    spec = CounterexampleSpec(delta=0.12, n_center=24)
+    cases = (
+        (build_counterexample(spec).sym_matrix(), counterexample_edges(24, spec.m_pairs)),
+        (lacking_total_support(4411), None),
+    )
+    for seed, (a, edges) in enumerate(cases):
+        assert np.array_equal(sample_log_dets(a, 40, seed=seed), blocks_cut_from_full_ws(a, 40, seed, edges))
 
 
 def test_quantile_helper_handles_minus_inf():

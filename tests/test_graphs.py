@@ -235,6 +235,11 @@ def test_expansion_input_errors():
         check_strong_expansion(g, 0.1, level=2, mode="guess")
     with pytest.raises(InputError):
         check_strong_expansion(g, math.inf, level=2)
+    for bad in range(4):  # alpha, kappa, beta, theta
+        params = [0.5, 0.25, 2.0, 0.5]
+        params[bad] = math.nan
+        with pytest.raises(InputError, match="must be finite"):
+            check_theorem_hypotheses(g.sym_matrix(), *params)
 
 
 def test_hypotheses_scaled_complete_graph_all_pass():
