@@ -232,15 +232,17 @@ def estimate_cmd(matrix_path, samples, seed, quantiles, with_exact, threads):
 def scale_cmd(matrix_path, residual, max_iter, theta, nu, emit_b):
     """Symmetric doubly stochastic scaling B = D A D."""
     started = time.monotonic()
+    bounds = None
+    if theta is not None or nu is not None:
+        bounds = (theta if theta is not None else 1.0, nu if nu is not None else 1.0)
+        scaling.check_audit_bounds(*bounds)  # before scaling, which can take seconds
     a = io.read_symmetric_matrix(matrix_path)
     result = scaling.scale_symmetric(a, residual_target=residual, max_iterations=max_iter)
     if emit_b is not None:
         io.write_matrix(emit_b, result.b)
     audit = None
-    if result.converged and (theta is not None or nu is not None):
-        audit = scaling.audit_entry_bounds(
-            result, theta if theta is not None else 1.0, nu if nu is not None else 1.0
-        )
+    if result.converged and bounds is not None:
+        audit = scaling.audit_entry_bounds(result, *bounds)
     config = {
         "matrix": str(matrix_path),
         "residual": residual if residual is not None else 1.0 / a.n,

@@ -13,26 +13,29 @@ matrix) that is every support edge, and on a complete support the whole
 upper triangle.  That rule is coded once, in the layout ``_plan`` builds
 per matrix: every W and every block of W is one gather of a row of normals
 through it.  The rows come from counter-based streams (``rng``): sample i
-is row i % _CHUNK of the (_CHUNK x m) draw of the stream keyed by (seed,
-i // _CHUNK), m being the edge count of the total support.  Batches of W
-are evaluated in log domain by LAPACK's LU (``np.linalg.slogdet``) and
-aggregated with log-sum-exp, since the values span hundreds of orders of
-magnitude once n is large.  Whether det(W) is zero is decided exactly, once
-per matrix, by a perfect-matching check on the support of A: rounding
-leaves tiny nonzero pivots where the true determinant vanishes, so no
-floating-point kernel can decide it.  The Parlett-Reid Pfaffian of
-``sample_w`` (``linalg.pfaffian_log_stack``) is the oracle that carries the
-sign.
+is row i % _CHUNK of the rows of m normals that the stream keyed by
+(seed, i // _CHUNK) gives, m being the edge count of the total support.
+Batches of W are evaluated in log domain by LAPACK's LU
+(``np.linalg.slogdet``) and aggregated with log-sum-exp, since the values
+span hundreds of orders of magnitude once n is large.  Whether det(W) is
+zero is decided exactly, once per matrix, by a perfect-matching check on
+the support of A: rounding leaves tiny nonzero pivots where the true
+determinant vanishes, so no floating-point kernel can decide it.  The
+Parlett-Reid Pfaffian of ``sample_w`` (``linalg.pfaffian_log_stack``) is
+the oracle that carries the sign.
 
 The pass that finds the total support from the matching of the zero
 decision (``exact.support_blocks``) returns its blocks, over which det(W)
 factors: a bipartite pair of parts U and V contributes det(W[U, V])^2, any
-other block S its skew block W[S, S].  Each chunk draws one row of normals
-per sample, gathers every block from them, and takes one batched
-``slogdet`` per group of same-sized blocks, adding a group's log-dets in
+other block S its skew block W[S, S].  Each chunk holds one sample-major
+stack of blocks per group of same-sized blocks.  It draws its rows in
+slices of at most _SLICE normals (or of one row, if a row holds more) into
+one buffer and gathers each slice into every stack before it draws the
+next, so it never holds more of its normals than one slice; then it
+takes one batched ``slogdet`` per stack, adding a group's log-dets in
 block order.  A single non-bipartite block over all vertices is the full W.
 
-Sampling is embarrassingly parallel: each chunk is one draw from its own
+Sampling is embarrassingly parallel: each chunk draws from its own
 stream, chunk boundaries do not depend on the worker count, and aggregation
 happens over the index-ordered array, so results are bit-identical for any
 ``threads`` value.  A short last chunk draws a prefix of the full chunk's
@@ -50,7 +53,7 @@ import numpy as np
 from .errors import InputError
 from .exact import support_blocks
 from .linalg import SkewMatrix, SymMatrix
-from .rng import check_seed, gaussian_chunk, stream
+from .rng import check_seed, gaussian_rows, stream
 
 __all__ = [
     "EstimatorSummary",
@@ -62,13 +65,26 @@ __all__ = [
 
 # samples per stream: part of the stream contract, so changing it changes
 # every sampled bit past sample 0.  It also bounds what each pool thread
-# holds: one chunk of the n=50 counterexample (577 normals and 24x24 blocks
-# per sample) peaks at 4.6 MiB of traced allocation.  numpy's batched
-# slogdet releases the GIL only for a stack of more than 500 matrices, so
-# a full chunk factors in parallel with other pool threads and a short last
-# chunk does not; evaluating a chunk in slices of fewer rows would
-# serialize the pool.
+# holds: the block stacks of one chunk, 512 24x24 blocks and 512 1x1 pairs
+# on the n=50 counterexample, which peaks at 2.6 MiB of traced allocation.
+# numpy's batched slogdet releases the GIL only for a stack of more than
+# 500 matrices, so a full chunk factors in parallel with other pool threads
+# and a short last chunk does not; factoring a chunk in slices of fewer
+# rows would serialize the pool.
 _CHUNK = 512
+
+# normals per draw (256 KiB): rows are drawn max(1, _SLICE // m) at a time
+# into one buffer, which stays in cache while it is gathered
+_SLICE = 1 << 15
+
+
+def _row_slices(rows: int, m: int) -> list[slice]:
+    """``range(rows)`` cut into slices of at most ``_SLICE`` normals, m a row, and at least one row.
+
+    A chunk and ``sample_w`` both draw a stream's rows in these slices.
+    """
+    step = max(1, _SLICE // m)
+    return [slice(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
 
 
 @dataclass(frozen=True)
@@ -139,15 +155,18 @@ def _plan(a: SymMatrix):
     return (*_layout(a, blocks), blocks)
 
 
-def _gather(x: np.ndarray, pos: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """``x[..., pos] * weight`` with every zero +0.0.
+def _gather(x: np.ndarray, pos: np.ndarray, weight: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x[..., pos] * weight`` with every zero +0.0, written into ``out`` when given.
 
     LU's log|det| ignores the sign of a zero; the SVD of ``spectrum`` need
-    not, as LAPACK's Householder step takes the sign of an entry.
+    not, as LAPACK's Householder step takes the sign of an entry.  Every
+    position is in range, so ``mode="clip"`` changes no value; it lets
+    ``np.take`` write straight into ``out``, where the default mode would
+    gather into a buffer and copy it.
     """
-    if x.shape[-1] == 0:  # no support edges: nothing to gather from
-        return np.zeros(x.shape[:-1] + pos.shape)
-    out = x[..., pos]
+    if x.shape[-1] == 0:  # no support edges: every weight is 0, so gather from one zero
+        x = np.zeros(x.shape[:-1] + (1,))
+    out = np.take(x, pos, axis=-1, out=out, mode="clip")
     out *= weight
     out += 0.0  # -0.0 + 0.0 is +0.0, and every other value stays as it is
     return out
@@ -160,10 +179,10 @@ def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
     of A's total support in row-major order takes the k-th normal of row
     index % _CHUNK of stream (seed, index // _CHUNK) (``_plan``); entries
     off the total support are +0.0, and a support without a perfect
-    matching gives the zero matrix.  The rows before it are drawn in
-    slices of at most max(1, 2^15 // m) rows into one buffer and
-    discarded; each draw continues the stream, so memory stays O(n^2 + m)
-    at any index.
+    matching gives the zero matrix.  The rows up to its own are drawn in
+    the slices of ``_row_slices`` into one buffer, as a chunk draws them,
+    and all but the last are discarded, so memory stays O(n^2 + m) at any
+    index.
     """
     if not (0 <= index < 1 << 64):
         raise InputError("sample index must fit in an unsigned 64-bit integer")
@@ -172,22 +191,19 @@ def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
         return SkewMatrix(np.zeros((a.n, a.n)))
     m, pos, weight, _ = plan
     gen = stream(seed, index // _CHUNK)
-    skip = index % _CHUNK
-    # the rows before it go through one buffer of at most 2^15 normals (256 KiB)
-    buf = np.empty((max(1, min(skip, (1 << 15) // m)), m))
-    while skip:
-        part = buf[: min(skip, len(buf))]
-        gen.standard_normal(out=part)
-        skip -= len(part)
-    gen.standard_normal(out=buf[0])
-    return SkewMatrix(_gather(buf[0], pos, weight))
+    slices = _row_slices(index % _CHUNK + 1, m)
+    buf = np.empty((slices[0].stop, m))
+    for rows in slices:
+        part = gaussian_rows(gen, buf[: rows.stop - rows.start])
+    return SkewMatrix(_gather(part[-1], pos, weight))
 
 
 def _block_groups(pos: np.ndarray, weight: np.ndarray, blocks) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """Gather plan of ``support_blocks``' blocks: ``(pos, weight, power)`` per block size and kind.
 
     ``pos`` and ``weight`` stack the layout tables cut to each block, so
-    that ``_gather`` of a chunk's normals gives every block of the group.
+    that ``_gather`` of rows of normals gives every block of the group,
+    sample-major: (rows, blocks, r, c).
     """
     groups: dict[tuple[int, int], list] = {}
     for rows, cols, power in blocks:
@@ -200,12 +216,19 @@ def _block_groups(pos: np.ndarray, weight: np.ndarray, blocks) -> list[tuple[np.
 
 
 def _logdet_chunk(groups, num_normals: int, seed: int, first: int, count: int) -> np.ndarray:
-    x = gaussian_chunk(seed, first // _CHUNK, count, num_normals)
+    gen = stream(seed, first // _CHUNK)
+    stacks = [np.empty((count, *pos.shape)) for pos, _, _ in groups]
+    slices = _row_slices(count, num_normals)
+    buf = np.empty((slices[0].stop, num_normals))
+    for rows in slices:
+        part = gaussian_rows(gen, buf[: rows.stop - rows.start])
+        for (pos, weight, _), stack in zip(groups, stacks):
+            _gather(part, pos, weight, out=stack[rows])
     log_dets = np.zeros(count)
-    for pos, weight, power in groups:
+    for (_, _, power), stack in zip(groups, stacks):
         # det(W_c) is Pf(W_c)^2 or det(B_c)^2 >= 0; |det| absorbs signs flipped by rounding.
-        # cumsum adds a group's blocks in block order, whatever the gather's memory layout
-        log_dets += power * np.cumsum(np.linalg.slogdet(_gather(x, pos, weight))[1], axis=1)[:, -1]
+        # A stack of the whole chunk keeps slogdet off the GIL; cumsum adds its blocks in block order
+        log_dets += power * np.cumsum(np.linalg.slogdet(stack)[1], axis=1)[:, -1]
     return log_dets
 
 
@@ -228,16 +251,17 @@ def sample_log_dets(a: SymMatrix, num_samples: int, seed: int, threads: int = 1)
     A support without a perfect matching (or an odd dimension) makes every
     det(W) exactly zero: that is decided once, by a matching check, and the
     result is all -inf without drawing any samples.  Otherwise each chunk
-    of _CHUNK samples is one draw of one normal per edge of the total
-    support per sample, sample i is the W of ``sample_w(a, seed, i)``, and
-    det(W) is taken block by block over the blocks of the total support.
+    of _CHUNK samples draws one normal per edge of the total support per
+    sample from its own stream, sample i is the W of
+    ``sample_w(a, seed, i)``, and det(W) is taken block by block over the blocks of the total support.
     """
     seed = check_arguments(num_samples, seed, threads)
     plan = _plan(a)
     if plan is None:
         return np.full(num_samples, -np.inf)
-    m, pos, weight, blocks = plan
-    groups = _block_groups(pos, weight, blocks)
+    m = plan[0]
+    groups = _block_groups(*plan[1:])
+    del plan  # the n x n layout tables: the chunks need only their cuts in ``groups``
     log_dets = np.empty(num_samples)
     starts = list(range(0, num_samples, _CHUNK))
 

@@ -33,7 +33,7 @@ from .errors import InputError, NumericalError
 from .estimator import _gather, _layout, sample_log_dets
 from .graphs import GraphEdgeList
 from .linalg import SkewMatrix, SymMatrix, spectrum
-from .rng import check_seed, gaussian_chunk
+from .rng import check_seed, gaussian_rows, stream
 from . import io as _io
 from . import scaling as _scaling
 
@@ -173,11 +173,12 @@ def matrix_from_source(source: dict) -> SymMatrix:
 def _trial_ws(a: SymMatrix, trials: int, seed: int):
     """W of trial indices 0..trials-1, gathered through one layout of A's support.
 
-    Trial t's normals are stream (seed, t), one row of m.
+    Trial t's normals are the first row of m of stream (seed, t).
     """
     m, pos, weight = _layout(a)
+    row = np.empty(m)
     for t in range(trials):
-        yield _gather(gaussian_chunk(seed, t, 1, m)[0], pos, weight)
+        yield _gather(gaussian_rows(stream(seed, t), row), pos, weight)
 
 
 @dataclass(frozen=True)

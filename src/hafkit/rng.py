@@ -2,10 +2,12 @@
 
 A stream is numpy's Philox keyed by (seed, key), read through numpy's
 ziggurat, so its normals are a pure function of the key: golden tests pin
-the exact values.  Who owns which stream is the caller's contract.  The
-estimator keys one stream per chunk of ``estimator._CHUNK`` samples, and
-sample i is row i % _CHUNK of the (rows x m) draw of chunk i // _CHUNK; a
-spectral trial t is a one-row draw of stream (seed, t).  A sample's row
+the exact values.  Successive draws from one generator continue its
+stream, so rows drawn in slices are the rows of one draw of them all.  Who
+owns which stream is the caller's contract.  The estimator keys one stream
+per chunk of ``estimator._CHUNK`` samples, and sample i is row i % _CHUNK
+of the rows that stream (seed, i // _CHUNK) gives, m normals a row; a
+spectral trial t is the first row of stream (seed, t).  A sample's row
 holds one normal per edge of A's total support, the support edges on some
 cycle cover, and a trial's row one per edge of A's support, in row-major
 order either way (``estimator._layout`` places them in W).  So m is the
@@ -15,8 +17,8 @@ perfect matching, and for samples of the n=50 counterexample 577 of its
 
 A key costs a fresh generator, about 11 us on a 2-vCPU VM, more than the
 normals of a small sample; one key per chunk of 512 samples leaves the bulk
-draw itself, about 17 ns per normal (0.5 us per K_8 row of 28).  numpy
-releases the GIL during a bulk draw, so chunks draw in parallel.
+draws themselves, about 17 ns per normal (0.5 us per K_8 row of 28).
+numpy releases the GIL during a bulk draw, so chunks draw in parallel.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from numpy.random import Generator, Philox
 
 from .errors import InputError
 
-__all__ = ["stream", "gaussian_chunk", "check_seed"]
+__all__ = ["stream", "gaussian_rows", "check_seed"]
 
 _U64 = 1 << 64
 
@@ -47,10 +49,11 @@ def stream(seed: int, key: int) -> Generator:
     return Generator(Philox(key=np.array([seed, key], dtype=np.uint64)))
 
 
-def gaussian_chunk(seed: int, key: int, rows: int, count: int) -> np.ndarray:
-    """The first rows * count normals of stream (seed, key), as a (rows, count) array.
+def gaussian_rows(gen: Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` row-major with the next ``out.size`` normals of ``gen``; returns ``out``.
 
-    Normals fill the array row-major, so a draw of fewer rows is a prefix
-    of a draw of more.
+    Each call goes on where the last one stopped, so the rows of a stream
+    drawn in slices of any size are the rows of one draw, and a draw of
+    fewer rows from a fresh generator is a prefix of a draw of more.
     """
-    return stream(seed, key).standard_normal((rows, count))
+    return gen.standard_normal(out=out)

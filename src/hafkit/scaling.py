@@ -34,6 +34,7 @@ __all__ = [
     "ScalingAudit",
     "scale_symmetric",
     "audit_entry_bounds",
+    "check_audit_bounds",
 ]
 
 
@@ -198,6 +199,13 @@ class ScalingAudit:
     observed_exponents: tuple
 
 
+def check_audit_bounds(theta: float, nu: float) -> None:
+    """Refuse a bound that no entry can be compared with: theta and nu must be finite."""
+    for name, bound in (("theta", theta), ("nu", nu)):
+        if not math.isfinite(bound):
+            raise InputError(f"{name} must be finite, got {bound}")
+
+
 def audit_entry_bounds(result: ScalingResult, theta: float, nu: float) -> ScalingAudit:
     """Check max B_ij <= n^-theta and min positive B_ij >= n^-2nu.
 
@@ -205,6 +213,7 @@ def audit_entry_bounds(result: ScalingResult, theta: float, nu: float) -> Scalin
     theta actually achieved by the max entry, the second the nu achieved by
     the smallest positive entry.
     """
+    check_audit_bounds(theta, nu)
     if not result.converged:
         raise InputError("entry-bound audit requires a converged scaling result")
     n = result.b.n

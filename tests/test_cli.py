@@ -311,8 +311,13 @@ def test_check_strong_needs_level(runner, files):
         ["hypotheses", "--alpha", "nan", "--kappa", "0.25", "--beta", "2", "--theta", "0.5"],
         ["hypotheses", "--alpha", "0.5", "--kappa", "0.25", "--beta", "nan", "--theta", "0.5"],
         ["hypotheses", "--alpha", "0.5", "--kappa", "0.25", "--beta", "2", "--theta", "nan"],
+        ["scale", "--theta", "nan"],
+        ["scale", "--nu", "nan"],
+        ["scale", "--theta", "inf"],
+        ["scale", "--nu", "-inf"],
     ],
-    ids=["residual-nan", "residual-inf", "alpha-nan", "beta-nan", "theta-nan"],
+    ids=["residual-nan", "residual-inf", "alpha-nan", "beta-nan", "theta-nan",
+         "audit-theta-nan", "audit-nu-nan", "audit-theta-inf", "audit-nu-minus-inf"],
 )
 def test_non_finite_parameters_exit_2(runner, files, args):
     res = runner.invoke(main, [args[0], "--matrix", str(files / "k8.mat"), *args[1:]])

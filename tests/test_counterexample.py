@@ -175,8 +175,11 @@ def test_sampled_log_dets_agree_with_pfaffian_at_sampling_sizes(n_center):
     a = build_counterexample(spec).sym_matrix()
     num = 2048
     log_dets = sample_log_dets(a, num, seed=41)
-    ws = chunk_stream_ws(a.entries, 41, num, _CHUNK, counterexample_edges(n_center, spec.m_pairs))
-    for i in (0, _CHUNK - 1, num - 1):
+    edges = counterexample_edges(n_center, spec.m_pairs)
+    ws = chunk_stream_ws(a.entries, 41, num, _CHUNK, edges)
+    # a chunk draws r rows at a time, r = 2^15 // m, and r does not divide 512
+    r = (1 << 15) // len(edges)
+    for i in (0, r - 1, r, _CHUNK // r * r, _CHUNK - 1, num - 1):
         assert np.array_equal(sample_w(a, 41, i).entries, ws[i])
     log_pf, sign = pfaffian_log_stack(ws)
     assert np.all(sign != 0)

@@ -20,7 +20,7 @@ from hafkit import estimator
 from hafkit.estimator import _quantiles
 from hafkit.exact import support_blocks
 from hafkit.linalg import pfaffian_log_stack
-from hafkit.rng import gaussian_chunk
+from hafkit.rng import gaussian_rows, stream
 
 from helpers import (
     chunk_stream_ws,
@@ -81,6 +81,19 @@ GOLDEN = {
 }
 
 
+# samples (seed=7, index) on the n_center = 24 counterexample, taken from
+# helpers.support_chunk_w: 577 normals a sample, so a chunk draws its rows
+# in slices of 56 and a short last one of 8, and these indices sit on both
+# sides of slice boundaries.  Each entry: index -> (W[0, 24], W[48, 49]),
+# its first and last drawn edges.
+CX24_GOLDEN = {
+    55: (-1.8237159239347962, -0.6268190935487934),
+    56: (0.14450084776717712, -0.0133844848295434),
+    504: (-1.0562627123318193, 1.7689211736742994),
+    511: (-0.3897178868106712, -0.6660123462816421),
+}
+
+
 def pfaffian_log_det(w: np.ndarray) -> tuple[float, int]:
     """(log det W, sign Pf W) of one matrix, from the Parlett-Reid oracle."""
     log_pf, sign = pfaffian_log_stack(w[None])
@@ -98,6 +111,12 @@ def test_sample_w_reproduces_golden_matrix():
         assert log_det == golden_log_det
         assert sign_pf == golden_sign
         assert math.isclose(naive_pfaffian(scalar), golden_sign * math.exp(golden_log_det / 2), rel_tol=1e-12)
+    spec = CounterexampleSpec(delta=0.12, n_center=24)
+    cx = build_counterexample(spec).sym_matrix()
+    for index, (first, last) in CX24_GOLDEN.items():
+        scalar = support_chunk_w(cx.entries, 7, index, estimator._CHUNK, counterexample_edges(24, spec.m_pairs))
+        assert (scalar[0, 24], scalar[48, 49]) == (first, last)
+        assert sample_w(cx, seed=7, index=index).entries.tobytes() == scalar.tobytes()
 
 
 def triangle_stream_w(a, seed, index):
@@ -128,21 +147,45 @@ def test_complete_support_draws_the_whole_triangle():
             assert sample_w(a, seed, index).entries.tobytes() == want.tobytes()
 
 
+def spy_on_draws(monkeypatch) -> list:
+    """Record the estimator's draws: one ``[key, (rows, count), ...]`` per stream it keys.
+
+    Each stream's list gets the shape of every slice ``rng.gaussian_rows``
+    draws from it, in order.
+    """
+    calls = []
+
+    def spy_stream(seed, key):
+        calls.append([key])
+        return stream(seed, key)
+
+    def spy_rows(gen, out):
+        calls[-1].append(out.shape)
+        return gaussian_rows(gen, out)
+
+    monkeypatch.setattr(estimator, "stream", spy_stream)
+    monkeypatch.setattr(estimator, "gaussian_rows", spy_rows)
+    return calls
+
+
+def chunk_draws(calls) -> list[tuple[int, int, int]]:
+    """``(key, rows, count)`` of each stream: the rows its slices add up to, of ``count`` normals each."""
+    out = []
+    for key, *shapes in calls:
+        assert len({count for _, count in shapes}) == 1
+        out.append((key, sum(rows for rows, _ in shapes), shapes[0][1]))
+    return out
+
+
 def test_matching_support_draws_one_normal_per_edge(monkeypatch):
     n, num = 200, 1500
     a = np.zeros((n, n))
     for i in range(0, n, 2):
         a[i, i + 1] = a[i + 1, i] = 1.0
-    calls = []
-
-    def spy(seed, key, rows, count):
-        calls.append((key, rows, count))
-        return gaussian_chunk(seed, key, rows, count)
-
-    monkeypatch.setattr(estimator, "gaussian_chunk", spy)
+    calls = spy_on_draws(monkeypatch)
     log_dets = sample_log_dets(SymMatrix(a), num, seed=3)
     # one stream per 512-sample chunk, the last one short
-    assert calls == [(0, 512, n // 2), (1, 512, n // 2), (2, num - 1024, n // 2)]
+    assert chunk_draws(calls) == [(0, 512, n // 2), (1, 512, n // 2), (2, num - 1024, n // 2)]
     # each pair edge is a 1 x 1 bipartite block: log det W = 2 sum log|g|;
     # a perfect matching is its own total support
     for i in (0, 1, 511, 512, num - 1):
@@ -164,21 +207,19 @@ def lacking_total_support(seed):
 
 
 def test_total_support_draws_one_normal_per_edge(monkeypatch):
-    counts = []
+    calls = spy_on_draws(monkeypatch)
 
-    def spy(seed, key, rows, count):
-        counts.append(count)
-        return gaussian_chunk(seed, key, rows, count)
+    def counts():
+        return [count for _, _, count in chunk_draws(calls)]
 
-    monkeypatch.setattr(estimator, "gaussian_chunk", spy)
     # the counterexample's total support is the center-plain K_{n,n} and the
     # pair edges: 577 of 901 support edges at n_center = 24, 1,800 of 18,580
     # at (40, 200)
     for n_center, m_pairs, want in ((24, 1, 577), (40, 200, 1800)):
         a = build_counterexample(CounterexampleSpec(delta=0.12, n_center=n_center, m_pairs=m_pairs))
-        counts.clear()
+        calls.clear()
         sample_log_dets(a.sym_matrix(), 600, seed=3)
-        assert counts == [want, want]
+        assert counts() == [want, want]
     # random supports: the brute-force total support, and no draw at all
     # without a perfect matching
     rng = np.random.default_rng(4408)
@@ -190,9 +231,9 @@ def test_total_support_draws_one_normal_per_edge(monkeypatch):
         want = len(sample_edges(a))
         pruned += 0 < want < len(support_edges(a))
         unmatched += want == 0
-        counts.clear()
+        calls.clear()
         sample_log_dets(SymMatrix(a), 10, seed=k)
-        assert counts == ([want] if want else [])
+        assert counts() == ([want] if want else [])
     assert pruned >= 5 and unmatched >= 5
 
 
@@ -233,10 +274,20 @@ def test_sample_w_zeros_off_the_support_are_positive():
     assert pruned >= 1
 
 
+def draw(seed, key, rows, count):
+    """The first ``rows`` rows of ``count`` normals of stream (seed, key), in one draw."""
+    return gaussian_rows(stream(seed, key), np.empty((rows, count)))
+
+
 def test_short_chunk_is_a_prefix_of_the_full_chunk():
-    full = gaussian_chunk(3, 10, 7, 15)
+    full = draw(3, 10, 7, 15)
     for rows in range(8):
-        assert np.array_equal(gaussian_chunk(3, 10, rows, 15), full[:rows])
+        assert np.array_equal(draw(3, 10, rows, 15), full[:rows])
+    # and rows drawn in slices of any size, one generator, are the rows of one draw
+    for step in (1, 2, 3, 7):
+        gen = stream(3, 10)
+        sliced = np.concatenate([gaussian_rows(gen, np.empty((min(step, 7 - r0), 15))) for r0 in range(0, 7, step)])
+        assert np.array_equal(sliced, full)
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -249,7 +300,7 @@ def test_blocked_stream_equals_fresh_philox_generators(seed, key, count):
     # uint64 array, since numpy turns a list such as [0, 2**64 - 4] into
     # float64.
     rows = 4
-    blocks = gaussian_chunk(seed, key, rows, count)
+    blocks = draw(seed, key, rows, count)
     assert blocks.shape == (rows, count)
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, key], dtype=np.uint64)))
     for r in range(rows):
@@ -259,16 +310,16 @@ def test_blocked_stream_equals_fresh_philox_generators(seed, key, count):
 def test_stream_seeds_and_keys_span_64_bits():
     top = 2**64 - 1
     gen = np.random.Generator(np.random.Philox(key=np.array([top, top], dtype=np.uint64)))
-    assert np.array_equal(gaussian_chunk(top, top, 2, 3), gen.standard_normal((2, 3)))
+    assert np.array_equal(draw(top, top, 2, 3), gen.standard_normal((2, 3)))
     for seed in (2**64, -1):
         with pytest.raises(InputError, match="seed must fit in an unsigned 64-bit integer"):
-            gaussian_chunk(seed, 0, 1, 3)
+            stream(seed, 0)
 
 
 def test_gaussian_block_rejects_indices_outside_64_bits():
     for key in (-1, 2**64):
         with pytest.raises(InputError, match="stream key must fit in an unsigned 64-bit integer"):
-            gaussian_chunk(0, key, 1, 3)
+            stream(0, key)
     for index in (-1, 2**64):
         with pytest.raises(InputError, match="sample index must fit in an unsigned 64-bit integer"):
             sample_w(golden_matrix(), 0, index)
@@ -276,7 +327,7 @@ def test_gaussian_block_rejects_indices_outside_64_bits():
 
 def test_entry_variance_matches_profile():
     # A entry 4 -> W entry distributed as 2 g
-    g = gaussian_chunk(123, 0, 100_000, 1)[:, 0]
+    g = draw(123, 0, 100_000, 1)[:, 0]
     var = float(np.var(2.0 * g))
     assert abs(var - 4.0) < 0.1
 
@@ -492,8 +543,10 @@ def test_sample_w_draws_in_the_memory_of_one_row():
 
 
 def test_sample_w_skips_rows_in_slices_that_continue_the_stream():
-    # the rows before a sample are drawn r = max(1, 2^15 // m) at a time:
-    # r = 42 on K_40 (780 edges), 56 on the n_center = 24 counterexample (577)
+    # the rows up to a sample are drawn r = max(1, 2^15 // m) at a time:
+    # r = 42 on K_40 (780 edges), 56 on the n_center = 24 counterexample
+    # (577); neither divides 512, so the last slice of a chunk is short
+    # (512 = 12 * 42 + 8 = 9 * 56 + 8)
     spec = CounterexampleSpec(delta=0.12, n_center=24)
     cases = (
         (complete_graph(40).sym_matrix(), support_edges(complete_graph(40).sym_matrix().entries)),
@@ -501,24 +554,33 @@ def test_sample_w_skips_rows_in_slices_that_continue_the_stream():
     )
     for a, edges in cases:
         r = (1 << 15) // len(edges)
-        for index in (0, r - 1, r, 2 * r + 1, 511, 512):
+        last = 512 // r * r
+        assert last == 504
+        for index in (0, r - 1, r, 2 * r + 1, last - 1, last, last + 1, 511, 512, 512 + last):
             want = support_chunk_w(a.entries, 6, index, estimator._CHUNK, edges)
             assert sample_w(a, 6, index).entries.tobytes() == want.tobytes()
 
 
 def test_one_chunk_holds_the_normals_of_the_total_support():
-    # a chunk of the (40, 200) counterexample draws 512 x 1,800 normals and
-    # gathers blocks of as many entries, not 512 x 18,580 normals (76 MB)
-    a = build_counterexample(CounterexampleSpec(delta=0.12, n_center=40, m_pairs=200)).sym_matrix()
-    tracemalloc.start()
-    try:
-        sample_log_dets(a, estimator._CHUNK, seed=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    normals = estimator._CHUNK * 1800 * 8
-    blocks = estimator._CHUNK * (40 * 40 + 200) * 8
-    assert peak < normals + 2 * blocks
+    # a chunk holds its stacks of blocks and a slice of its normals, never
+    # all of them: the (40, 200) counterexample gathers a 40 x 40 block and
+    # 200 1 x 1 pairs from 1,800 normals a sample (not from 18,580), and
+    # K_{100,100} one 100 x 100 block from 10,000
+    bipartite = np.zeros((200, 200))
+    bipartite[:100, 100:] = bipartite[100:, :100] = 1.0
+    cases = (
+        (build_counterexample(CounterexampleSpec(delta=0.12, n_center=40, m_pairs=200)).sym_matrix(), 40 * 40 + 200),
+        (SymMatrix(bipartite), 100 * 100),
+    )
+    for a, block_entries in cases:
+        tracemalloc.start()
+        try:
+            sample_log_dets(a, estimator._CHUNK, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        blocks = estimator._CHUNK * block_entries * 8
+        assert peak < 1.5 * blocks
 
 
 def full_w_log_dets(a, num, seed):
@@ -663,6 +725,14 @@ def test_sampled_blocks_are_the_blocks_of_sample_w():
     )
     for seed, (a, edges) in enumerate(cases):
         assert np.array_equal(sample_log_dets(a, 40, seed=seed), blocks_cut_from_full_ws(a, 40, seed, edges))
+    # the counterexample draws 577 normals a sample, so a chunk draws slices
+    # of 56 rows and a short one of 8 (512 = 9 * 56 + 8): every count cuts
+    # the slices differently, and any thread count gives the same bits
+    a, edges = cases[0]
+    want = blocks_cut_from_full_ws(a, 700, 7, edges)
+    for num in (1, 56, 57, 511, 512, 700):
+        for threads in (1, 2, 3):
+            assert np.array_equal(sample_log_dets(a, num, seed=7, threads=threads), want[:num])
 
 
 def test_quantile_helper_handles_minus_inf():

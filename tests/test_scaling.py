@@ -122,6 +122,10 @@ def test_audit_bounds():
     observed_theta = audit.observed_exponents[0]
     assert observed_theta >= 1.0 - math.log(2) / math.log(n)
     assert math.isclose(observed_theta, math.log(n - 1) / math.log(n), rel_tol=1e-12)
+    # a non-finite bound compares with no entry
+    for theta, nu in ((math.nan, 1.0), (0.5, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(InputError, match="must be finite"):
+            audit_entry_bounds(res, theta=theta, nu=nu)
 
 
 def test_audit_n2_max_entry_one():
