@@ -2,14 +2,21 @@
 
 Every subcommand prints a single JSON report to stdout whose first key is a
 run manifest (tool version, subcommand, resolved configuration, seed,
-timing).  Diagnostics go to stderr.  Exit codes: 0 success, 2 bad input,
-3 numerical non-convergence, 4 a hypothesis/expansion check came back
-false under --strict.  Reports are byte-identical across reruns and thread
-counts, except for the timing_ms field.
+timing).  The configuration is every option as parsed, in declaration
+order, except --threads, with defaults resolved: ``scale``'s residual,
+``check``'s level, ``counterexample``'s pair count, ``estimate``'s
+quantiles.  ``exact`` lists only its given source, ``experiment`` its kind
+and resolved JSON config.  The schema's required keys of ``estimate``,
+``check`` and ``counterexample`` come from their result types.
+Diagnostics go to stderr.  Exit codes: 0 success, 2 bad input, 3 numerical
+non-convergence, 4 a hypothesis/expansion check came back false under
+--strict.  Reports are byte-identical across reruns and thread counts,
+except for the timing_ms field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -19,13 +26,24 @@ import click
 
 from . import __version__
 from . import counterexample as cx
-from . import estimator, exact, experiments, graphs, io, jsonout, scaling
+from . import estimator, experiments, graphs, io, jsonout, scaling
 from .errors import InputError, NumericalError
+from .exact import count_perfect_matchings, hafnian_exact
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK_FAILED = 4
+
+
+def _required(result_type) -> list:
+    """The fields of dataclass ``result_type`` without a default, which its report always prints."""
+    return [
+        f.name
+        for f in dataclasses.fields(result_type)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    ]
+
 
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -52,20 +70,10 @@ SCHEMA = {
             "type": ["number", "string"],
         },
         "exact": {"required": ["n", "log_haf", "value"]},
-        "estimate": {
-            "required": [
-                "n",
-                "num_samples",
-                "seed",
-                "mean_det_log",
-                "logdet_mean",
-                "logdet_std",
-                "logdet_quantiles",
-                "num_zero_det",
-            ]
-        },
+        "estimate": {"required": _required(estimator.EstimatorSummary)},
         "scale": {
             "required": [
+                "n",
                 "converged",
                 "iterations",
                 "residual",
@@ -75,47 +83,53 @@ SCHEMA = {
                 "d",
             ]
         },
-        "check": {
-            "required": ["kappa", "level", "holds", "witness", "checked_mode", "sets_checked"]
-        },
+        "check": {"required": _required(graphs.ExpansionReport)},
         "hypotheses": {
             "required": ["n", "conditions", "all_ok"],
         },
-        "counterexample": {
-            "required": [
-                "total_vertices",
-                "n_center",
-                "m_pairs",
-                "delta",
-                "log_haf",
-                "logdet_quantiles",
-                "median_signed_error",
-                "fraction_below",
-            ]
-        },
+        "counterexample": {"required": _required(cx.BiasReport)},
         "experiment": {"required": ["kind", "report"]},
     },
 }
 
+_STARTED = "hafkit.started"
 
-def _manifest(subcommand: str, config: dict, seed, started: float) -> dict:
+
+def _manifest(config: dict | None, resolved: dict) -> dict:
+    """The running subcommand's manifest.
+
+    ``full_config`` is ``config`` if given, else every option in declaration
+    order (``ctx.params`` follows the command line's), except --threads,
+    with ``resolved`` values in place of parsed ones.
+    """
+    ctx = click.get_current_context()
+    if config is None:
+        config = {
+            p.name: resolved.get(p.name, ctx.params[p.name])
+            for p in ctx.command.params
+            if p.name != "threads"
+        }
     return {
         "tool_version": __version__,
-        "subcommand": subcommand,
+        "subcommand": ctx.info_name,
         "full_config": config,
-        "seed": seed,
-        "timing_ms": int((time.monotonic() - started) * 1000),
+        "seed": config.get("seed"),
+        "timing_ms": int((time.monotonic() - ctx.meta[_STARTED]) * 1000),
     }
 
 
-def _emit(report: dict, code: int = EXIT_OK):
-    click.echo(jsonout.dumps(report))
+def _emit(body: dict, code: int = EXIT_OK, config: dict | None = None, **resolved):
+    """Print the manifest followed by ``body``, and exit with ``code``."""
+    click.echo(jsonout.dumps({"manifest": _manifest(config, resolved), **body}))
     sys.exit(code)
 
 
-def _mapped_errors(fn):
+def _subcommand(fn):
+    """Start the run's clock, and map input and numerical errors to their exit codes."""
+
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        click.get_current_context().meta[_STARTED] = time.monotonic()
         try:
             return fn(*args, **kwargs)
         except InputError as exc:
@@ -160,99 +174,68 @@ _threads_option = click.option(
 
 
 @main.command("exact")
-@click.option("--graph", "graph_path", type=click.Path(), default=None, help="Edge-list file.")
-@click.option("--matrix", "matrix_path", type=click.Path(), default=None, help="Matrix file.")
-@_mapped_errors
-def exact_cmd(graph_path, matrix_path):
+@click.option("--graph", type=click.Path(), default=None, help="Edge-list file.")
+@click.option("--matrix", type=click.Path(), default=None, help="Matrix file.")
+@_subcommand
+def exact_cmd(graph, matrix):
     """Exact hafnian / perfect matching count (small n)."""
-    started = time.monotonic()
-    if (graph_path is None) == (matrix_path is None):
+    if (graph is None) == (matrix is None):
         raise InputError("provide exactly one of --graph or --matrix")
-    if graph_path is not None:
-        g = io.read_edge_list(graph_path)
-        value = exact.count_perfect_matchings(g)
-        config = {"graph": str(graph_path)}
+    if graph is not None:
+        value = count_perfect_matchings(io.read_edge_list(graph))
+        config = {"graph": graph}
     else:
-        a = io.read_symmetric_matrix(matrix_path)
-        value = exact.hafnian_exact(a)
-        config = {"matrix": str(matrix_path)}
-    _emit(
-        {
-            "manifest": _manifest("exact", config, None, started),
-            "n": value.n,
-            "log_haf": value.log_value,
-            "value": value.value_if_small,
-        }
-    )
+        value = hafnian_exact(io.read_symmetric_matrix(matrix))
+        config = {"matrix": matrix}
+    _emit({"n": value.n, "log_haf": value.log_value, "value": value.value_if_small}, config=config)
 
 
 @main.command("estimate")
-@click.option("--matrix", "matrix_path", type=click.Path(), required=True)
+@click.option("--matrix", type=click.Path(), required=True)
 @click.option("--samples", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--quantiles", default="0.05,0.25,0.5,0.75,0.95", show_default=True)
-@click.option("--exact", "with_exact", is_flag=True, help="Also compute the exact hafnian.")
+@click.option("--exact", is_flag=True, help="Also compute the exact hafnian.")
 @_threads_option
-@_mapped_errors
-def estimate_cmd(matrix_path, samples, seed, quantiles, with_exact, threads):
+@_subcommand
+def estimate_cmd(matrix, samples, seed, quantiles, exact, threads):
     """Monte Carlo hafnian estimate via Gaussian determinants."""
-    started = time.monotonic()
     try:
         qs = tuple(float(q) for q in quantiles.split(","))
     except ValueError as exc:
         raise InputError(f"bad quantile list {quantiles!r}: {exc}") from exc
-    a = io.read_symmetric_matrix(matrix_path)
+    a = io.read_symmetric_matrix(matrix)
     estimator.check_arguments(samples, seed, threads, qs)  # before the exact DP, which can take seconds
-    exact_log = exact.hafnian_exact(a).log_value if with_exact else None
+    exact_log = hafnian_exact(a).log_value if exact else None
     summary = estimator.estimate(
         a, samples, seed, quantiles=qs, exact_log_haf=exact_log, threads=threads
     )
-    config = {
-        "matrix": str(matrix_path),
-        "samples": samples,
-        "seed": seed,
-        "quantiles": list(qs),
-        "exact": with_exact,
-    }
-    report = {"manifest": _manifest("estimate", config, seed, started), **jsonout.fields(summary)}
-    if not with_exact:
+    report = jsonout.fields(summary)
+    if not exact:
         for key in ("exact_log_haf", "error_median", "error_max"):
             del report[key]
-    _emit(report)
+    _emit(report, quantiles=list(qs))
 
 
 @main.command("scale")
-@click.option("--matrix", "matrix_path", type=click.Path(), required=True)
+@click.option("--matrix", type=click.Path(), required=True)
 @click.option("--residual", type=float, default=None, help="Target residual [default: 1/n].")
 @click.option("--max-iter", type=int, default=10_000, show_default=True)
 @click.option("--theta", type=float, default=None, help="Audit bound max B_ij <= n^-theta.")
 @click.option("--nu", type=float, default=None, help="Audit bound min B_ij >= n^-2nu.")
 @click.option("--emit-b", type=click.Path(), default=None, help="Write B in matrix format.")
-@_mapped_errors
-def scale_cmd(matrix_path, residual, max_iter, theta, nu, emit_b):
+@_subcommand
+def scale_cmd(matrix, residual, max_iter, theta, nu, emit_b):
     """Symmetric doubly stochastic scaling B = D A D."""
-    started = time.monotonic()
     bounds = None
     if theta is not None or nu is not None:
         bounds = (theta if theta is not None else 1.0, nu if nu is not None else 1.0)
         scaling.check_audit_bounds(*bounds)  # before scaling, which can take seconds
-    a = io.read_symmetric_matrix(matrix_path)
+    a = io.read_symmetric_matrix(matrix)
     result = scaling.scale_symmetric(a, residual_target=residual, max_iterations=max_iter)
     if emit_b is not None:
         io.write_matrix(emit_b, result.b)
-    audit = None
-    if result.converged and bounds is not None:
-        audit = scaling.audit_entry_bounds(result, *bounds)
-    config = {
-        "matrix": str(matrix_path),
-        "residual": residual if residual is not None else 1.0 / a.n,
-        "max_iter": max_iter,
-        "theta": theta,
-        "nu": nu,
-        "emit_b": str(emit_b) if emit_b else None,
-    }
     report = {
-        "manifest": _manifest("scale", config, None, started),
         "n": a.n,
         "converged": result.converged,
         "iterations": result.iterations,
@@ -262,18 +245,23 @@ def scale_cmd(matrix_path, residual, max_iter, theta, nu, emit_b):
         "observed_exponents": list(result.observed_exponents),
         "d": result.d,
     }
-    if audit is not None:
+    if result.converged and bounds is not None:
+        audit = scaling.audit_entry_bounds(result, *bounds)
         report["audit"] = {
             "max_ok": audit.max_ok if theta is not None else None,
             "min_ok": audit.min_ok if nu is not None else None,
             "theta": theta,
             "nu": nu,
         }
-    _emit(report, EXIT_OK if result.converged else EXIT_NUMERICAL)
+    _emit(
+        report,
+        EXIT_OK if result.converged else EXIT_NUMERICAL,
+        residual=residual if residual is not None else 1.0 / a.n,
+    )
 
 
 @main.command("check")
-@click.option("--graph", "graph_path", type=click.Path(), required=True)
+@click.option("--graph", type=click.Path(), required=True)
 @click.option("--kappa", type=float, required=True)
 @click.option("--level", type=int, default=None, help="Max |J| [default: n/2 for --weak].")
 @click.option("--weak", is_flag=True, help="Check the weakened inequality instead.")
@@ -282,15 +270,14 @@ def scale_cmd(matrix_path, residual, max_iter, theta, nu, emit_b):
 @click.option("--budget", type=int, default=1_000_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--strict", is_flag=True, help="Exit 4 when the condition fails.")
-@_mapped_errors
-def check_cmd(graph_path, kappa, level, weak, delta, mode, budget, seed, strict):
+@_subcommand
+def check_cmd(graph, kappa, level, weak, delta, mode, budget, seed, strict):
     """Strong (or weak) expansion check of an edge-list graph."""
-    started = time.monotonic()
     if weak and delta is None:
         raise InputError("--weak requires --delta")
     if delta is not None and not weak:
         raise InputError("--delta requires --weak")
-    g = io.read_edge_list(graph_path)
+    g = io.read_edge_list(graph)
     if weak:
         rep = graphs.check_weak_expansion(
             g, kappa, delta, mode=mode, budget=budget, seed=seed, level=level
@@ -299,54 +286,28 @@ def check_cmd(graph_path, kappa, level, weak, delta, mode, budget, seed, strict)
         if level is None:
             raise InputError("--level is required for the strong check")
         rep = graphs.check_strong_expansion(g, kappa, level, mode=mode, budget=budget, seed=seed)
-    config = {
-        "graph": str(graph_path),
-        "kappa": kappa,
-        "level": rep.level,
-        "weak": weak,
-        "delta": delta,
-        "mode": mode,
-        "budget": budget,
-        "seed": seed,
-        "strict": strict,
-    }
-    report = {"manifest": _manifest("check", config, seed, started), **jsonout.fields(rep)}
-    _emit(report, EXIT_CHECK_FAILED if (strict and not rep.holds) else EXIT_OK)
+    _emit(jsonout.fields(rep), EXIT_CHECK_FAILED if (strict and not rep.holds) else EXIT_OK, level=rep.level)
 
 
 @main.command("hypotheses")
-@click.option("--matrix", "matrix_path", type=click.Path(), required=True)
+@click.option("--matrix", type=click.Path(), required=True)
 @click.option("--alpha", type=float, required=True)
 @click.option("--kappa", type=float, required=True)
 @click.option("--beta", type=float, required=True)
 @click.option("--theta", type=float, required=True)
-@click.option("--scale", "do_scale", is_flag=True, help="Scale the matrix first.")
+@click.option("--scale", is_flag=True, help="Scale the matrix first.")
 @click.option("--mode", type=click.Choice(["exhaustive", "sampled"]), default="sampled")
 @click.option("--budget", type=int, default=2000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--strict", is_flag=True, help="Exit 4 when any hypothesis fails.")
-@_mapped_errors
-def hypotheses_cmd(matrix_path, alpha, kappa, beta, theta, do_scale, mode, budget, seed, strict):
+@_subcommand
+def hypotheses_cmd(matrix, alpha, kappa, beta, theta, scale, mode, budget, seed, strict):
     """Evaluate the concentration theorem's three hypotheses on a matrix."""
-    started = time.monotonic()
-    a = io.read_symmetric_matrix(matrix_path)
+    a = io.read_symmetric_matrix(matrix)
     rep = graphs.check_theorem_hypotheses(
-        a, alpha, kappa, beta, theta, scale=do_scale, mode=mode, budget=budget, seed=seed
+        a, alpha, kappa, beta, theta, scale=scale, mode=mode, budget=budget, seed=seed
     )
-    config = {
-        "matrix": str(matrix_path),
-        "alpha": alpha,
-        "kappa": kappa,
-        "beta": beta,
-        "theta": theta,
-        "scale": do_scale,
-        "mode": mode,
-        "budget": budget,
-        "seed": seed,
-        "strict": strict,
-    }
     report = {
-        "manifest": _manifest("hypotheses", config, seed, started),
         "n": rep.n,
         "level": rep.level,
         "conditions": {
@@ -375,33 +336,23 @@ def hypotheses_cmd(matrix_path, alpha, kappa, beta, theta, do_scale, mode, budge
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--emit-graph", type=click.Path(), default=None)
 @_threads_option
-@_mapped_errors
+@_subcommand
 def counterexample_cmd(delta, n_center, m_pairs, samples, seed, emit_graph, threads):
     """Build the biased-estimator graph and run the bias experiment."""
-    started = time.monotonic()
     spec = cx.CounterexampleSpec(delta=delta, n_center=n_center, m_pairs=m_pairs)
     if emit_graph is not None:
         io.write_edge_list(emit_graph, cx.build_counterexample(spec))
     rep = cx.run_bias_experiment(spec, samples, seed, threads=threads)
-    config = {
-        "delta": delta,
-        "n_center": n_center,
-        "m_pairs": spec.m_pairs,
-        "samples": samples,
-        "seed": seed,
-        "emit_graph": str(emit_graph) if emit_graph else None,
-    }
-    _emit({"manifest": _manifest("counterexample", config, seed, started), **jsonout.fields(rep)})
+    _emit(jsonout.fields(rep), m_pairs=spec.m_pairs)
 
 
 @main.command("experiment")
 @click.argument("kind", type=click.Choice(["sv-tail", "density", "concentration"]))
 @click.option("--config", "config_path", type=click.Path(), required=True)
 @_threads_option
-@_mapped_errors
+@_subcommand
 def experiment_cmd(kind, config_path, threads):
     """Run a harness experiment from a JSON config file."""
-    started = time.monotonic()
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -411,13 +362,7 @@ def experiment_cmd(kind, config_path, threads):
         raise InputError(f"{config_path}: invalid JSON: {exc}") from exc
     config = experiments.resolve(kind, config)
     report = experiments.run(kind, config, threads)
-    _emit(
-        {
-            "manifest": _manifest("experiment", {"kind": kind, **config}, config["seed"], started),
-            "kind": kind,
-            "report": report,
-        }
-    )
+    _emit({"kind": kind, "report": report}, config={"kind": kind, **config})
 
 
 if __name__ == "__main__":

@@ -127,9 +127,12 @@ def _count(obj: dict, key: str, default=_REQUIRED) -> int:
 
 
 def _list(obj: dict, key: str, types, what: str, default=_REQUIRED):
-    """A list under ``key`` whose items are instances of ``types`` and no bools."""
+    """A list under ``key`` whose items are instances of ``types``, no bools and no NaN or infinity."""
     values = _value(obj, key, (list, tuple), f"a list of {what}", default)
-    if any(isinstance(v, bool) or not isinstance(v, types) for v in values):
+    if any(
+        isinstance(v, bool) or not isinstance(v, types) or (isinstance(v, float) and not math.isfinite(v))
+        for v in values
+    ):
         raise InputError(f"{key!r} must be a list of {what}, got {values!r}")
     return values
 
@@ -434,7 +437,9 @@ def run(kind: str, config, threads: int = 1):
     trials = _count(config, "trials")
     source = _value(config, "matrix", dict, "an object")
     if kind == "sv-tail":
-        thresholds = _list(config, "thresholds", (int, float), "numbers")
+        thresholds = _list(config, "thresholds", (int, float), "finite numbers")
         return smallest_sv_tail(matrix_from_source(source), trials, seed, thresholds)
-    eta_grid = None if config["eta_grid"] is None else _list(config, "eta_grid", (int, float), "numbers")
+    eta_grid = config["eta_grid"]
+    if eta_grid is not None:
+        eta_grid = _list(config, "eta_grid", (int, float), "finite numbers")
     return eigenvalue_density(matrix_from_source(source), trials, seed, eta_grid)

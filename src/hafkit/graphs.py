@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .linalg import SymMatrix
+from .rng import check_seed
 from . import scaling as _scaling
 
 __all__ = [
@@ -426,6 +427,11 @@ def _sampled_subsets(g: GraphEdgeList, level: int, budget: int, seed: int):
         yield rng.choice(g.n, size=k, replace=False).tolist()
 
 
+def _count_text(count: int) -> str:
+    """``count`` in decimal, or as its power of ten past 30 digits."""
+    return str(count) if count < 10**30 else f"about 10^{math.log10(count):.0f}"
+
+
 def _check_expansion(g, kappa, delta, level, mode, budget, seed):
     if level is None:
         level = g.n // 2
@@ -436,18 +442,19 @@ def _check_expansion(g, kappa, delta, level, mode, budget, seed):
         raise InputError("level must be >= 1")
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
-    # the running count stops once it passes the budget: at a level in the
-    # thousands the full big-integer sum costs more than the check itself
-    total = 0
+    if budget < 0:
+        raise InputError(f"budget must be >= 0, got {budget}")
+    seed = check_seed(seed)
+    # one running sum, C(n, k) = C(n, k-1) (n-k+1) / k, which sampled mode
+    # needs only up to the budget
+    total, term = 0, 1
     for k in range(1, level + 1):
-        total += math.comb(g.n, k)
-        if total > budget:
+        term = term * (g.n - k + 1) // k
+        total += term
+        if total > budget and mode == "sampled":
             break
     if mode == "exhaustive" and total > budget:
-        total = sum(math.comb(g.n, k) for k in range(1, level + 1))
-        raise InputError(
-            f"exhaustive check needs {total} subsets, over budget {budget}"
-        )
+        raise InputError(f"exhaustive check needs {_count_text(total)} subsets, over budget {budget}")
     # a budget covering the whole subset space buys the full scan in
     # combinations order; otherwise candidates first, then seeded draws
     ev = _SubsetRows(g, level)

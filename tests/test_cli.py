@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import hafkit
-from hafkit import CounterexampleSpec, build_counterexample, complete_graph, io
+from hafkit import CounterexampleSpec, build_counterexample, complete_graph, experiments, io
 from hafkit.cli import main
 
 
@@ -306,6 +307,37 @@ def test_check_strong_needs_level(runner, files):
 @pytest.mark.parametrize(
     "args",
     [
+        ["check", "--graph", "k8.edges", "--kappa", "0.1", "--level", "3", "--mode", "sampled",
+         "--seed", "-1"],
+        ["check", "--graph", "k8.edges", "--kappa", "0.1", "--level", "3", "--budget", "-1"],
+        ["hypotheses", "--matrix", "k8.mat", "--alpha", "0.5", "--kappa", "0.25", "--beta", "2",
+         "--theta", "0.5", "--seed", "-1"],
+    ],
+    ids=["check-sampled-seed", "check-budget", "hypotheses-seed"],
+)
+def test_expansion_seed_and_budget_exit_2(runner, files, args):
+    res = runner.invoke(main, [str(files / a) if a.endswith((".edges", ".mat")) else a for a in args])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert re.match(r"input error: (seed must fit|budget must be >= 0)", res.stderr)
+
+
+def test_check_refuses_an_uncountable_exhaustive_scan_fast(runner, tmp_path):
+    # the default weak level 7,500 of a 15,000-cycle has a 4516-digit subset count
+    n = 15000
+    io.write_edge_list(tmp_path / "cycle.edges",
+                       hafkit.GraphEdgeList.from_pairs(n, [(i, (i + 1) % n) for i in range(n)]))
+    started = time.perf_counter()
+    res = runner.invoke(main, ["check", "--graph", str(tmp_path / "cycle.edges"), "--kappa", "0.1",
+                               "--weak", "--delta", "0.1"])
+    assert time.perf_counter() - started < 1.0
+    assert res.exit_code == 2
+    assert res.stderr == "input error: exhaustive check needs about 10^4515 subsets, over budget 1000000\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ["scale", "--residual", "nan"],
         ["scale", "--residual", "inf"],
         ["hypotheses", "--alpha", "nan", "--kappa", "0.25", "--beta", "2", "--theta", "0.5"],
@@ -397,22 +429,35 @@ def test_experiment_commands(runner, tmp_path):
     assert res.exit_code == 2
 
 
+K8_SOURCE = {"kind": "complete", "n": 8, "scaled": True}
+
+
 @pytest.mark.parametrize(
-    "config",
+    "kind, config",
     [
-        [1, 2],
-        {"trials": 5, "seed": 0},
-        {"matrix": {"kind": "complete", "n": 8}, "trials": "x"},
-        {"matrix": {"kind": "complete", "n": 8}, "seed": None},
-        {"matrix": {"kind": "complete", "n": "abc"}},
-        {"matrix": {"kind": "random_regular", "n": 8, "d": 3, "graph_seed": -1}},
+        ("sv-tail", [1, 2]),
+        ("sv-tail", {"trials": 5, "seed": 0}),
+        ("sv-tail", {"matrix": {"kind": "complete", "n": 8}, "trials": "x"}),
+        ("sv-tail", {"matrix": {"kind": "complete", "n": 8}, "seed": None}),
+        ("sv-tail", {"matrix": {"kind": "complete", "n": "abc"}}),
+        ("sv-tail", {"matrix": {"kind": "random_regular", "n": 8, "d": 3, "graph_seed": -1}}),
+        # json reads NaN and Infinity, which no threshold or eta may be
+        ("sv-tail", {"matrix": K8_SOURCE, "trials": 5, "thresholds": [math.nan, 0.5]}),
+        ("sv-tail", {"matrix": K8_SOURCE, "trials": 5, "thresholds": [0.1, math.inf]}),
+        ("density", {"matrix": K8_SOURCE, "trials": 5, "eta_grid": [math.nan, 0.5]}),
+        ("density", {"matrix": K8_SOURCE, "trials": 5, "eta_grid": [math.inf]}),
     ],
-    ids=["list", "no-matrix", "string-trials", "null-seed", "string-n", "negative-graph-seed"],
+    ids=["list", "no-matrix", "string-trials", "null-seed", "string-n", "negative-graph-seed",
+         "nan-threshold", "infinite-threshold", "nan-eta", "infinite-eta"],
 )
-def test_malformed_experiment_config_exits_2(runner, tmp_path, config):
-    res = run_experiment(runner, tmp_path, "sv-tail", config)
+def test_malformed_experiment_config_exits_2(runner, tmp_path, kind, config):
+    res = run_experiment(runner, tmp_path, kind, config)
     assert res.exit_code == 2
+    assert res.stdout == ""
     assert res.stderr.startswith("input error:")
+    key = {"sv-tail": "thresholds", "density": "eta_grid"}[kind]
+    if key in config:
+        assert res.stderr.startswith(f"input error: {key!r} must be a list of finite numbers")
 
 
 def test_check_delta_needs_weak(runner, files):
@@ -497,33 +542,88 @@ def _validate(doc, schema):
     assert isinstance(man["timing_ms"], int)
 
 
+def _every_report(runner, files):
+    """(arguments, report) of each subcommand, for each set of optional keys it prints."""
+    k8m, k8e = str(files / "k8.mat"), str(files / "k8.edges")
+    estimate = ["estimate", "--matrix", k8m, "--samples", "50", "--seed", "1"]
+    calls = [
+        ["exact", "--graph", k8e],
+        ["exact", "--matrix", k8m],
+        estimate,
+        estimate + ["--exact", "--threads", "2"],
+        ["estimate", "--exact", "--seed", "2", "--samples", "20", "--matrix", k8m],
+        ["scale", "--matrix", k8m],
+        ["scale", "--nu", "1", "--matrix", k8m, "--theta", "0.5"],
+        ["check", "--graph", k8e, "--kappa", "0.2", "--level", "3"],
+        ["check", "--graph", k8e, "--kappa", "0.1", "--weak", "--delta", "0.2", "--mode", "sampled"],
+        ["hypotheses", "--matrix", k8m, "--alpha", "0.3", "--kappa", "0.1", "--beta", "2",
+         "--theta", "0.2", "--scale"],
+        ["counterexample", "--n-center", "4", "--m-pairs", "1", "--samples", "50"],
+        ["counterexample", "--samples", "50", "--n-center", "20", "--threads", "2"],
+    ]
+    reports = [(args, json.loads(runner.invoke(main, args).output)) for args in calls]
+    for kind, config in EXPERIMENT_CONFIGS.items():
+        args = ["experiment", kind, "--config", str(files / f"{kind}.json")]
+        reports.append((args, json.loads(run_experiment(runner, files, kind, config).output)))
+    return reports
+
+
 def test_all_reports_validate_against_schema(runner, files):
     schema = json.loads(runner.invoke(main, ["--schema"]).output)
     defs = schema["$defs"]
-    estimate = ["estimate", "--matrix", str(files / "k8.mat"), "--samples", "50", "--seed", "1"]
-    outputs = [
-        ("exact", runner.invoke(main, ["exact", "--graph", str(files / "k8.edges")]).output),
-        ("estimate", runner.invoke(main, estimate).output),
-        ("estimate", runner.invoke(main, estimate + ["--exact"]).output),
-        ("scale", runner.invoke(main, ["scale", "--matrix", str(files / "k8.mat")]).output),
-        ("check", runner.invoke(
-            main, ["check", "--graph", str(files / "k8.edges"), "--kappa", "0.2", "--level", "3"]
-        ).output),
-        ("hypotheses", runner.invoke(
-            main,
-            ["hypotheses", "--matrix", str(files / "k8.mat"), "--alpha", "0.3", "--kappa", "0.1",
-             "--beta", "2", "--theta", "0.2", "--scale"],
-        ).output),
-        ("counterexample", runner.invoke(
-            main, ["counterexample", "--n-center", "4", "--m-pairs", "1", "--samples", "50"]
-        ).output),
-    ]
-    outputs += [
-        ("experiment", run_experiment(runner, files, kind, config).output)
-        for kind, config in EXPERIMENT_CONFIGS.items()
-    ]
-    for name, text in outputs:
-        doc = json.loads(text)
+    for args, doc in _every_report(runner, files):
         _validate(doc, schema)
-        for key in defs[name]["required"]:
-            assert key in doc, f"{name} report missing {key}"
+        for key in defs[args[0]]["required"]:
+            assert key in doc, f"{args[0]} report missing {key}"
+
+
+# keys a report may print past its schema's required ones: estimate's under
+# --exact, scale's with an audit bound, and two that every report of theirs
+# prints but the published lists leave out, check's delta and hypotheses' level
+OPTIONAL_KEYS = {
+    "estimate": ["exact_log_haf", "error_median", "error_max"],
+    "scale": ["audit"],
+    "check": ["delta"],
+    "hypotheses": ["level"],
+}
+
+
+def test_reports_print_exactly_their_schema_keys(runner, files):
+    defs = json.loads(runner.invoke(main, ["--schema"]).output)["$defs"]
+    for args, doc in _every_report(runner, files):
+        name = args[0]
+        keys = list(doc)
+        assert keys[0] == "manifest"
+        assert [k for k in keys[1:] if k not in OPTIONAL_KEYS.get(name, ())] == defs[name]["required"], name
+    assert defs["counterexample"]["required"][5] == "mean_det_log"
+    assert defs["scale"]["required"][0] == "n"
+
+
+def test_full_config_is_every_declared_option_but_threads(runner, files):
+    reports = _every_report(runner, files)
+    for args, doc in reports:
+        name = args[0]
+        manifest = doc["manifest"]
+        config = manifest["full_config"]
+        assert manifest["subcommand"] == name
+        assert manifest["seed"] == config.get("seed")
+        if name == "exact":
+            assert config == {args[1][2:]: args[2]}
+        elif name == "experiment":
+            resolved = experiments.resolve(args[1], EXPERIMENT_CONFIGS[args[1]])
+            assert list(config.items()) == [("kind", args[1]), *resolved.items()]
+        else:
+            declared = [p.name for p in main.commands[name].params if p.name != "threads"]
+            assert list(config) == declared, args
+    # declaration order whatever the command line's, with resolved defaults
+    by_args = {tuple(args): doc["manifest"]["full_config"] for args, doc in reports}
+    k8m = str(files / "k8.mat")
+    assert by_args[("estimate", "--exact", "--seed", "2", "--samples", "20", "--matrix", k8m)] == {
+        "matrix": k8m, "samples": 20, "seed": 2, "quantiles": [0.05, 0.25, 0.5, 0.75, 0.95], "exact": True,
+    }
+    assert by_args[("scale", "--nu", "1", "--matrix", k8m, "--theta", "0.5")] == {
+        "matrix": k8m, "residual": 1 / 8, "max_iter": 10_000, "theta": 0.5, "nu": 1.0, "emit_b": None,
+    }
+    assert by_args[("counterexample", "--samples", "50", "--n-center", "20", "--threads", "2")] == {
+        "delta": 0.12, "n_center": 20, "m_pairs": 1, "samples": 50, "seed": 0, "emit_graph": None,
+    }

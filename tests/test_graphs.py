@@ -235,6 +235,16 @@ def test_expansion_input_errors():
         check_strong_expansion(g, 0.1, level=2, mode="guess")
     with pytest.raises(InputError):
         check_strong_expansion(g, math.inf, level=2)
+    for mode in ("exhaustive", "sampled"):  # before any scan, in every mode
+        with pytest.raises(InputError, match="seed must fit"):
+            check_strong_expansion(g, 0.1, level=2, mode=mode, seed=-1)
+        with pytest.raises(InputError, match="budget must be >= 0"):
+            check_strong_expansion(g, 0.1, level=2, mode=mode, budget=-1)
+    with pytest.raises(InputError, match="seed must fit"):
+        check_weak_expansion(g, 0.1, 0.2, mode="sampled", seed=2**64)
+    with pytest.raises(InputError, match="seed must fit"):
+        check_theorem_hypotheses(g.sym_matrix(), 0.5, 0.25, 2.0, 0.5, seed=-1)
+    assert check_strong_expansion(g, 0.1, level=2, mode="sampled", budget=0).holds
     for bad in range(4):  # alpha, kappa, beta, theta
         params = [0.5, 0.25, 2.0, 0.5]
         params[bad] = math.nan
@@ -532,3 +542,13 @@ def test_sampled_check_at_the_default_level_on_a_large_graph():
     # an exhaustive refusal still names the full count
     with pytest.raises(InputError, match="exhaustive check needs 4525 subsets, over budget 100"):
         check_weak_expansion(random_regular_graph(30, 3, seed=1), 0.1, 0.2, budget=100, level=3)
+
+
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_exhaustive_refusal_names_the_full_count(n):
+    # every subset of size 1..n/2, once: (2^n + C(n, n/2)) / 2 - 1
+    total = (2**n + math.comb(n, n // 2)) // 2 - 1
+    cycle = GraphEdgeList.from_pairs(n, [(i, (i + 1) % n) for i in range(n)])
+    with pytest.raises(InputError, match=f"exhaustive check needs {total} subsets, over budget 5$"):
+        check_weak_expansion(cycle, 0.1, 0.2, budget=5)
+
