@@ -6,12 +6,16 @@ timing).  The configuration is every option as parsed, in declaration
 order, except --threads, with defaults resolved: ``scale``'s residual,
 ``check``'s level, ``counterexample``'s pair count, ``estimate``'s
 quantiles.  ``exact`` lists only its given source, ``experiment`` its kind
-and resolved JSON config.  The schema's required keys of ``estimate``,
-``check`` and ``counterexample`` come from their result types.
-Diagnostics go to stderr.  Exit codes: 0 success, 2 bad input, 3 numerical
-non-convergence, 4 a hypothesis/expansion check came back false under
---strict.  Reports are byte-identical across reruns and thread counts,
-except for the timing_ms field.
+and resolved JSON config.  Every report but ``exact``'s prints the fields
+of its result type, and the schema's required keys of all but ``exact``
+and ``experiment`` are that type's report fields without a default; only
+``estimate``'s --exact trio and ``scale``'s ``audit`` are optional.
+``experiment --threads`` only affects ``concentration``: ``density`` and
+``sv-tail`` run their trials serially.  Diagnostics go to stderr.  Exit
+codes: 0 success, 2 bad input, 3 numerical non-convergence, 4 a
+hypothesis/expansion check came back false under --strict.  Reports are
+byte-identical across reruns and thread counts, except for the timing_ms
+field.
 """
 
 from __future__ import annotations
@@ -37,11 +41,11 @@ EXIT_CHECK_FAILED = 4
 
 
 def _required(result_type) -> list:
-    """The fields of dataclass ``result_type`` without a default, which its report always prints."""
+    """The report fields of dataclass ``result_type`` without a default, which its report always prints."""
     return [
         f.name
         for f in dataclasses.fields(result_type)
-        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if f.repr and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
     ]
 
 
@@ -71,22 +75,9 @@ SCHEMA = {
         },
         "exact": {"required": ["n", "log_haf", "value"]},
         "estimate": {"required": _required(estimator.EstimatorSummary)},
-        "scale": {
-            "required": [
-                "n",
-                "converged",
-                "iterations",
-                "residual",
-                "max_entry",
-                "min_positive_entry",
-                "observed_exponents",
-                "d",
-            ]
-        },
+        "scale": {"required": _required(scaling.ScalingResult)},
         "check": {"required": _required(graphs.ExpansionReport)},
-        "hypotheses": {
-            "required": ["n", "conditions", "all_ok"],
-        },
+        "hypotheses": {"required": _required(graphs.HypothesisReport)},
         "counterexample": {"required": _required(cx.BiasReport)},
         "experiment": {"required": ["kind", "report"]},
     },
@@ -235,16 +226,7 @@ def scale_cmd(matrix, residual, max_iter, theta, nu, emit_b):
     result = scaling.scale_symmetric(a, residual_target=residual, max_iterations=max_iter)
     if emit_b is not None:
         io.write_matrix(emit_b, result.b)
-    report = {
-        "n": a.n,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "max_entry": result.max_entry,
-        "min_positive_entry": result.min_positive_entry,
-        "observed_exponents": list(result.observed_exponents),
-        "d": result.d,
-    }
+    report = jsonout.fields(result)
     if result.converged and bounds is not None:
         audit = scaling.audit_entry_bounds(result, *bounds)
         report["audit"] = {
@@ -307,25 +289,7 @@ def hypotheses_cmd(matrix, alpha, kappa, beta, theta, scale, mode, budget, seed,
     rep = graphs.check_theorem_hypotheses(
         a, alpha, kappa, beta, theta, scale=scale, mode=mode, budget=budget, seed=seed
     )
-    report = {
-        "n": rep.n,
-        "level": rep.level,
-        "conditions": {
-            "min_degree": {
-                "ok": rep.min_degree_ok,
-                "observed": rep.observed_min_degree,
-                "required": rep.required_min_degree,
-            },
-            "strong_expansion": rep.expansion,
-            "max_entry": {
-                "ok": rep.max_entry_ok,
-                "observed": rep.max_entry,
-                "bound": rep.max_entry_bound,
-            },
-        },
-        "all_ok": rep.all_ok,
-    }
-    _emit(report, EXIT_CHECK_FAILED if (strict and not rep.all_ok) else EXIT_OK)
+    _emit(jsonout.fields(rep), EXIT_CHECK_FAILED if (strict and not rep.all_ok) else EXIT_OK)
 
 
 @main.command("counterexample")

@@ -25,6 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,7 +108,7 @@ class ExpansionReport:
     witness: tuple | None
     checked_mode: str
     sets_checked: int
-    delta: float | None = None
+    delta: float | None
 
     @classmethod
     def verdict(cls, kappa, level, mode, checked, witness=None, delta=None) -> "ExpansionReport":
@@ -498,23 +499,36 @@ def check_weak_expansion(
     return _check_expansion(g, kappa, delta, level, mode, budget, seed)
 
 
+class MinDegree(NamedTuple):
+    ok: bool
+    observed: int
+    required: float
+
+
+class MaxEntry(NamedTuple):
+    ok: bool
+    observed: float
+    bound: float
+
+
+class Conditions(NamedTuple):
+    min_degree: MinDegree
+    strong_expansion: ExpansionReport
+    max_entry: MaxEntry
+
+
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Per-condition verdicts for the concentration theorem's hypotheses."""
+    """Per-condition verdicts for the concentration theorem's hypotheses.
+
+    ``all_ok`` holds when all three ``conditions`` do; a bound past float64
+    is +inf.
+    """
 
     n: int
     level: int
-    min_degree_ok: bool
-    observed_min_degree: int
-    required_min_degree: float
-    expansion: ExpansionReport
-    max_entry_ok: bool
-    max_entry: float
-    max_entry_bound: float
-
-    @property
-    def all_ok(self) -> bool:
-        return self.min_degree_ok and self.expansion.holds and self.max_entry_ok
+    conditions: Conditions
+    all_ok: bool
 
 
 def check_theorem_hypotheses(
@@ -533,11 +547,14 @@ def check_theorem_hypotheses(
     With ``scale=True`` the input is first brought to doubly stochastic
     form; otherwise it is taken to be stochastic already.  Conditions:
     minimum degree of Gamma_B(n^-beta) at least alpha*n + 2, strong
-    expansion with parameter kappa up to level floor(n(1-alpha)/(1+kappa/4)),
-    and max entry of B at most n^-theta.
+    expansion with parameter kappa > -4 up to level
+    floor(n(1-alpha)/(1+kappa/4)), clamped to [1, n-1], and max entry of B
+    at most n^-theta.
     """
     if not all(map(math.isfinite, (alpha, kappa, beta, theta))):
         raise InputError(f"alpha, kappa, beta and theta must be finite, got {(alpha, kappa, beta, theta)}")
+    if kappa <= -4:
+        raise InputError(f"kappa must be > -4, where the level n(1-alpha)/(1+kappa/4) is defined, got {kappa}")
     n = a.n
     if scale:
         res = _scaling.scale_symmetric(a)
@@ -549,22 +566,22 @@ def check_theorem_hypotheses(
         b = res.b
     else:
         b = a
-    gamma = large_entries_graph(b, n ** (-beta))
-    level = int(math.floor(n * (1.0 - alpha) / (1.0 + kappa / 4.0)))
-    level = max(1, min(level, n - 1))
+    gamma = large_entries_graph(b, _scaling.n_power(n, -beta))
+    # clamped before the int, since the level overflows to inf for a huge 1 - alpha
+    level = int(math.floor(min(max(n * (1.0 - alpha) / (1.0 + kappa / 4.0), 1), n - 1)))
     required = alpha * n + 2.0
     observed = min_degree(gamma)
     expansion = check_strong_expansion(gamma, kappa, level, mode=mode, budget=budget, seed=seed)
     max_entry = float(b.entries.max())
-    bound = n ** (-theta)
+    bound = _scaling.n_power(n, -theta)
+    min_ok, max_ok = bool(observed >= required), bool(max_entry <= bound)
     return HypothesisReport(
         n=n,
         level=level,
-        min_degree_ok=bool(observed >= required),
-        observed_min_degree=int(observed),
-        required_min_degree=required,
-        expansion=expansion,
-        max_entry_ok=bool(max_entry <= bound),
-        max_entry=max_entry,
-        max_entry_bound=bound,
+        conditions=Conditions(
+            MinDegree(min_ok, int(observed), required),
+            expansion,
+            MaxEntry(max_ok, max_entry, bound),
+        ),
+        all_ok=min_ok and expansion.holds and max_ok,
     )

@@ -5,7 +5,8 @@ non-finite values become the strings "-inf", "inf", "nan" since bare JSON
 has no spelling for them.  Dict insertion order is preserved, so identical
 report structures serialize to identical bytes.  A dataclass instance or a
 NamedTuple prints as the object of its fields, in declaration order, so a
-result type is its own report.
+result type is its own report.  A dataclass field declared with
+``repr=False`` is not part of the report.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ def format_float(x: float) -> str:
 
 
 def fields(record) -> dict:
-    """The fields of a dataclass instance or a NamedTuple, in declaration order."""
+    """The report fields of a dataclass instance or a NamedTuple, in declaration order."""
     if isinstance(record, tuple):
         return record._asdict()
-    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.repr}
 
 
 def _escape(s: str) -> str:

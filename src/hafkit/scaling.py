@@ -22,7 +22,7 @@ n^-theta / n^-2nu bounds of the concentration theorem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,37 +35,33 @@ __all__ = [
     "scale_symmetric",
     "audit_entry_bounds",
     "check_audit_bounds",
+    "n_power",
 ]
 
 
 @dataclass(frozen=True)
 class ScalingResult:
-    d: np.ndarray
-    b: SymMatrix
-    residual: float
+    """A scaling B = diag(d) A diag(d), its fields in report order; ``b`` is not printed.
+
+    ``observed_exponents`` is ``(theta, nu)`` with max entry = n^-theta and
+    min positive entry = n^-2nu; a component is None when its entry is not
+    a positive finite number.
+    """
+
+    n: int
+    converged: bool
     iterations: int
+    residual: float
     max_entry: float
     min_positive_entry: float
-    converged: bool
+    observed_exponents: tuple
+    d: np.ndarray
+    b: SymMatrix = field(repr=False)
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=np.float64)
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
-
-    @property
-    def observed_exponents(self) -> tuple:
-        """``(theta, nu)`` with max entry = n^-theta and min positive entry = n^-2nu.
-
-        A component is None when its entry is not a positive finite number.
-        """
-        logn = math.log(self.b.n)
-        return (
-            -math.log(self.max_entry) / logn if self.max_entry > 0 else None,
-            -math.log(self.min_positive_entry) / (2.0 * logn)
-            if math.isfinite(self.min_positive_entry)
-            else None,
-        )
 
 
 def scale_symmetric(
@@ -115,14 +111,22 @@ def scale_symmetric(
         b_arr[i, j] = b_arr[j, i] = d[i] * arr[i, j] * d[j]
     if not np.all(np.isfinite(b_arr)):
         raise NumericalError("D*A*D overflowed float64", residual=residual)
+    max_entry = float(b_arr.max())
+    min_positive = float(b_arr.min(initial=math.inf, where=b_arr > 0))
+    logn = math.log(a.n)
     return ScalingResult(
+        n=a.n,
+        converged=converged,
+        iterations=iterations,
+        residual=residual,
+        max_entry=max_entry,
+        min_positive_entry=min_positive,
+        observed_exponents=(
+            -math.log(max_entry) / logn if max_entry > 0 else None,
+            -math.log(min_positive) / (2.0 * logn) if math.isfinite(min_positive) else None,
+        ),
         d=np.ldexp(d, -k),
         b=SymMatrix(b_arr),
-        residual=residual,
-        iterations=iterations,
-        max_entry=float(b_arr.max()),
-        min_positive_entry=float(b_arr.min(initial=math.inf, where=b_arr > 0)),
-        converged=converged,
     )
 
 
@@ -199,6 +203,14 @@ class ScalingAudit:
     observed_exponents: tuple
 
 
+def n_power(n: int, exponent: float) -> float:
+    """n^exponent, or +inf where that overflows float64."""
+    try:
+        return n**exponent
+    except OverflowError:
+        return math.inf
+
+
 def check_audit_bounds(theta: float, nu: float) -> None:
     """Refuse a bound that no entry can be compared with: theta and nu must be finite."""
     for name, bound in (("theta", theta), ("nu", nu)):
@@ -207,7 +219,7 @@ def check_audit_bounds(theta: float, nu: float) -> None:
 
 
 def audit_entry_bounds(result: ScalingResult, theta: float, nu: float) -> ScalingAudit:
-    """Check max B_ij <= n^-theta and min positive B_ij >= n^-2nu.
+    """Check max B_ij <= n^-theta and min positive B_ij >= n^-2nu; a bound past float64 is +inf.
 
     ``observed_exponents`` inverts both bounds: the first component is the
     theta actually achieved by the max entry, the second the nu achieved by
@@ -216,9 +228,8 @@ def audit_entry_bounds(result: ScalingResult, theta: float, nu: float) -> Scalin
     check_audit_bounds(theta, nu)
     if not result.converged:
         raise InputError("entry-bound audit requires a converged scaling result")
-    n = result.b.n
     return ScalingAudit(
-        max_ok=bool(result.max_entry <= n ** (-theta)),
-        min_ok=bool(result.min_positive_entry >= n ** (-2.0 * nu)),
+        max_ok=bool(result.max_entry <= n_power(result.n, -theta)),
+        min_ok=bool(result.min_positive_entry >= n_power(result.n, -2.0 * nu)),
         observed_exponents=result.observed_exponents,
     )

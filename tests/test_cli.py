@@ -385,6 +385,370 @@ def test_hypotheses_matching_only_strict_exit_4(runner, files):
     assert doc["conditions"]["strong_expansion"]["witness"] is not None
 
 
+# report bytes, timing aside, that scale and hypotheses keep whatever types
+# build them; {dir} stands for the input directory
+PINNED_REPORTS = {
+    "scale-k8-audit": (
+        ["scale", "--matrix", "k8.mat", "--theta", "0.5", "--nu", "1"],
+        0,
+        """\
+{
+  "manifest": {
+    "tool_version": "0.1.0",
+    "subcommand": "scale",
+    "full_config": {
+      "matrix": "{dir}/k8.mat",
+      "residual": 0.125,
+      "max_iter": 10000,
+      "theta": 0.5,
+      "nu": 1,
+      "emit_b": null
+    },
+    "seed": null,
+    "timing_ms": 0
+  },
+  "n": 8,
+  "converged": true,
+  "iterations": 0,
+  "residual": 2.2204460492503131e-16,
+  "max_entry": 0.14285714285714282,
+  "min_positive_entry": 0.14285714285714282,
+  "observed_exponents": [
+    0.93578497401920158,
+    0.46789248700960079
+  ],
+  "d": [
+    0.3779644730092272,
+    0.3779644730092272,
+    0.3779644730092272,
+    0.3779644730092272,
+    0.3779644730092272,
+    0.3779644730092272,
+    0.3779644730092272,
+    0.3779644730092272
+  ],
+  "audit": {
+    "max_ok": true,
+    "min_ok": true,
+    "theta": 0.5,
+    "nu": 1
+  }
+}
+""",
+    ),
+    "scale-k8": (
+        ["scale", "--matrix", "k8.mat"],
+        0,
+        """\
+{
+  "manifest": {
+    "tool_version": "0.1.0",
+    "subcommand": "scale",
+    "full_config": {
+      "matrix": "{dir}/k8.mat",
+      "residual": 0.125,
+      "max_iter": 10000,
+      "theta": null,
+      "nu": null,
+      "emit_b": null
+    },
+    "seed": null,
+    "timing_ms": 0
+  },
+  "n": 8,
+  "converged": true,
+  "iterations": 0,
+  "residual": 2.2204460492503131e-16,
+  "max_entry": 0.14285714285714282,
+  "min_positive_entry": 0.14285714285714282,
+  "observed_exponents": [
+    0.93578497401920158,
+    0.46789248700960079
+  ],
+  "d": [
+    0.3779644730092272,
+    0.3779644730092272,
+    0.3779644730092272,
+    0.3779644730092272,
+    0.3779644730092272,
+    0.3779644730092272,
+    0.3779644730092272,
+    0.3779644730092272
+  ]
+}
+""",
+    ),
+    "scale-star": (
+        ["scale", "--matrix", "star.mat"],
+        3,
+        """\
+{
+  "manifest": {
+    "tool_version": "0.1.0",
+    "subcommand": "scale",
+    "full_config": {
+      "matrix": "{dir}/star.mat",
+      "residual": 0.25,
+      "max_iter": 10000,
+      "theta": null,
+      "nu": null,
+      "emit_b": null
+    },
+    "seed": null,
+    "timing_ms": 0
+  },
+  "n": 4,
+  "converged": false,
+  "iterations": 837,
+  "residual": 0.73205080756887742,
+  "max_entry": 0.57735026918962573,
+  "min_positive_entry": 0.57735026918962573,
+  "observed_exponents": [
+    0.39624062518028907,
+    0.19812031259014454
+  ],
+  "d": [
+    8.391059923488921e-101,
+    6.880540413892899e+99,
+    6.880540413892899e+99,
+    6.880540413892899e+99
+  ]
+}
+""",
+    ),
+    "hypotheses-k16": (
+        ["hypotheses", "--matrix", "k16.mat", "--alpha", "0.5", "--kappa", "0.25", "--beta", "2", "--theta", "0.5", "--scale", "--strict"],
+        0,
+        """\
+{
+  "manifest": {
+    "tool_version": "0.1.0",
+    "subcommand": "hypotheses",
+    "full_config": {
+      "matrix": "{dir}/k16.mat",
+      "alpha": 0.5,
+      "kappa": 0.25,
+      "beta": 2,
+      "theta": 0.5,
+      "scale": true,
+      "mode": "sampled",
+      "budget": 2000,
+      "seed": 0,
+      "strict": true
+    },
+    "seed": 0,
+    "timing_ms": 0
+  },
+  "n": 16,
+  "level": 7,
+  "conditions": {
+    "min_degree": {
+      "ok": true,
+      "observed": 15,
+      "required": 10
+    },
+    "strong_expansion": {
+      "kappa": 0.25,
+      "level": 7,
+      "holds": true,
+      "witness": null,
+      "checked_mode": "sampled",
+      "sets_checked": 2017,
+      "delta": null
+    },
+    "max_entry": {
+      "ok": true,
+      "observed": 0.066666666666666652,
+      "bound": 0.25
+    }
+  },
+  "all_ok": true
+}
+""",
+    ),
+    "hypotheses-matching": (
+        ["hypotheses", "--matrix", "pm.mat", "--alpha", "0.1", "--kappa", "0.2", "--beta", "2", "--theta", "0.1", "--strict"],
+        4,
+        """\
+{
+  "manifest": {
+    "tool_version": "0.1.0",
+    "subcommand": "hypotheses",
+    "full_config": {
+      "matrix": "{dir}/pm.mat",
+      "alpha": 0.10000000000000001,
+      "kappa": 0.20000000000000001,
+      "beta": 2,
+      "theta": 0.10000000000000001,
+      "scale": false,
+      "mode": "sampled",
+      "budget": 2000,
+      "seed": 0,
+      "strict": true
+    },
+    "seed": 0,
+    "timing_ms": 0
+  },
+  "n": 6,
+  "level": 5,
+  "conditions": {
+    "min_degree": {
+      "ok": false,
+      "observed": 1,
+      "required": 2.6000000000000001
+    },
+    "strong_expansion": {
+      "kappa": 0.20000000000000001,
+      "level": 5,
+      "holds": false,
+      "witness": [
+        0
+      ],
+      "checked_mode": "sampled",
+      "sets_checked": 1,
+      "delta": null
+    },
+    "max_entry": {
+      "ok": false,
+      "observed": 1,
+      "bound": 0.83595880207793682
+    }
+  },
+  "all_ok": false
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_scale_and_hypotheses_reports_keep_their_bytes(runner, files, name):
+    io.write_matrix(files / "k16.mat", complete_graph(16).sym_matrix())
+    args, code, text = PINNED_REPORTS[name]
+    res = runner.invoke(main, [str(files / a) if a.endswith(".mat") else a for a in args])
+    assert res.exit_code == code
+    assert strip_timing(res.stdout).replace(str(files), "{dir}") == text
+
+
+def hypotheses_on_k4(runner, tmp_path, alpha="0.5", kappa="0.25", beta="2", theta="0.5"):
+    io.write_matrix(tmp_path / "k4.mat", complete_graph(4).sym_matrix())
+    return runner.invoke(main, ["hypotheses", "--matrix", str(tmp_path / "k4.mat"), "--alpha", alpha,
+                                "--kappa", kappa, "--beta", beta, "--theta", theta])
+
+
+@pytest.mark.parametrize("kappa", ["-4", "-1e308"])
+def test_hypotheses_kappa_at_most_minus_4_exits_2(runner, tmp_path, kappa):
+    # 1 + kappa/4 <= 0: the level n(1-alpha)/(1+kappa/4) is undefined or negative
+    res = hypotheses_on_k4(runner, tmp_path, kappa=kappa)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("input error: kappa must be > -4")
+
+
+@pytest.mark.parametrize("alpha, level", [("-1e308", 3), ("1e308", 1)])
+def test_hypotheses_level_is_clamped_before_it_is_an_int(runner, tmp_path, alpha, level):
+    res = hypotheses_on_k4(runner, tmp_path, alpha=alpha)
+    assert res.exit_code == 0
+    doc = json.loads(res.stdout)
+    assert doc["level"] == doc["conditions"]["strong_expansion"]["level"] == level
+
+
+@pytest.mark.parametrize("bound", ["beta", "theta"])
+def test_hypotheses_bound_past_float64_is_inf(runner, tmp_path, bound):
+    res = hypotheses_on_k4(runner, tmp_path, **{bound: "-1e300"})
+    assert res.exit_code == 0
+    conditions = json.loads(res.stdout)["conditions"]
+    if bound == "theta":
+        assert conditions["max_entry"] == {"ok": True, "observed": 1, "bound": "inf"}
+    else:
+        # no entry exceeds the threshold n^-beta = inf: Gamma_B has no edges
+        assert conditions["min_degree"] == {"ok": False, "observed": 0, "required": 4.0}
+        assert conditions["strong_expansion"]["holds"] is False
+
+
+@pytest.mark.parametrize("given, verdict", [
+    (["--theta", "-1e300"], {"max_ok": True, "min_ok": None}),
+    (["--nu", "-1e300"], {"max_ok": None, "min_ok": False}),
+])
+def test_scale_audit_bound_past_float64_is_inf(runner, files, given, verdict):
+    res = runner.invoke(main, ["scale", "--matrix", str(files / "k8.mat"), *given])
+    assert res.exit_code == 0
+    audit = json.loads(res.stdout)["audit"]
+    assert {k: audit[k] for k in verdict} == verdict
+
+
+EXTREME_FLOATS = ["1e308", "-1e308", "1e300", "-1e300", "0", "-4"]
+EXTREME_INTS = ["0", "-4", str(2**64)]
+HUGE = [str(10**30)]
+K4_HYPOTHESES = ["hypotheses", "--matrix", "k4.mat", "--alpha", "0.5", "--kappa", "0.25", "--beta", "2",
+                 "--theta", "0.5"]
+# (call, {option: values}): the call is run once with each value of each option appended
+EXTREME_CALLS = [
+    (["estimate", "--matrix", "k4.mat", "--samples", "10"],
+     {"--samples": EXTREME_INTS[:2], "--seed": EXTREME_INTS + HUGE, "--threads": EXTREME_INTS[:2],
+      "--quantiles": EXTREME_FLOATS}),
+    (["scale", "--matrix", "k4.mat"],
+     {"--residual": EXTREME_FLOATS, "--max-iter": EXTREME_INTS + HUGE, "--theta": EXTREME_FLOATS,
+      "--nu": EXTREME_FLOATS}),
+    (["check", "--graph", "k4.edges", "--kappa", "0.1", "--level", "1"],
+     {"--kappa": EXTREME_FLOATS, "--level": EXTREME_INTS + HUGE, "--budget": EXTREME_INTS + HUGE,
+      "--seed": EXTREME_INTS + HUGE}),
+    (["check", "--graph", "k4.edges", "--kappa", "0.1", "--weak", "--delta", "0.1", "--mode", "sampled"],
+     {"--kappa": EXTREME_FLOATS, "--delta": EXTREME_FLOATS, "--level": EXTREME_INTS + HUGE,
+      "--budget": EXTREME_INTS + HUGE}),
+    (K4_HYPOTHESES,
+     {"--alpha": EXTREME_FLOATS, "--kappa": EXTREME_FLOATS, "--beta": EXTREME_FLOATS,
+      "--theta": EXTREME_FLOATS, "--budget": EXTREME_INTS + HUGE, "--seed": EXTREME_INTS + HUGE}),
+    (K4_HYPOTHESES + ["--scale", "--mode", "exhaustive"],
+     {"--alpha": EXTREME_FLOATS, "--kappa": EXTREME_FLOATS, "--beta": EXTREME_FLOATS,
+      "--theta": EXTREME_FLOATS, "--budget": EXTREME_INTS + HUGE}),
+    (["counterexample", "--n-center", "4", "--m-pairs", "1", "--samples", "10"],
+     {"--delta": EXTREME_FLOATS, "--n-center": EXTREME_INTS[:2], "--m-pairs": EXTREME_INTS[:2],
+      "--samples": EXTREME_INTS[:2], "--seed": EXTREME_INTS + HUGE}),
+]
+K4_SOURCE = {"kind": "complete", "n": 4, "scaled": True}
+# (kind, config, key, values): the config is run once with each value under key
+EXTREME_CONFIGS = [
+    ("sv-tail", {"matrix": K4_SOURCE, "trials": 3, "thresholds": [0.1, 0.5]}, "thresholds",
+     [[float(x)] for x in EXTREME_FLOATS]),
+    ("density", {"matrix": K4_SOURCE, "trials": 3}, "eta_grid", [[float(x)] for x in EXTREME_FLOATS]),
+    ("density", {"matrix": K4_SOURCE, "trials": 3}, "trials", [0, -4]),
+    ("density", {"matrix": K4_SOURCE, "trials": 3}, "seed", [-4, 2**64, 10**30]),
+    ("density", {"trials": 3}, "matrix", [{"kind": "complete", "n": n} for n in (0, -4)]
+     + [{"kind": "counterexample", "delta": float(x), "n_center": 4} for x in EXTREME_FLOATS]),
+    ("concentration", {"family": {"kind": "complete", "ns": [4]}, "samples_per_n": 10}, "samples_per_n",
+     [0, -4]),
+    ("concentration", {"samples_per_n": 10}, "family", [{"kind": "complete", "ns": [n]} for n in (0, -4)]
+     + [{"kind": "counterexample", "n_centers": [4], "delta": float(x)} for x in EXTREME_FLOATS]),
+]
+
+
+def test_extreme_finite_values_never_exit_1(runner, tmp_path):
+    # every call prints a report or refuses its input; none leaves an uncaught exception
+    k4 = complete_graph(4)
+    io.write_edge_list(tmp_path / "k4.edges", k4)
+    calls = []
+    for name, scale in (("k4", 1.0), ("huge", 1e308), ("tiny", 5e-324)):
+        io.write_matrix(tmp_path / f"{name}.mat", k4.sym_matrix().entries * scale)
+        hypotheses = [name + ".mat" if a == "k4.mat" else a for a in K4_HYPOTHESES]
+        calls += [["exact", "--matrix", f"{name}.mat"], hypotheses, hypotheses + ["--scale"],
+                  ["estimate", "--matrix", f"{name}.mat", "--samples", "10", "--exact"],
+                  ["scale", "--matrix", f"{name}.mat", "--theta", "1e308", "--nu", "-1e308"]]
+    calls += [call + [option, v] for call, options in EXTREME_CALLS for option, values in options.items()
+              for v in values]
+    for i, (kind, config, key, values) in enumerate(EXTREME_CONFIGS):
+        for j, v in enumerate(values):
+            (tmp_path / f"{i}-{j}.json").write_text(json.dumps({**config, key: v}))
+            calls.append(["experiment", kind, "--config", f"{i}-{j}.json"])
+    failed = []
+    for call in calls:
+        res = runner.invoke(main, [str(tmp_path / a) if a.endswith((".mat", ".edges", ".json")) else a
+                                   for a in call])
+        if res.exit_code == 1 or not isinstance(res.exception, (SystemExit, type(None))):
+            failed.append((call, res.exit_code, repr(res.exception)))
+    assert failed == []
+
+
 def test_counterexample_command(runner, tmp_path):
     out = tmp_path / "cx.edges"
     res = runner.invoke(
@@ -578,13 +942,10 @@ def test_all_reports_validate_against_schema(runner, files):
 
 
 # keys a report may print past its schema's required ones: estimate's under
-# --exact, scale's with an audit bound, and two that every report of theirs
-# prints but the published lists leave out, check's delta and hypotheses' level
+# --exact and scale's with an audit bound
 OPTIONAL_KEYS = {
     "estimate": ["exact_log_haf", "error_median", "error_max"],
     "scale": ["audit"],
-    "check": ["delta"],
-    "hypotheses": ["level"],
 }
 
 
@@ -597,6 +958,7 @@ def test_reports_print_exactly_their_schema_keys(runner, files):
         assert [k for k in keys[1:] if k not in OPTIONAL_KEYS.get(name, ())] == defs[name]["required"], name
     assert defs["counterexample"]["required"][5] == "mean_det_log"
     assert defs["scale"]["required"][0] == "n"
+    assert defs["hypotheses"]["required"][:2] == ["n", "level"]
 
 
 def test_full_config_is_every_declared_option_but_threads(runner, files):

@@ -259,9 +259,9 @@ def test_hypotheses_scaled_complete_graph_all_pass():
         budget=200_000,
     )
     assert rep.level == 7
-    assert rep.min_degree_ok and rep.observed_min_degree == 15
-    assert rep.expansion.holds
-    assert rep.max_entry_ok  # 1/15 <= 16^-0.5 = 0.25
+    assert rep.conditions.min_degree.ok and rep.conditions.min_degree.observed == 15
+    assert rep.conditions.strong_expansion.holds
+    assert rep.conditions.max_entry.ok  # 1/15 <= 16^-0.5 = 0.25
     assert rep.all_ok
 
 
@@ -270,8 +270,8 @@ def test_hypotheses_matching_only_fails_expansion():
     for t in range(4):
         a[2 * t, 2 * t + 1] = a[2 * t + 1, 2 * t] = 1.0
     rep = check_theorem_hypotheses(SymMatrix(a), alpha=0.1, kappa=0.2, beta=2.0, theta=0.1)
-    assert not rep.expansion.holds
-    assert rep.expansion.witness is not None
+    assert not rep.conditions.strong_expansion.holds
+    assert rep.conditions.strong_expansion.witness is not None
     assert not rep.all_ok
 
 
@@ -281,14 +281,14 @@ def test_hypotheses_counterexample_misses_strong_expansion():
     rep = check_theorem_hypotheses(
         a, alpha=0.4, kappa=0.1, beta=2.0, theta=0.3, scale=True, mode="sampled", budget=500
     )
-    assert rep.min_degree_ok  # degree >= 24 >= 0.4*50 + 2
-    assert not rep.expansion.holds  # peripherals form a big weakly-connected set
-    js = set(rep.expansion.witness)
+    assert rep.conditions.min_degree.ok  # degree >= 24 >= 0.4*50 + 2
+    assert not rep.conditions.strong_expansion.holds  # peripherals form a big weakly-connected set
+    js = set(rep.conditions.strong_expansion.witness)
     g = large_entries_graph(
         scale_symmetric(a).b, spec.total_vertices ** (-2.0)
     )
     lhs = len(boundary(g, js)) - connected_components_within(g, js)
-    assert lhs < rep.expansion.kappa * len(js)
+    assert lhs < rep.conditions.strong_expansion.kappa * len(js)
     assert not rep.all_ok
 
 

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -138,6 +138,7 @@ class _Row(NamedTuple):
 @dataclass(frozen=True)
 class _Inner:
     ok: bool
+    scratch: object = field(default=None, repr=False)  # not part of the report
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def test_jsonout_prints_records_as_objects_in_field_order():
     rep = _Outer(
         zeta=3,
         quantiles={0.5: -math.inf, 0.25: 1.5},
-        inner=_Inner(ok=True),
+        inner=_Inner(ok=True, scratch=object()),
         rows=(_Row(0.1, 2), _Row(1.0, 5)),
         pair=(1, 2.5),
     )
@@ -175,3 +176,4 @@ def test_jsonout_prints_records_as_objects_in_field_order():
     assert parsed["pair"] == [1, 2.5]
     assert jsonout.dumps((1, 2.5)) == "[\n  1,\n  2.5\n]"
     assert jsonout.fields(_Row(0.1, 2)) == {"eta": 0.1, "count": 2}
+    assert jsonout.fields(_Inner(ok=False, scratch=object())) == {"ok": False}
