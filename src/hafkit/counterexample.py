@@ -76,16 +76,10 @@ def build_counterexample(spec: CounterexampleSpec) -> GraphEdgeList:
     """Materialize the graph as an edge list on 2(n + m) vertices."""
     n, m = spec.n_center, spec.m_pairs
     total = spec.total_vertices
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs.append((i, j))
-    for p in range(n, total):
-        for i in range(n):
-            pairs.append((i, p))
-    for t in range(m):
-        pairs.append((2 * n + 2 * t, 2 * n + 2 * t + 1))
-    return GraphEdgeList.from_pairs(total, pairs)
+    # each center vertex i to every vertex past it: the clique and the plain vertices
+    center = np.column_stack(np.nonzero(np.triu(np.ones((n, total), dtype=bool), 1)))
+    pairs = 2 * n + np.arange(2 * m).reshape(m, 2)
+    return GraphEdgeList.from_pairs(total, np.concatenate((center, pairs)))
 
 
 def check_weak_expansion_structural(

@@ -240,6 +240,9 @@ def check_arguments(num_samples: int, seed: int, threads: int, quantiles=()) -> 
     seed = check_seed(seed)
     if num_samples < 1:
         raise InputError("num_samples must be >= 1")
+    # one float64 log-det per sample, in an array numpy can size
+    if num_samples > np.iinfo(np.intp).max // 8:
+        raise InputError(f"num_samples must be at most {np.iinfo(np.intp).max // 8}, got {num_samples}")
     if threads < 1:
         raise InputError("threads must be >= 1")
     return seed

@@ -228,6 +228,13 @@ def _max_matching(n: int, adj) -> list[int]:
                         q.append(match[to])
         return False
 
+    # a greedy start leaves few augmenting searches, and so few blossoms to contract
+    for v in range(n):
+        if match[v] == -1:
+            for to in adj[v]:
+                if match[to] == -1:
+                    match[v], match[to] = to, v
+                    break
     for v in range(n):
         if match[v] == -1:
             find_path(v)
@@ -312,8 +319,8 @@ def support_blocks(a: SymMatrix) -> list[tuple[list[int], list[int], int]] | Non
     """``_blocks`` of the support of A, or None if it has no perfect matching.
 
     The support is every A[i, j] > 0.  Matcher and component pass read
-    neighbour lists cut straight from A, so the work space is n^2 list
-    slots, not the edge set of a ``GraphEdgeList``.
+    ascending neighbour lists cut straight from A, one list slot per
+    support entry.
     """
     if a.n % 2 != 0:
         return None

@@ -31,7 +31,7 @@ import numpy as np
 from .counterexample import CounterexampleSpec, build_counterexample
 from .errors import InputError, NumericalError
 from .estimator import _gather, _layout, sample_log_dets
-from .graphs import GraphEdgeList
+from .graphs import GraphEdgeList, large_entries_graph
 from .linalg import SkewMatrix, SymMatrix, spectrum
 from .rng import check_seed, gaussian_rows, stream
 from . import io as _io
@@ -63,7 +63,7 @@ DEFAULTS = {
 
 
 def complete_graph(n: int) -> GraphEdgeList:
-    return GraphEdgeList.from_pairs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return large_entries_graph(_complete_matrix(n), 0.0)
 
 
 def _complete_matrix(n: int) -> SymMatrix:
@@ -87,21 +87,10 @@ def random_regular_graph(n: int, d: int, seed: int) -> GraphEdgeList:
     rng = np.random.default_rng(check_seed(seed))
     stubs = np.repeat(np.arange(n), d)
     while True:
-        perm = rng.permutation(stubs)
-        edges = set()
-        ok = True
-        for k in range(0, perm.size, 2):
-            u, v = int(perm[k]), int(perm[k + 1])
-            if u == v:
-                ok = False
-                break
-            e = (min(u, v), max(u, v))
-            if e in edges:
-                ok = False
-                break
-            edges.add(e)
-        if ok:
-            return GraphEdgeList.from_pairs(n, edges)
+        ends = np.sort(rng.permutation(stubs).reshape(-1, 2), axis=1)
+        key = ends[:, 0] * n + ends[:, 1]
+        if np.all(ends[:, 0] != ends[:, 1]) and np.unique(key).size == key.size:
+            return GraphEdgeList.from_pairs(n, ends)
 
 
 _REQUIRED = object()
@@ -266,7 +255,9 @@ def _singular_value_counts(w: np.ndarray, etas: np.ndarray) -> np.ndarray:
     """
     ev = np.linalg.eigvalsh(w.T @ w)
     tol = 4 * w.shape[0] * np.finfo(np.float64).eps * float(ev.sum())
-    eta2 = etas * etas
+    # an eta past 1e154 squares to inf, above every singular value squared
+    with np.errstate(over="ignore"):
+        eta2 = etas * etas
     below = np.searchsorted(ev, eta2 - tol)  # #{ev < eta^2 - tol}
     if np.array_equal(below, np.searchsorted(ev, eta2 + tol, side="right")):
         return below
@@ -293,13 +284,9 @@ def eigenvalue_density(
     for t, w in enumerate(_trial_ws(b, trials, seed)):
         counts[t] = _singular_value_counts(w, etas)
     rows = tuple(
-        DensityRow(
-            float(eta),
-            float(np.mean(counts[:, k])),
-            int(np.max(counts[:, k])),
-            float(np.mean(counts[:, k]) / (b.n * eta)),
-        )
-        for k, eta in enumerate(etas)
+        # mean / (n * eta), or mean / n / eta where n * eta overflows
+        DensityRow(eta, mean, top, mean / (b.n * eta) if b.n * eta < math.inf else mean / b.n / eta)
+        for eta, mean, top in zip(etas.tolist(), counts.mean(axis=0).tolist(), counts.max(axis=0).tolist())
     )
     return DensityReport(
         n=b.n, trials=trials, seed=seed, max_entry=max_entry, rows=rows

@@ -1,5 +1,8 @@
 """Graph-side condition checkers: large-entries graph, boundaries, expansion.
 
+A graph is one sorted CSR (``GraphEdgeList``), built from arrays: the
+large-entries graph comes straight from ``np.nonzero`` of the matrix.
+
 The expansion checks quantify over vertex subsets, which is exponential in
 general.  ``mode="exhaustive"`` enumerates every subset up to the requested
 level in ``itertools.combinations`` order (guarded by a budget), and so
@@ -48,49 +51,59 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphEdgeList:
-    """Simple undirected graph on vertices 0..n-1 as a set of sorted pairs."""
+    """Simple undirected graph on vertices 0..n-1 as one sorted CSR.
+
+    The neighbours of v are ``indices[indptr[v]:indptr[v + 1]]``, in
+    ascending order, so each edge is listed once from each end.  Both
+    arrays are read-only; build a graph with ``from_pairs`` or
+    ``large_entries_graph``.
+    """
 
     n: int
-    edges: frozenset
+    indptr: np.ndarray
+    indices: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError("graph must have at least one vertex")
-        norm = set()
-        for e in self.edges:
-            u, v = e
-            if u == v:
-                raise InputError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InputError(f"edge {e} out of range for n={self.n}")
-            norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(norm))
+        for a in (self.indptr, self.indices):
+            a.setflags(write=False)
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "GraphEdgeList":
-        return cls(n=n, edges=frozenset(tuple(p) for p in pairs))
+        """The graph with edges ``pairs``, any (m, 2) array-like, in either orientation, repeats allowed."""
+        if n < 1:
+            raise InputError("graph must have at least one vertex")
+        ends = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs)).reshape(-1, 2)
+        loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
+        if loops.size:
+            raise InputError(f"self-loop at vertex {ends[loops[0], 0]}")
+        far = np.flatnonzero(((ends < 0) | (ends >= n)).any(axis=1))
+        if far.size:
+            raise InputError(f"edge {tuple(ends[far[0]].tolist())} out of range for n={n}")
+        u, v = ends.astype(np.intp).T
+        rows, indices = np.divmod(np.unique(np.concatenate((u * n + v, v * n + u))), n)
+        return cls(n, np.searchsorted(rows, np.arange(n + 1)), indices)
 
-    def adjacency_sets(self) -> list[set]:
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def pairs(self) -> np.ndarray:
+        """The (m, 2) array of edges (u, v) with u < v, in ascending order."""
+        rows = np.repeat(np.arange(self.n), self.degrees())
+        upper = rows < self.indices
+        return np.column_stack((rows[upper], self.indices[upper]))
+
+    @property
+    def edges(self) -> frozenset:
+        """The edges as a frozenset of (u, v) tuples with u < v."""
+        return frozenset(map(tuple, self.pairs().tolist()))
 
     def sym_matrix(self) -> SymMatrix:
         a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            a[u, v] = a[v, u] = 1.0
+        u, v = self.pairs().T
+        a[u, v] = a[v, u] = 1.0
         return SymMatrix(a)
-
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
 
 
 @dataclass(frozen=True)
@@ -128,19 +141,11 @@ def large_entries_graph(a: SymMatrix, theta: float) -> GraphEdgeList:
     """Graph with an edge (i, j) exactly when a[i, j] > theta (strict)."""
     if theta < 0:
         raise InputError("theta must be nonnegative")
-    arr = a.entries
-    iu = np.triu_indices(a.n, 1)
-    mask = arr[iu] > theta
-    pairs = zip(iu[0][mask].tolist(), iu[1][mask].tolist())
-    return GraphEdgeList.from_pairs(a.n, pairs)
-
-
-def _check_subset(g: GraphEdgeList, j) -> frozenset:
-    js = frozenset(j)
-    for v in js:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} out of range for n={g.n}")
-    return js
+    mask = a.entries > theta
+    # A is symmetric with a zero diagonal, so its row-major entries are the CSR
+    indices = np.flatnonzero(mask)
+    indices %= a.n
+    return GraphEdgeList(a.n, np.concatenate(([0], np.cumsum(np.count_nonzero(mask, axis=1)))), indices)
 
 
 _ROWS = 1024
@@ -157,12 +162,11 @@ def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.arange(count.sum()) + np.repeat(first + count - np.cumsum(count), count)
 
 
-def _or_by_key(key: np.ndarray, order: np.ndarray, *words: np.ndarray):
-    """The distinct values of ``key[order]``, which is ascending, and the OR of each of ``words`` under each."""
-    key = key[order]
+def _or_by_key(key: np.ndarray, *words: np.ndarray):
+    """The distinct values of the ascending ``key``, and the OR of each of ``words`` over each."""
     # the first key starts a run, if there is a key at all
     heads = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1))[:key.size]
-    return key[heads], [np.bitwise_or.reduceat(w[order], heads) for w in words]
+    return key[heads], [np.bitwise_or.reduceat(w, heads) for w in words]
 
 
 def _popcount_rows(row: np.ndarray, words: np.ndarray, rows: int) -> np.ndarray:
@@ -181,8 +185,8 @@ class _SubsetRows:
     (word, row), the members' triples OR into the words of N(J) and of J.
     |boundary(J)| is the popcount of N(J) & ~J, and the members with a
     neighbour in J are N(J) & J.  Only the rows ``components`` is asked for
-    get vertex-level neighbour entries, from a CSR index (the neighbours of
-    ``v`` are ``nbr[start[v]:start[v] + deg[v]]``).  A chunk has at most
+    get vertex-level neighbour entries, from the graph's CSR as it is (the
+    neighbours of ``v`` are ``nbr[start[v]:start[v] + deg[v]]``).  A chunk has at most
     ``chunk`` rows of at most ``size`` members, so at most ``_ENTRIES``
     neighbour entries and as many triples, plus one per member: memory
     stays O(n + m).
@@ -190,19 +194,18 @@ class _SubsetRows:
 
     def __init__(self, g: GraphEdgeList, size: int, rows: int = _ROWS):
         n = self.n = g.n
-        ends = np.fromiter(itertools.chain.from_iterable(g.edges), np.intp, 2 * len(g.edges))
-        src = np.concatenate((ends[0::2], ends[1::2]))
-        self.nbr = np.concatenate((ends[1::2], ends[0::2]))[np.argsort(src, kind="stable")]
-        self.deg = np.bincount(src, minlength=n)
-        self.start = np.cumsum(self.deg) - self.deg
-        # every vertex gets a triple for its own word, with or without neighbours there
-        v = np.concatenate((src, np.arange(n)))
-        u = np.concatenate((ends[1::2], ends[0::2], np.arange(n)))
-        bit, edge = _bit(u), np.arange(v.size) < src.size
+        self.nbr, self.start, self.deg = g.indices, g.indptr[:-1], g.degrees()
         words = -(-n // 64)
-        key = v * words + (u >> 6)
-        key, (self.reach, self.own) = _or_by_key(
-            key, np.argsort(key), np.where(edge, bit, 0), np.where(edge, 0, bit))
+        # the CSR ascends in (v, u), so in v * words + u // 64: each run is a reach
+        reach_key, (reach,) = _or_by_key(
+            np.repeat(np.arange(n) * words, self.deg) + (g.indices >> 6), _bit(g.indices))
+        # every vertex gets a triple for its own word, with or without neighbours there
+        v = np.arange(n)
+        own_key = v * words + (v >> 6)
+        key = np.union1d(reach_key, own_key)
+        self.reach, self.own = np.zeros((2, key.size), dtype=np.uint64)
+        self.reach[np.searchsorted(key, reach_key)] = reach
+        self.own[np.searchsorted(key, own_key)] = _bit(v)
         self.word = key % words
         self.triples = np.bincount(key // words, minlength=n)
         self.first = np.cumsum(self.triples) - self.triples
@@ -227,8 +230,9 @@ class _SubsetRows:
         word = self.word[at]
         # stable in the word, so rows stay ascending within each word
         order = np.argsort(word.astype(self.narrow), kind="stable")
+        at = at[order]
         key, (reach, own) = _or_by_key(
-            word * rows + np.repeat(self.row, count), order, self.reach[at], self.own[at])
+            word[order] * rows + np.repeat(self.row, count)[order], self.reach[at], self.own[at])
         self.key, self.outer = key, reach & ~own
         row = key % rows
         self.outside = _popcount_rows(row, self.outer, rows)
@@ -284,7 +288,11 @@ class _SubsetRows:
 
 
 def _one_row(g: GraphEdgeList, j) -> _SubsetRows:
-    js = _check_subset(g, j)
+    """The evaluator loaded with the one subset J, once its vertices are checked."""
+    js = frozenset(j)
+    for v in js:
+        if not (0 <= v < g.n):
+            raise InputError(f"vertex {v} out of range for n={g.n}")
     ev = _SubsetRows(g, len(js), rows=1)
     ev.load(np.fromiter(js, np.intp, len(js)), np.array([len(js)]))
     return ev
@@ -390,33 +398,28 @@ def _adversarial_candidates(g: GraphEdgeList, level: int):
     vertex neighborhoods, and prefixes of a greedy independent set grown
     lowest-degree-first.
     """
-    adj = g.adjacency_sets()
     deg = g.degrees()
-    order = sorted(range(g.n), key=lambda v: (deg[v], v))
+    order = np.argsort(deg, kind="stable").tolist()
+    neighbours = np.split(g.indices, g.indptr[1:-1])
     for v in range(g.n):
         yield frozenset((v,))
     if level >= 2:
         low = order[:40]
         for i, u in enumerate(low):
-            for v in low[i + 1:]:
-                if v not in adj[u]:
-                    yield frozenset((u, v))
-    for v in range(g.n):
-        nb = adj[v]
-        if 1 <= len(nb) <= level:
-            yield frozenset(nb)
+            apart = ~np.isin(low[i + 1:], neighbours[u])
+            yield from (frozenset((u, v)) for v, far in zip(low[i + 1:], apart.tolist()) if far)
+    for v in np.flatnonzero((deg >= 1) & (deg <= level)).tolist():
+        yield frozenset(neighbours[v].tolist())
     indep: list[int] = []
-    blocked: set[int] = set()
+    blocked = np.zeros(g.n, dtype=bool)
     for v in order:
-        if v in blocked:
+        if blocked[v]:
             continue
         indep.append(v)
-        blocked.add(v)
-        blocked |= adj[v]
-        if len(indep) <= level:
-            yield frozenset(indep)
-        else:
+        if len(indep) > level:
             break
+        blocked[neighbours[v]] = True
+        yield frozenset(indep)
 
 
 def _sampled_subsets(g: GraphEdgeList, level: int, budget: int, seed: int):

@@ -22,7 +22,7 @@ __all__ = [
 ]
 
 
-def _read_matrix_array(path) -> np.ndarray:
+def read_symmetric_matrix(path) -> SymMatrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in (raw.strip() for raw in fh) if ln]
@@ -47,11 +47,7 @@ def _read_matrix_array(path) -> np.ndarray:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise InputError(f"{path}: row {k}: {exc}") from exc
-    return np.array(rows)
-
-
-def read_symmetric_matrix(path) -> SymMatrix:
-    return SymMatrix(_read_matrix_array(path))
+    return SymMatrix(np.array(rows))
 
 
 def write_matrix(path, matrix) -> None:
@@ -81,29 +77,36 @@ def read_edge_list(path) -> GraphEdgeList:
         raise InputError(f"{path}: first line must be 'n m', got {lines[0]!r}")
     if len(lines) != m + 1:
         raise InputError(f"{path}: expected {m} edges, found {len(lines) - 1}")
-    seen = set()
     pairs = []
+    bad = None  # the first line that is not 'u v'
     for k, ln in enumerate(lines[1:]):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InputError(f"{path}: edge line {k} must be 'u v', got {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(int, ln.split())
         except ValueError:
-            raise InputError(f"{path}: edge line {k} must be 'u v', got {ln!r}")
-        if u == v:
-            raise InputError(f"{path}: edge line {k} is a self-loop")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise InputError(f"{path}: duplicate edge {key}")
-        seen.add(key)
-        pairs.append(key)
-    return GraphEdgeList.from_pairs(n, pairs)
+            bad = k
+            break
+        pairs.append((u, v))
+    try:
+        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # endpoints past int64, all out of range, stay Python ints
+        ends = np.array(pairs, dtype=object)
+    # every line before ``bad`` parsed, so a self-loop or repeat there comes first
+    ends = np.column_stack((ends.min(axis=1), ends.max(axis=1)))
+    loops = np.flatnonzero(ends[:, 0] == ends[:, 1])[:1].tolist()
+    order = np.lexsort(ends.T[::-1])  # stable: a repeated edge's lines stay in line order
+    same = (ends[order][1:] == ends[order][:-1]).all(axis=1)
+    first = min(loops + order[1:][same].tolist(), default=None)
+    if loops == [first]:
+        raise InputError(f"{path}: edge line {first} is a self-loop")
+    if first is not None:
+        raise InputError(f"{path}: duplicate edge {tuple(ends[first].tolist())}")
+    if bad is not None:
+        raise InputError(f"{path}: edge line {bad} must be 'u v', got {lines[bad + 1]!r}")
+    return GraphEdgeList.from_pairs(n, ends)
 
 
 def write_edge_list(path, g: GraphEdgeList) -> None:
-    edges = sorted(g.edges)
+    pairs = g.pairs().tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{g.n} {len(edges)}\n")
-        for u, v in edges:
-            fh.write(f"{u} {v}\n")
+        fh.write(f"{g.n} {len(pairs)}\n")
+        fh.writelines(f"{u} {v}\n" for u, v in pairs)

@@ -87,6 +87,15 @@ def naive_pfaffian(w: np.ndarray) -> float:
     return rec(tuple(range(n)), 1.0)
 
 
+def neighbour_sets(g) -> list[set]:
+    """The neighbours of every vertex of ``g``, read from its ``edges`` pairs alone."""
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def _brute_boundary(adj, js):
     out = set()
     for v in js:

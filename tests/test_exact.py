@@ -25,6 +25,7 @@ from helpers import (
     brute_total_support,
     memo_matchings,
     naive_hafnian,
+    neighbour_sets,
     random_graph_with_matching,
     random_symmetric01,
 )
@@ -215,14 +216,15 @@ def test_count_small_graphs():
 
 def max_matching(g):
     """Partner of every vertex in a maximum matching of g, -1 where there is none."""
-    return exact._max_matching(g.n, g.adjacency_sets())
+    return exact._max_matching(g.n, neighbour_sets(g))
 
 
 def assert_perfect_matching(g, match):
     """``match`` gives every vertex of g a partner across an edge of g, symmetrically."""
     assert -1 not in match and len(match) == g.n
+    edges = g.edges
     for v, u in enumerate(match):
-        assert match[u] == v and (min(u, v), max(u, v)) in g.edges
+        assert match[u] == v and (min(u, v), max(u, v)) in edges
 
 
 def test_petersen_graph_has_six_matchings():
@@ -304,6 +306,17 @@ def test_matching_exists_scales_to_thousands():
     assert_perfect_matching(g, max_matching(g))
 
 
+def test_support_blocks_scales_to_thousands():
+    # from an empty matching, each of 500 augmenting searches contracts
+    # blossoms: K_1000 took 7.1 s on a 2-vCPU VM, against 0.24 s from a greedy start
+    n = 1000
+    a = SymMatrix(np.ones((n, n)) - np.eye(n))
+    start = time.perf_counter()
+    blocks = support_blocks(a)
+    assert time.perf_counter() - start < 3.0
+    assert blocks == [(list(range(n)), list(range(n)), 1)]
+
+
 def kept_edges(g, blocks):
     """Edges of ``g`` inside a block: rows to columns, either way round."""
     pairs = {(i, k) for rows, cols, _ in blocks for i in rows for k in cols}
@@ -315,7 +328,7 @@ def assert_total_support_matches_oracle(g, cover=None):
 
     The blocks are ``support_blocks``' without a cover, else ``_blocks``' from it.
     """
-    blocks = support_blocks(g.sym_matrix()) if cover is None else exact._blocks(g.adjacency_sets(), cover)
+    blocks = support_blocks(g.sym_matrix()) if cover is None else exact._blocks(neighbour_sets(g), cover)
     assert blocks == brute_blocks(g.n, g.edges)
     kept = kept_edges(g, blocks)
     assert kept == brute_total_support(g.n, g.edges)
@@ -354,7 +367,7 @@ def test_total_support_from_any_cycle_cover_matches_oracle():
     triangles = GraphEdgeList.from_pairs(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert support_blocks(triangles.sym_matrix()) is None
     assert_total_support_matches_oracle(triangles, [1, 2, 0, 4, 5, 3])
-    assert exact._blocks(triangles.adjacency_sets(), [1, 2, 0, 4, 5, 3]) == [
+    assert exact._blocks(neighbour_sets(triangles), [1, 2, 0, 4, 5, 3]) == [
         ([0, 1, 2], [0, 1, 2], 1),
         ([3, 4, 5], [3, 4, 5], 1),
     ]
@@ -379,7 +392,7 @@ def test_total_support_blocks_do_not_depend_on_the_matching():
         first, second = max_matching(g), other_perfect_matching(rng, g)
         assert_perfect_matching(g, second)
         differ += first != second
-        adj = g.adjacency_sets()
+        adj = neighbour_sets(g)
         assert exact._blocks(adj, second) == exact._blocks(adj, first)
     assert differ >= 20
 

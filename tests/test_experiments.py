@@ -155,6 +155,15 @@ def test_density_counts_the_zero_singular_value_of_odd_n():
         assert (row.mean_count, row.max_count) == (1.0, 1)
 
 
+def test_density_counts_every_singular_value_below_a_huge_eta():
+    # eta^2 and n * eta overflow at eta = 1e308: every singular value lies
+    # below eta, and the ratio is about 1e-308, not 0
+    b = scale_symmetric(complete_graph(4).sym_matrix(), residual_target=1e-10).b
+    rep = eigenvalue_density(b, trials=3, seed=0, eta_grid=(0.5, 1e308))
+    assert rep.rows[1][:3] == (1e308, 4.0, 4)
+    assert rep.rows[1].ratio == 4.0 / 4 / 1e308 > 0
+
+
 def test_sv_tail_takes_the_svd_of_each_trial():
     b = scale_symmetric(random_regular_graph(30, 3, seed=4).sym_matrix(), residual_target=1e-10).b
     thresholds = (1e-8, 1e-4, 1e-2, 0.1, 0.5)

@@ -29,6 +29,7 @@ from helpers import (
     _brute_components,
     brute_expansion,
     expansion_scan,
+    neighbour_sets,
     random_symmetric01,
 )
 
@@ -42,12 +43,52 @@ def random_graph(rng, n, p):
 
 
 def test_graph_edge_list_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="self-loop at vertex 0"):
         GraphEdgeList.from_pairs(3, [(0, 0)])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"edge \(0, 5\) out of range for n=3"):
         GraphEdgeList.from_pairs(3, [(0, 5)])
+    with pytest.raises(InputError, match=r"edge \(-1, 2\) out of range"):
+        GraphEdgeList.from_pairs(3, np.array([[1, 2], [-1, 2]]))
+    for n in (0, -4):
+        with pytest.raises(InputError, match="at least one vertex"):
+            GraphEdgeList.from_pairs(n, [])
     g = GraphEdgeList.from_pairs(3, [(1, 0), (0, 1)])  # normalized + deduped
     assert g.edges == frozenset({(0, 1)})
+    assert g.indptr.tolist() == [0, 1, 2, 2] and g.indices.tolist() == [1, 0]
+    assert g.degrees().tolist() == [1, 1, 0]
+
+
+def test_csr_rows_are_sorted_and_symmetric():
+    rng = np.random.default_rng(80)
+    for t in range(40):
+        n = int(rng.integers(1, 70))
+        a = random_symmetric01(rng, n, float(rng.uniform(0.0, 0.7)))
+        graphs = [random_graph(rng, n, float(rng.uniform(0.0, 0.7))), large_entries_graph(SymMatrix(a), 0.0)]
+        for g in graphs:
+            assert g.indptr[0] == 0 and g.indptr[-1] == g.indices.size and np.all(np.diff(g.indptr) >= 0)
+            rows = [g.indices[g.indptr[v]:g.indptr[v + 1]] for v in range(n)]
+            assert all(np.all(np.diff(r) > 0) for r in rows)
+            assert all(v not in r for v, r in enumerate(rows))
+            assert [set(r.tolist()) for r in rows] == neighbour_sets(g)
+        assert graphs[1].edges == {(i, j) for i in range(n) for j in range(i + 1, n) if a[i, j] > 0}
+        with pytest.raises(ValueError):
+            g.indices[:1] = 0
+
+
+def test_large_entries_graph_of_k2000_stays_small():
+    # a frozenset of the 2M edge tuples of K_2000 takes 559 MiB to build
+    import tracemalloc
+
+    n = 2000
+    a = SymMatrix(np.ones((n, n)) - np.eye(n))
+    tracemalloc.start()
+    try:
+        g = large_entries_graph(a, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+    assert np.all(g.degrees() == n - 1) and g.indices[:3].tolist() == [1, 2, 3]
 
 
 def test_large_entries_graph_threshold():
@@ -157,11 +198,8 @@ def test_edge_addition_preserves_expansion():
         before = check_strong_expansion(g, kappa, level)
         if not before.holds:
             continue
-        non_edges = [
-            (i, j)
-            for i, j in itertools.combinations(range(n), 2)
-            if (i, j) not in g.edges
-        ]
+        edges = g.edges
+        non_edges = [(i, j) for i, j in itertools.combinations(range(n), 2) if (i, j) not in edges]
         if not non_edges:
             continue
         extra = non_edges[int(rng.integers(0, len(non_edges)))]
@@ -454,7 +492,7 @@ def test_public_helpers_match_bruteforce():
         # past the first 60 draws, graphs of two and three 64-bit words
         n = int(rng.integers(1, 40)) if t < 60 else (65, 129)[t % 2]
         g = random_graph(rng, n, float(rng.uniform(0.0, 0.6)))
-        adj = g.adjacency_sets()
+        adj = neighbour_sets(g)
         k = 0 if t % 10 == 0 else int(rng.integers(0, n + 1))
         js = set(rng.choice(n, size=k, replace=False).tolist())
         assert boundary(g, js) == frozenset(_brute_boundary(adj, js))
@@ -500,7 +538,7 @@ def test_large_sparse_graph_checks_in_linear_memory():
     assert peak < 24 * 2**20
     assert sampled.holds and sampled.sets_checked > 2000
     assert complete.holds and complete.sets_checked == 3000
-    adj = g.adjacency_sets()
+    adj = neighbour_sets(g)
     assert bnd == frozenset(_brute_boundary(adj, js))
     assert con == _brute_components(adj, js)
 

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from hafkit import GraphEdgeList, InputError, SymMatrix, complete_graph
+from hafkit import CounterexampleSpec, GraphEdgeList, InputError, SymMatrix, build_counterexample, complete_graph
 from hafkit import io, jsonout
 
 
@@ -68,6 +68,34 @@ def test_edge_list_roundtrip(tmp_path):
     io.write_edge_list(path, g)
     back = io.read_edge_list(path)
     assert back.n == 5 and back.edges == g.edges
+
+
+def test_counterexample_edge_list_roundtrips_byte_for_byte(tmp_path):
+    spec = CounterexampleSpec(delta=0.12, n_center=3, m_pairs=1)
+    io.write_edge_list(tmp_path / "cx.edges", build_counterexample(spec))
+    text = (tmp_path / "cx.edges").read_text()
+    # the center clique, every center vertex to every outer one, the pair
+    want = ["8 19", "0 1", "0 2"] + [f"0 {p}" for p in range(3, 8)] + ["1 2"] + [f"1 {p}" for p in range(3, 8)]
+    assert text == "\n".join(want + [f"2 {p}" for p in range(3, 8)] + ["6 7"]) + "\n"
+    io.write_edge_list(tmp_path / "again.edges", io.read_edge_list(tmp_path / "cx.edges"))
+    assert (tmp_path / "again.edges").read_text() == text
+
+
+def test_edge_list_errors_name_the_first_bad_line(tmp_path):
+    cases = [
+        ("3 3\n0 1\n1 1\n1 0\n", "edge line 1 is a self-loop"),
+        ("3 3\n0 2\n1 2\n2 0\n", r"duplicate edge \(0, 2\)"),
+        ("3 3\n0 1\n1 0\nx y\n", r"duplicate edge \(0, 1\)"),
+        ("3 3\n0 1\nx y\n1 1\n", "edge line 1 must be 'u v'"),
+        ("3 2\n7 0\n1 2\n", r"edge \(0, 7\) out of range for n=3"),
+        (f"3 2\n5 {10**20}\n{10**20} 5\n", rf"duplicate edge \(5, {10**20}\)"),
+        (f"3 1\n0 {2**63}\n", rf"edge \(0, {2**63}\) out of range"),
+    ]
+    for k, (text, message) in enumerate(cases):
+        path = tmp_path / f"bad{k}.edges"
+        path.write_text(text)
+        with pytest.raises(InputError, match=message):
+            io.read_edge_list(path)
 
 
 def test_edge_list_parse_errors(tmp_path):
