@@ -259,13 +259,17 @@ def sample_log_dets(a: SymMatrix, num_samples: int, seed: int, threads: int = 1)
     ``sample_w(a, seed, i)``, and det(W) is taken block by block over the blocks of the total support.
     """
     seed = check_arguments(num_samples, seed, threads)
+    try:
+        log_dets = np.empty(num_samples)
+    except MemoryError:
+        raise InputError(f"num_samples={num_samples}: no memory for one log-det per sample") from None
     plan = _plan(a)
     if plan is None:
-        return np.full(num_samples, -np.inf)
+        log_dets.fill(-np.inf)
+        return log_dets
     m = plan[0]
     groups = _block_groups(*plan[1:])
     del plan  # the n x n layout tables: the chunks need only their cuts in ``groups``
-    log_dets = np.empty(num_samples)
     starts = list(range(0, num_samples, _CHUNK))
 
     def work(first: int):

@@ -51,14 +51,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GraphEdgeList:
     """Simple undirected graph on vertices 0..n-1 as one sorted CSR.
 
     The neighbours of v are ``indices[indptr[v]:indptr[v + 1]]``, in
     ascending order, so each edge is listed once from each end.  Both
-    arrays are read-only; build a graph with ``from_pairs`` or
-    ``large_entries_graph``.
+    arrays are read-only.  The constructor trusts them as given: build a
+    graph with ``from_pairs`` or ``large_entries_graph``, which check and
+    sort.  Graphs compare and hash by value.
     """
 
     n: int
@@ -68,6 +69,13 @@ class GraphEdgeList:
     def __post_init__(self):
         for a in (self.indptr, self.indices):
             a.setflags(write=False)
+
+    def __eq__(self, other):
+        return (isinstance(other, GraphEdgeList) and self.n == other.n
+                and np.array_equal(self.indptr, other.indptr) and np.array_equal(self.indices, other.indices))
+
+    def __hash__(self):
+        return hash((self.n, self.indptr.tobytes(), self.indices.tobytes()))
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "GraphEdgeList":

@@ -77,32 +77,20 @@ def read_edge_list(path) -> GraphEdgeList:
         raise InputError(f"{path}: first line must be 'n m', got {lines[0]!r}")
     if len(lines) != m + 1:
         raise InputError(f"{path}: expected {m} edges, found {len(lines) - 1}")
-    pairs = []
-    bad = None  # the first line that is not 'u v'
+    seen = {}  # the normalised edges, in line order
     for k, ln in enumerate(lines[1:]):
         try:
             u, v = map(int, ln.split())
         except ValueError:
-            bad = k
-            break
-        pairs.append((u, v))
-    try:
-        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:  # endpoints past int64, all out of range, stay Python ints
-        ends = np.array(pairs, dtype=object)
-    # every line before ``bad`` parsed, so a self-loop or repeat there comes first
-    ends = np.column_stack((ends.min(axis=1), ends.max(axis=1)))
-    loops = np.flatnonzero(ends[:, 0] == ends[:, 1])[:1].tolist()
-    order = np.lexsort(ends.T[::-1])  # stable: a repeated edge's lines stay in line order
-    same = (ends[order][1:] == ends[order][:-1]).all(axis=1)
-    first = min(loops + order[1:][same].tolist(), default=None)
-    if loops == [first]:
-        raise InputError(f"{path}: edge line {first} is a self-loop")
-    if first is not None:
-        raise InputError(f"{path}: duplicate edge {tuple(ends[first].tolist())}")
-    if bad is not None:
-        raise InputError(f"{path}: edge line {bad} must be 'u v', got {lines[bad + 1]!r}")
-    return GraphEdgeList.from_pairs(n, ends)
+            raise InputError(f"{path}: edge line {k} must be 'u v', got {ln!r}")
+        if u == v:
+            raise InputError(f"{path}: edge line {k} is a self-loop")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise InputError(f"{path}: duplicate edge {key}")
+        seen[key] = k
+    # Python ints, so an endpoint past int64 is reported as it was written
+    return GraphEdgeList.from_pairs(n, np.array(list(seen), dtype=object))
 
 
 def write_edge_list(path, g: GraphEdgeList) -> None:

@@ -685,7 +685,7 @@ K4_HYPOTHESES = ["hypotheses", "--matrix", "k4.mat", "--alpha", "0.5", "--kappa"
 # (call, {option: values}): the call is run once with each value of each option appended
 EXTREME_CALLS = [
     (["estimate", "--matrix", "k4.mat", "--samples", "10"],
-     {"--samples": EXTREME_INTS[:2] + HUGE + [str(2**62)], "--seed": EXTREME_INTS + HUGE, "--threads": EXTREME_INTS[:2],
+     {"--samples": EXTREME_INTS[:2] + HUGE + [str(2**62), str(10**18)], "--seed": EXTREME_INTS + HUGE, "--threads": EXTREME_INTS[:2],
       "--quantiles": EXTREME_FLOATS}),
     (["scale", "--matrix", "k4.mat"],
      {"--residual": EXTREME_FLOATS, "--max-iter": EXTREME_INTS + HUGE, "--theta": EXTREME_FLOATS,
@@ -704,7 +704,7 @@ EXTREME_CALLS = [
       "--theta": EXTREME_FLOATS, "--budget": EXTREME_INTS + HUGE}),
     (["counterexample", "--n-center", "4", "--m-pairs", "1", "--samples", "10"],
      {"--delta": EXTREME_FLOATS, "--n-center": EXTREME_INTS[:2], "--m-pairs": EXTREME_INTS[:2],
-      "--samples": EXTREME_INTS[:2] + HUGE + [str(2**62)], "--seed": EXTREME_INTS + HUGE}),
+      "--samples": EXTREME_INTS[:2] + HUGE + [str(2**62), str(10**18)], "--seed": EXTREME_INTS + HUGE}),
 ]
 K4_SOURCE = {"kind": "complete", "n": 4, "scaled": True}
 # (kind, config, key, values): the config is run once with each value under key

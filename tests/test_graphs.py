@@ -71,6 +71,10 @@ def test_csr_rows_are_sorted_and_symmetric():
             assert all(v not in r for v, r in enumerate(rows))
             assert [set(r.tolist()) for r in rows] == neighbour_sets(g)
         assert graphs[1].edges == {(i, j) for i in range(n) for j in range(i + 1, n) if a[i, j] > 0}
+        # graphs compare and hash by value, whichever way they were built
+        same = GraphEdgeList.from_pairs(n, np.argwhere(np.triu(a) > 0)[::-1])
+        assert same == graphs[1] and hash(same) == hash(graphs[1]) and (same != graphs[1]) is False
+        assert graphs[1] != GraphEdgeList.from_pairs(n + 1, np.argwhere(np.triu(a) > 0))
         with pytest.raises(ValueError):
             g.indices[:1] = 0
 
