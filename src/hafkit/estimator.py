@@ -240,9 +240,6 @@ def check_arguments(num_samples: int, seed: int, threads: int, quantiles=()) -> 
     seed = check_seed(seed)
     if num_samples < 1:
         raise InputError("num_samples must be >= 1")
-    # one float64 log-det per sample, in an array numpy can size
-    if num_samples > np.iinfo(np.intp).max // 8:
-        raise InputError(f"num_samples must be at most {np.iinfo(np.intp).max // 8}, got {num_samples}")
     if threads < 1:
         raise InputError("threads must be >= 1")
     return seed
@@ -261,8 +258,8 @@ def sample_log_dets(a: SymMatrix, num_samples: int, seed: int, threads: int = 1)
     seed = check_arguments(num_samples, seed, threads)
     try:
         log_dets = np.empty(num_samples)
-    except MemoryError:
-        raise InputError(f"num_samples={num_samples}: no memory for one log-det per sample") from None
+    except (ValueError, MemoryError):  # past numpy's largest array, or past the machine's memory
+        raise InputError(f"num_samples={num_samples}: no room for one log-det per sample") from None
     plan = _plan(a)
     if plan is None:
         log_dets.fill(-np.inf)

@@ -764,6 +764,11 @@ def test_estimate_input_validation():
         estimate(SymMatrix(np.zeros((3, 3))), 10, seed=1)
     with pytest.raises(InputError):
         sample_log_dets(a, 10, seed=1, threads=0)
+    # past numpy's largest array, and past any machine's memory; nothing is drawn
+    for count in (10**30, 2**62, 10**18):
+        for b in (a, SymMatrix(np.zeros((4, 4)))):  # with and without a perfect matching
+            with pytest.raises(InputError, match=f"num_samples={count}: no room"):
+                sample_log_dets(b, count, seed=1)
 
 
 def test_barvinok_envelope_at_n12():
