@@ -218,23 +218,15 @@ def estimate_cmd(matrix, samples, seed, quantiles, exact, threads):
 @_subcommand
 def scale_cmd(matrix, residual, max_iter, theta, nu, emit_b):
     """Symmetric doubly stochastic scaling B = D A D."""
-    bounds = None
-    if theta is not None or nu is not None:
-        bounds = (theta if theta is not None else 1.0, nu if nu is not None else 1.0)
-        scaling.check_audit_bounds(*bounds)  # before scaling, which can take seconds
+    scaling.check_audit_bounds(theta, nu)  # before scaling, which can take seconds
     a = io.read_symmetric_matrix(matrix)
     result = scaling.scale_symmetric(a, residual_target=residual, max_iterations=max_iter)
     if emit_b is not None:
         io.write_matrix(emit_b, result.b)
     report = jsonout.fields(result)
-    if result.converged and bounds is not None:
-        audit = scaling.audit_entry_bounds(result, *bounds)
-        report["audit"] = {
-            "max_ok": audit.max_ok if theta is not None else None,
-            "min_ok": audit.min_ok if nu is not None else None,
-            "theta": theta,
-            "nu": nu,
-        }
+    if result.converged and (theta is not None or nu is not None):
+        audit = scaling.audit_entry_bounds(result, theta, nu)
+        report["audit"] = {"max_ok": audit.max_ok, "min_ok": audit.min_ok, "theta": theta, "nu": nu}
     _emit(
         report,
         EXIT_OK if result.converged else EXIT_NUMERICAL,

@@ -14,7 +14,8 @@ upper triangle.  That rule is coded once, in the layout ``_plan`` builds
 per matrix: every W and every block of W is one gather of a row of normals
 through it.  The rows come from counter-based streams (``rng``): sample i
 is row i % _CHUNK of the rows of m normals that the stream keyed by
-(seed, i // _CHUNK) gives, m being the edge count of the total support.
+(seed, i // _CHUNK) gives, m being the edge count of the total support;
+a spectral trial t (``_trial_ws``) is the first row of stream (seed, t).
 Batches of W are evaluated in log domain by LAPACK's LU
 (``np.linalg.slogdet``) and aggregated with log-sum-exp, since the values
 span hundreds of orders of magnitude once n is large.  Whether det(W) is
@@ -28,12 +29,12 @@ The pass that finds the total support from the matching of the zero
 decision (``exact.support_blocks``) returns its blocks, over which det(W)
 factors: a bipartite pair of parts U and V contributes det(W[U, V])^2, any
 other block S its skew block W[S, S].  Each chunk holds one sample-major
-stack of blocks per group of same-sized blocks.  It draws its rows in
-slices of at most _SLICE normals (or of one row, if a row holds more) into
-one buffer and gathers each slice into every stack before it draws the
-next, so it never holds more of its normals than one slice; then it
-takes one batched ``slogdet`` per stack, adding a group's log-dets in
-block order.  A single non-bipartite block over all vertices is the full W.
+stack of blocks per group of same-sized blocks.  It reads its rows
+through ``_draws``, one slice of at most _SLICE normals (or one row) at a
+time, and gathers each slice into every stack before the next is drawn,
+so it never holds more of its normals than one slice; then it takes one
+batched ``slogdet`` per stack, adding a group's log-dets in block order.
+A single non-bipartite block over all vertices is the full W.
 
 Sampling is embarrassingly parallel: each chunk draws from its own
 stream, chunk boundaries do not depend on the worker count, and aggregation
@@ -73,18 +74,8 @@ __all__ = [
 # rows would serialize the pool.
 _CHUNK = 512
 
-# normals per draw (256 KiB): rows are drawn max(1, _SLICE // m) at a time
-# into one buffer, which stays in cache while it is gathered
+# normals per draw of ``_draws`` (256 KiB), whose buffer stays in cache while it is gathered
 _SLICE = 1 << 15
-
-
-def _row_slices(rows: int, m: int) -> list[slice]:
-    """``range(rows)`` cut into slices of at most ``_SLICE`` normals, m a row, and at least one row.
-
-    A chunk and ``sample_w`` both draw a stream's rows in these slices.
-    """
-    step = max(1, _SLICE // m)
-    return [slice(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
 
 
 @dataclass(frozen=True)
@@ -172,6 +163,28 @@ def _gather(x: np.ndarray, pos: np.ndarray, weight: np.ndarray, out: np.ndarray 
     return out
 
 
+def _draws(seed: int, key: int, rows: int, m: int):
+    """Rows 0..rows-1 of stream (seed, key), m normals each, as ``(rows, part)`` slices in order.
+
+    Each ``part`` holds at most ``_SLICE`` normals (and at least one row),
+    drawn into one buffer that the next slice overwrites.
+    """
+    gen = stream(seed, key)
+    step = max(1, _SLICE // m)
+    buf = np.empty((min(step, rows), m))
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        yield slice(r0, r1), gaussian_rows(gen, buf[: r1 - r0])
+
+
+def _trial_ws(a: SymMatrix, trials: int, seed: int):
+    """W of trials 0..trials-1: row 0 of stream (seed, t), into one reused row, on A's whole support."""
+    m, pos, weight = _layout(a)
+    row = np.empty(m)
+    for t in range(trials):
+        yield _gather(gaussian_rows(stream(seed, t), row), pos, weight)
+
+
 def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
     """One realization of W = sqrt(A) (element-wise) * skew Gaussian.
 
@@ -179,10 +192,9 @@ def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
     of A's total support in row-major order takes the k-th normal of row
     index % _CHUNK of stream (seed, index // _CHUNK) (``_plan``); entries
     off the total support are +0.0, and a support without a perfect
-    matching gives the zero matrix.  The rows up to its own are drawn in
-    the slices of ``_row_slices`` into one buffer, as a chunk draws them,
-    and all but the last are discarded, so memory stays O(n^2 + m) at any
-    index.
+    matching gives the zero matrix.  The rows up to its own are read
+    through ``_draws``, as a chunk reads them, and all but the last are
+    discarded, so memory stays O(n^2 + m) at any index.
     """
     if not (0 <= index < 1 << 64):
         raise InputError("sample index must fit in an unsigned 64-bit integer")
@@ -190,11 +202,7 @@ def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
     if plan is None:
         return SkewMatrix(np.zeros((a.n, a.n)))
     m, pos, weight, _ = plan
-    gen = stream(seed, index // _CHUNK)
-    slices = _row_slices(index % _CHUNK + 1, m)
-    buf = np.empty((slices[0].stop, m))
-    for rows in slices:
-        part = gaussian_rows(gen, buf[: rows.stop - rows.start])
+    *_, (_, part) = _draws(seed, index // _CHUNK, index % _CHUNK + 1, m)
     return SkewMatrix(_gather(part[-1], pos, weight))
 
 
@@ -216,12 +224,8 @@ def _block_groups(pos: np.ndarray, weight: np.ndarray, blocks) -> list[tuple[np.
 
 
 def _logdet_chunk(groups, num_normals: int, seed: int, first: int, count: int) -> np.ndarray:
-    gen = stream(seed, first // _CHUNK)
     stacks = [np.empty((count, *pos.shape)) for pos, _, _ in groups]
-    slices = _row_slices(count, num_normals)
-    buf = np.empty((slices[0].stop, num_normals))
-    for rows in slices:
-        part = gaussian_rows(gen, buf[: rows.stop - rows.start])
+    for rows, part in _draws(seed, first // _CHUNK, count, num_normals):
         for (pos, weight, _), stack in zip(groups, stacks):
             _gather(part, pos, weight, out=stack[rows])
     log_dets = np.zeros(count)

@@ -2,14 +2,13 @@
 near zero, and error-concentration curves across matrix families.
 
 ``run`` is the CLI's entry: it lays a JSON config over ``DEFAULTS``, checks
-its keys, builds the matrix or family it names, and returns the
-experiment's report dataclass, which the CLI prints field by field.  Every
-experiment is a pure function of (inputs, seed), and all aggregation
-runs in trial order.  The two spectral experiments share one trial loop,
-which lays out the support once and gathers trial t's W from a one-row
-draw of the counter-based stream keyed by (seed, t), the layout and streams
-the estimator uses.  Trials are not chunked as samples are: a trial's
-eigensolve costs milliseconds against a fraction of one for its normals.
+its keys, refusing any it does not read, builds the matrix or family it
+names, and returns the experiment's report dataclass, which the CLI prints
+field by field.  Every experiment is a pure function of (inputs, seed), and
+all aggregation runs in trial order.  The two spectral experiments take
+trial t's W from ``estimator._trial_ws``, one row of stream (seed, t).
+Trials are not chunked as samples are: a trial's eigensolve costs
+milliseconds against a fraction of one for its normals.
 ``sv-tail`` takes the SVD of each W (``linalg.spectrum``).  ``density``
 only counts, so it counts the eigenvalues of the Gram matrix W^T W below
 eta^2, and takes the SVD only for a trial where one of them lies within
@@ -30,10 +29,10 @@ import numpy as np
 
 from .counterexample import CounterexampleSpec, build_counterexample
 from .errors import InputError, NumericalError
-from .estimator import _gather, _layout, sample_log_dets
+from .estimator import _trial_ws, sample_log_dets
 from .graphs import GraphEdgeList, large_entries_graph
 from .linalg import SkewMatrix, SymMatrix, spectrum
-from .rng import check_seed, gaussian_rows, stream
+from .rng import check_seed
 from . import io as _io
 from . import scaling as _scaling
 
@@ -126,26 +125,42 @@ def _list(obj: dict, key: str, types, what: str, default=_REQUIRED):
     return values
 
 
+def _only(obj: dict, keys, where: str) -> None:
+    """Refuse a key of ``obj`` outside ``keys``, naming it: nothing would read its value."""
+    for key in obj:
+        if key not in keys:
+            raise InputError(f"unknown key {key!r} in {where}")
+
+
 def matrix_from_source(source: dict) -> SymMatrix:
     """Resolve a matrix-source config dict to a SymMatrix.
 
-    Kinds: ``file`` (path to matrix text), ``complete`` (n, scaled?),
-    ``random_regular`` (n, d, graph_seed, scaled?), ``counterexample``
-    (delta, n_center, m_pairs?).  ``scaled: true`` replaces the adjacency
-    by its doubly stochastic scaling.
+    Kinds: ``file`` (path to matrix text), ``complete`` (n),
+    ``random_regular`` (n, d, graph_seed?), ``counterexample`` (delta,
+    n_center, m_pairs?).  Every kind takes ``scaled``, true or false:
+    ``true`` replaces the matrix by its doubly stochastic scaling.  Any
+    other key is refused.
     """
     if not isinstance(source, dict):
         raise InputError(f"a matrix source must be a JSON object, got {type(source).__name__}")
     kind = source.get("kind")
+    scaled = source.get("scaled", False)
+    if not isinstance(scaled, bool):
+        raise InputError(f"'scaled' must be true or false, got {scaled!r}")
+    where = f"a {kind} matrix source"
     if kind == "file":
-        return _io.read_symmetric_matrix(_value(source, "path", str, "a string"))
-    if kind == "complete":
+        _only(source, ("kind", "scaled", "path"), where)
+        a = _io.read_symmetric_matrix(_value(source, "path", str, "a string"))
+    elif kind == "complete":
+        _only(source, ("kind", "scaled", "n"), where)
         a = _complete_matrix(_count(source, "n"))
     elif kind == "random_regular":
+        _only(source, ("kind", "scaled", "n", "d", "graph_seed"), where)
         a = random_regular_graph(
             _count(source, "n"), _count(source, "d"), _count(source, "graph_seed", 0)
         ).sym_matrix()
     elif kind == "counterexample":
+        _only(source, ("kind", "scaled", "delta", "n_center", "m_pairs"), where)
         spec = CounterexampleSpec(
             delta=float(_value(source, "delta", (int, float), "a number")),
             n_center=_count(source, "n_center"),
@@ -154,23 +169,12 @@ def matrix_from_source(source: dict) -> SymMatrix:
         a = build_counterexample(spec).sym_matrix()
     else:
         raise InputError(f"unknown matrix source kind {kind!r}")
-    if source.get("scaled"):
+    if scaled:
         res = _scaling.scale_symmetric(a, residual_target=1e-10, max_iterations=100_000)
         if not res.converged:
             raise NumericalError("matrix source did not scale", residual=res.residual)
         a = res.b
     return a
-
-
-def _trial_ws(a: SymMatrix, trials: int, seed: int):
-    """W of trial indices 0..trials-1, gathered through one layout of A's support.
-
-    Trial t's normals are the first row of m of stream (seed, t).
-    """
-    m, pos, weight = _layout(a)
-    row = np.empty(m)
-    for t in range(trials):
-        yield _gather(gaussian_rows(stream(seed, t), row), pos, weight)
 
 
 @dataclass(frozen=True)
@@ -390,11 +394,12 @@ def counterexample_family(n_centers, delta: float) -> list[FamilyMember]:
 
 
 def resolve(kind: str, config) -> dict:
-    """``config``, a JSON object, laid over the defaults of experiment ``kind``."""
+    """``config``, a JSON object, laid over the defaults of experiment ``kind``; refuses a key not read."""
     if kind not in DEFAULTS:
         raise InputError(f"unknown experiment {kind!r}")
     if not isinstance(config, dict):
         raise InputError(f"an experiment config must be a JSON object, got {type(config).__name__}")
+    _only(config, ("family" if kind == "concentration" else "matrix", *DEFAULTS[kind]), f"the {kind} config")
     return {**DEFAULTS[kind], **config}
 
 
@@ -412,8 +417,10 @@ def run(kind: str, config, threads: int = 1):
         fam = _value(config, "family", dict, "an object")
         family = fam.get("kind")
         if family == "complete":
+            _only(fam, ("kind", "ns"), "a complete family")
             members = complete_family(_list(fam, "ns", int, "integers", (8, 10, 12, 14)))
         elif family == "counterexample":
+            _only(fam, ("kind", "n_centers", "delta"), "a counterexample family")
             members = counterexample_family(
                 _list(fam, "n_centers", int, "integers", (10, 15, 19, 24)),
                 float(_value(fam, "delta", (int, float), "a number", 0.12)),

@@ -200,7 +200,7 @@ class _SubsetRows:
     stays O(n + m).
     """
 
-    def __init__(self, g: GraphEdgeList, size: int, rows: int = _ROWS):
+    def __init__(self, g: GraphEdgeList, size: int):
         n = self.n = g.n
         self.nbr, self.start, self.deg = g.indices, g.indptr[:-1], g.degrees()
         words = -(-n // 64)
@@ -220,7 +220,7 @@ class _SubsetRows:
         # numpy sorts 8- and 16-bit keys stably by radix
         self.narrow = np.min_scalar_type(words - 1)
         widest = max(1, size * int(self.deg.max()))
-        self.chunk = max(1, min(rows, _ENTRIES // widest))
+        self.chunk = max(1, min(_ROWS, _ENTRIES // widest))
 
     def load(self, vert: np.ndarray, sizes: np.ndarray) -> None:
         """Evaluate one chunk: the rows' members in turn in ``vert``, row lengths in ``sizes``.
@@ -301,7 +301,7 @@ def _one_row(g: GraphEdgeList, j) -> _SubsetRows:
     for v in js:
         if not (0 <= v < g.n):
             raise InputError(f"vertex {v} out of range for n={g.n}")
-    ev = _SubsetRows(g, len(js), rows=1)
+    ev = _SubsetRows(g, len(js))
     ev.load(np.fromiter(js, np.intp, len(js)), np.array([len(js)]))
     return ev
 

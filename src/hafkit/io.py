@@ -22,14 +22,20 @@ __all__ = [
 ]
 
 
-def read_symmetric_matrix(path) -> SymMatrix:
+def _lines(path, what: str) -> list[str]:
+    """The stripped nonblank lines of the file at ``path``, at least one; ``what`` names its format."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in (raw.strip() for raw in fh) if ln]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not lines:
-        raise InputError(f"{path}: empty matrix file")
+        raise InputError(f"{path}: empty {what} file")
+    return lines
+
+
+def read_symmetric_matrix(path) -> SymMatrix:
+    lines = _lines(path, "matrix")
     try:
         n = int(lines[0])
     except ValueError:
@@ -61,13 +67,7 @@ def write_matrix(path, matrix) -> None:
 
 
 def read_edge_list(path) -> GraphEdgeList:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in (raw.strip() for raw in fh) if ln]
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise InputError(f"{path}: empty graph file")
+    lines = _lines(path, "graph")
     head = lines[0].split()
     if len(head) != 2:
         raise InputError(f"{path}: first line must be 'n m', got {lines[0]!r}")

@@ -4,16 +4,9 @@ A stream is numpy's Philox keyed by (seed, key), read through numpy's
 ziggurat, so its normals are a pure function of the key: golden tests pin
 the exact values.  Successive draws from one generator continue its
 stream, so rows drawn in slices are the rows of one draw of them all.  Who
-owns which stream is the caller's contract.  The estimator keys one stream
-per chunk of ``estimator._CHUNK`` samples, and sample i is row i % _CHUNK
-of the rows that stream (seed, i // _CHUNK) gives, m normals a row; a
-spectral trial t is the first row of stream (seed, t).  A sample's row
-holds one normal per edge of A's total support, the support edges on some
-cycle cover, and a trial's row one per edge of A's support, in row-major
-order either way (``estimator._layout`` places them in W).  So m is the
-edge count of that edge set: n(n-1)/2 on a complete support, n/2 on a
-perfect matching, and for samples of the n=50 counterexample 577 of its
-901 support edges.
+owns which stream is the caller's contract: ``estimator`` states which key
+a chunk of samples and a spectral trial read, and which normal of a row
+lands on which entry of W.
 
 A key costs a fresh generator, about 11 us on a 2-vCPU VM, more than the
 normals of a small sample; one key per chunk of 512 samples leaves the bulk

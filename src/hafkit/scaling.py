@@ -196,10 +196,10 @@ def _fixed_point(arr, d, residual_target, max_iterations):
 
 @dataclass(frozen=True)
 class ScalingAudit:
-    """Entry-size audit of a scaled matrix against n^-theta / n^-2nu bounds."""
+    """Entry-size audit of a scaled matrix against n^-theta / n^-2nu bounds; None where no bound was given."""
 
-    max_ok: bool
-    min_ok: bool
+    max_ok: bool | None
+    min_ok: bool | None
     observed_exponents: tuple
 
 
@@ -211,16 +211,17 @@ def n_power(n: int, exponent: float) -> float:
         return math.inf
 
 
-def check_audit_bounds(theta: float, nu: float) -> None:
-    """Refuse a bound that no entry can be compared with: theta and nu must be finite."""
+def check_audit_bounds(theta: float | None, nu: float | None) -> None:
+    """Refuse a bound that no entry can be compared with: a given theta or nu must be finite."""
     for name, bound in (("theta", theta), ("nu", nu)):
-        if not math.isfinite(bound):
+        if bound is not None and not math.isfinite(bound):
             raise InputError(f"{name} must be finite, got {bound}")
 
 
-def audit_entry_bounds(result: ScalingResult, theta: float, nu: float) -> ScalingAudit:
+def audit_entry_bounds(result: ScalingResult, theta: float | None, nu: float | None) -> ScalingAudit:
     """Check max B_ij <= n^-theta and min positive B_ij >= n^-2nu; a bound past float64 is +inf.
 
+    A bound given as None is not checked, and its verdict is None.
     ``observed_exponents`` inverts both bounds: the first component is the
     theta actually achieved by the max entry, the second the nu achieved by
     the smallest positive entry.
@@ -229,7 +230,7 @@ def audit_entry_bounds(result: ScalingResult, theta: float, nu: float) -> Scalin
     if not result.converged:
         raise InputError("entry-bound audit requires a converged scaling result")
     return ScalingAudit(
-        max_ok=bool(result.max_entry <= n_power(result.n, -theta)),
-        min_ok=bool(result.min_positive_entry >= n_power(result.n, -2.0 * nu)),
+        max_ok=None if theta is None else bool(result.max_entry <= n_power(result.n, -theta)),
+        min_ok=None if nu is None else bool(result.min_positive_entry >= n_power(result.n, -2.0 * nu)),
         observed_exponents=result.observed_exponents,
     )

@@ -824,6 +824,58 @@ def test_malformed_experiment_config_exits_2(runner, tmp_path, kind, config):
         assert res.stderr.startswith(f"input error: {key!r} must be a list of finite numbers")
 
 
+COMPLETE_FAMILY = {"kind": "complete", "ns": [4]}
+
+
+@pytest.mark.parametrize(
+    "kind, config, key",
+    [
+        ("sv-tail", {"matrix": K8_SOURCE, "trials": 5, "tresholds": [0.1]}, "tresholds"),
+        ("sv-tail", {"matrix": K8_SOURCE, "trials": 5, "eta_grid": [0.1]}, "eta_grid"),
+        ("density", {"matrix": K8_SOURCE, "trials": 5, "thresholds": [0.1]}, "thresholds"),
+        ("density", {"matrix": K8_SOURCE, "family": COMPLETE_FAMILY}, "family"),
+        ("concentration", {"family": COMPLETE_FAMILY, "trials": 5}, "trials"),
+        ("concentration", {"family": COMPLETE_FAMILY, "matrix": K8_SOURCE}, "matrix"),
+        ("density", {"matrix": {"kind": "file", "path": "k4.mat", "n": 4}}, "n"),
+        ("density", {"matrix": {"kind": "complete", "n": 4, "graph_seed": 1}}, "graph_seed"),
+        ("density", {"matrix": {"kind": "random_regular", "n": 8, "d": 3, "n_center": 3}}, "n_center"),
+        ("density", {"matrix": {"kind": "counterexample", "delta": 0.1, "n_center": 3, "path": "x"}}, "path"),
+        ("concentration", {"family": {**COMPLETE_FAMILY, "delta": 0.1}}, "delta"),
+        ("concentration", {"family": {"kind": "counterexample", "n_centers": [4], "ns": [4]}}, "ns"),
+    ],
+    ids=["sv-tail-misspelt", "sv-tail-eta-grid", "density-thresholds", "density-family",
+         "concentration-trials", "concentration-matrix", "file-source", "complete-source",
+         "random-regular-source", "counterexample-source", "complete-family", "counterexample-family"],
+)
+def test_experiment_config_refuses_keys_it_does_not_read(runner, tmp_path, kind, config, key):
+    res = run_experiment(runner, tmp_path, kind, config)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"input error: unknown key {key!r} in ")
+
+
+@pytest.mark.parametrize("scaled", ["false", "true", 0, 1, None, [True]])
+def test_matrix_source_scaled_must_be_a_boolean(runner, tmp_path, scaled):
+    config = {"matrix": {"kind": "complete", "n": 4, "scaled": scaled}, "trials": 3, "eta_grid": [0.5]}
+    res = run_experiment(runner, tmp_path, "density", config)
+    assert res.exit_code == 2
+    assert res.stderr == f"input error: 'scaled' must be true or false, got {scaled!r}\n"
+
+
+def test_matrix_source_scaled_on_every_kind(runner, tmp_path):
+    io.write_matrix(tmp_path / "k4.mat", complete_graph(4).sym_matrix())
+    sources = [{"kind": "file", "path": str(tmp_path / "k4.mat")}, {"kind": "complete", "n": 4},
+               {"kind": "random_regular", "n": 4, "d": 3}]
+    for source in sources:
+        for scaled, max_entry in ((False, 1.0), (True, 1 / 3)):
+            config = {"matrix": {**source, "scaled": scaled}, "trials": 3, "eta_grid": [0.5]}
+            res = run_experiment(runner, tmp_path, "density", config)
+            assert res.exit_code == 0, res.stderr
+            assert json.loads(res.output)["report"]["max_entry"] == pytest.approx(max_entry, rel=1e-9)
+    cx = {"kind": "counterexample", "delta": 0.1, "n_center": 3, "m_pairs": 1, "scaled": False}
+    assert run_experiment(runner, tmp_path, "density", {"matrix": cx, "trials": 3}).exit_code == 0
+
+
 def test_check_delta_needs_weak(runner, files):
     res = runner.invoke(
         main,

@@ -245,6 +245,16 @@ def test_matrix_from_source_kinds(tmp_path):
         matrix_from_source({"kind": "mystery"})
 
 
+def test_trials_on_a_support_without_edges():
+    # no support edge draws a normal, so every W is the zero matrix
+    z = SymMatrix(np.zeros((4, 4)))
+    tail = smallest_sv_tail(z, trials=3, seed=5, thresholds=(0.1,))
+    assert tail.cdf == {0.1: 1.0}
+    assert tail.median_smallest_singular == 0.0
+    density = eigenvalue_density(z, trials=3, seed=5, eta_grid=[1e-8, 0.1, 1.0])
+    assert [(row.mean_count, row.max_count) for row in density.rows] == [(4.0, 4)] * 3
+
+
 def test_spectrum_minimum_matches_independent_bidiagonalization():
     rng = np.random.default_rng(14)
     for _ in range(100):

@@ -6,6 +6,7 @@ import pytest
 
 from hafkit import (
     InputError,
+    ScalingAudit,
     SymMatrix,
     audit_entry_bounds,
     complete_graph,
@@ -126,6 +127,15 @@ def test_audit_bounds():
     for theta, nu in ((math.nan, 1.0), (0.5, math.inf), (-math.inf, 1.0)):
         with pytest.raises(InputError, match="must be finite"):
             audit_entry_bounds(res, theta=theta, nu=nu)
+
+
+def test_audit_leaves_a_missing_bound_unchecked():
+    res = scale_symmetric(complete_graph(8).sym_matrix(), residual_target=1e-12)
+    both = audit_entry_bounds(res, theta=0.5, nu=1.0)
+    assert audit_entry_bounds(res, theta=0.5, nu=None) == ScalingAudit(both.max_ok, None, both.observed_exponents)
+    assert audit_entry_bounds(res, theta=None, nu=1.0) == ScalingAudit(None, both.min_ok, both.observed_exponents)
+    with pytest.raises(InputError, match="theta must be finite"):
+        audit_entry_bounds(res, theta=math.nan, nu=None)
 
 
 def test_audit_n2_max_entry_one():
