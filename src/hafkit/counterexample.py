@@ -31,6 +31,7 @@ import numpy as np
 from .errors import InputError
 from .estimator import _logsumexp, _quantiles, sample_log_dets
 from .graphs import ExpansionReport, GraphEdgeList, _deficit_weights
+from .linalg import allocate
 
 __all__ = [
     "CounterexampleSpec",
@@ -76,6 +77,8 @@ def build_counterexample(spec: CounterexampleSpec) -> GraphEdgeList:
     """Materialize the graph as an edge list on 2(n + m) vertices."""
     n, m = spec.n_center, spec.m_pairs
     total = spec.total_vertices
+    # the CLI and the matrix sources go on to the dense matrix: refuse a size with no room for it first
+    allocate((total, total), f"{total} vertices: no room for a {total} x {total} matrix")
     # each center vertex i to every vertex past it: the clique and the plain vertices
     center = np.column_stack(np.nonzero(np.triu(np.ones((n, total), dtype=bool), 1)))
     pairs = 2 * n + np.arange(2 * m).reshape(m, 2)

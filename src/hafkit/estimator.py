@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import InputError
 from .exact import support_blocks
-from .linalg import SkewMatrix, SymMatrix
+from .linalg import SkewMatrix, SymMatrix, allocate
 from .rng import check_seed, gaussian_rows, stream
 
 __all__ = [
@@ -260,10 +260,7 @@ def sample_log_dets(a: SymMatrix, num_samples: int, seed: int, threads: int = 1)
     ``sample_w(a, seed, i)``, and det(W) is taken block by block over the blocks of the total support.
     """
     seed = check_arguments(num_samples, seed, threads)
-    try:
-        log_dets = np.empty(num_samples)
-    except (ValueError, MemoryError):  # past numpy's largest array, or past the machine's memory
-        raise InputError(f"num_samples={num_samples}: no room for one log-det per sample") from None
+    log_dets = allocate(num_samples, f"num_samples={num_samples}: no room for one log-det per sample")
     plan = _plan(a)
     if plan is None:
         log_dets.fill(-np.inf)

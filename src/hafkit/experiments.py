@@ -31,7 +31,7 @@ from .counterexample import CounterexampleSpec, build_counterexample
 from .errors import InputError, NumericalError
 from .estimator import _trial_ws, sample_log_dets
 from .graphs import GraphEdgeList, large_entries_graph
-from .linalg import SkewMatrix, SymMatrix, spectrum
+from .linalg import SkewMatrix, SymMatrix, allocate, spectrum
 from .rng import check_seed
 from . import io as _io
 from . import scaling as _scaling
@@ -69,7 +69,10 @@ def _complete_matrix(n: int) -> SymMatrix:
     """Adjacency matrix of K_n, built without its n(n-1)/2 edge pairs."""
     if n < 1:
         raise InputError("graph must have at least one vertex")
-    return SymMatrix(np.ones((n, n)) - np.eye(n))
+    a = allocate((n, n), f"n={n}: no n x n matrix can be allocated")
+    a.fill(1.0)
+    np.fill_diagonal(a, 0.0)
+    return SymMatrix(a)
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> GraphEdgeList:
@@ -156,9 +159,9 @@ def matrix_from_source(source: dict) -> SymMatrix:
         a = _complete_matrix(_count(source, "n"))
     elif kind == "random_regular":
         _only(source, ("kind", "scaled", "n", "d", "graph_seed"), where)
-        a = random_regular_graph(
-            _count(source, "n"), _count(source, "d"), _count(source, "graph_seed", 0)
-        ).sym_matrix()
+        n = _count(source, "n")
+        allocate((n, n), f"n={n}: no n x n matrix can be allocated")  # before the graph is built
+        a = random_regular_graph(n, _count(source, "d"), _count(source, "graph_seed", 0)).sym_matrix()
     elif kind == "counterexample":
         _only(source, ("kind", "scaled", "delta", "n_center", "m_pairs"), where)
         spec = CounterexampleSpec(
@@ -175,6 +178,15 @@ def matrix_from_source(source: dict) -> SymMatrix:
             raise NumericalError("matrix source did not scale", residual=res.residual)
         a = res.b
     return a
+
+
+def _loglog_fit(xs, ys) -> tuple[float, float]:
+    """Slope and R^2 of the least-squares line through the points (log x, log y)."""
+    lx, ly = np.log(xs), np.log(ys)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    ss_res = float(np.sum((ly - (slope * lx + intercept)) ** 2))
+    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
+    return float(slope), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -201,11 +213,7 @@ def smallest_sv_tail(a: SymMatrix, trials: int, seed: int, thresholds) -> TailRe
     cdf = {t: float(np.mean(sn <= t)) for t in thresholds}
     # crude power-law fit of the tail over thresholds with mass
     pts = [(t, p) for t, p in cdf.items() if p > 0]
-    fitted = None
-    if len(pts) >= 2 and pts[0][1] < pts[-1][1]:
-        lx = np.log([t for t, _ in pts])
-        ly = np.log([p for _, p in pts])
-        fitted = float(np.polyfit(lx, ly, 1)[0])
+    fitted = _loglog_fit(*zip(*pts))[0] if len(pts) >= 2 and pts[0][1] < pts[-1][1] else None
     return TailReport(
         n=a.n,
         trials=trials,
@@ -349,18 +357,8 @@ def concentration_error(
                 float(np.median(signed)),
             )
         )
-    fitted = None
-    r2 = None
     pos = [(s, med) for s, med, _, _ in rows if med > 0]
-    if len(pos) >= 2:
-        lx = np.log([s for s, _ in pos])
-        ly = np.log([m for _, m in pos])
-        slope, intercept = np.polyfit(lx, ly, 1)
-        pred = slope * lx + intercept
-        ss_res = float(np.sum((ly - pred) ** 2))
-        ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
-        fitted = float(slope)
-        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    fitted, r2 = _loglog_fit(*zip(*pos)) if len(pos) >= 2 else (None, None)
     return ConcentrationReport(
         family=family,
         samples_per_member=samples_per_member,

@@ -66,29 +66,19 @@ def _emit(obj, indent: int, pieces: list):
         dataclasses.is_dataclass(obj) and not isinstance(obj, type)
     ):
         _emit(fields(obj), indent, pieces)
-    elif isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
+    elif isinstance(obj, (dict, list, tuple, np.ndarray)):
+        keyed = isinstance(obj, dict)
+        opening, closing = "{}" if keyed else "[]"
+        items = list(obj.items() if keyed else enumerate(obj))
+        if not items:
+            pieces.append(opening + closing)
             return
-        pieces.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            pieces.append(inner)
-            pieces.append(_key(k))
-            pieces.append(": ")
+        pieces.append(opening + "\n")
+        for i, (k, v) in enumerate(items):
+            pieces.append(inner + (_key(k) + ": " if keyed else ""))
             _emit(v, indent + 1, pieces)
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for i, v in enumerate(seq):
-            pieces.append(inner)
-            _emit(v, indent + 1, pieces)
-            pieces.append(",\n" if i < len(seq) - 1 else "\n")
-        pieces.append(pad + "]")
+            pieces.append(",\n" if i < len(items) - 1 else "\n")
+        pieces.append(pad + closing)
     else:
         raise TypeError(f"unsupported JSON value type {type(obj)!r}")
 

@@ -32,6 +32,18 @@ __all__ = [
 ]
 
 
+def allocate(shape, refusal: str) -> np.ndarray:
+    """``np.empty(shape)``, or an InputError saying ``refusal`` where numpy cannot allocate it.
+
+    A size the allocator maps lazily passes, and can still run out of
+    memory once it is filled.
+    """
+    try:
+        return np.empty(shape)
+    except (ValueError, MemoryError):  # past numpy's largest array, or past the machine's memory
+        raise InputError(refusal) from None
+
+
 def _as_square_float(entries, what: str) -> np.ndarray:
     arr = np.asarray(entries, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -109,7 +121,7 @@ class SpectrumReport:
 
     def __post_init__(self):
         for name in ("eigenvalues_iw", "singular_values"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = np.array(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -123,7 +135,8 @@ def pfaffian_log_stack(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     structurally singular matrix) and ``sign[b]`` in {-1, 0, +1}.
 
     The input stack is not modified.  Odd dimension is degenerate and
-    yields ``(-inf, 0)`` for every slice.
+    yields ``(-inf, 0)`` for every slice; the empty matrix (n = 0) has
+    Pfaffian 1 and yields ``(0, +1)``.
     """
     ws = np.asarray(ws, dtype=np.float64)
     if ws.ndim != 3 or ws.shape[1] != ws.shape[2]:
@@ -135,39 +148,23 @@ def pfaffian_log_stack(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.full(nb, -np.inf), np.zeros(nb)
     a = ws.copy()
     bidx = np.arange(nb)
-    for k in range(0, n - 2, 2):
+    for k in range(0, n, 2):
         # pivot: bring the largest |entry| of column k (below row k) to (k+1, k)
         kp = k + 1 + np.argmax(np.abs(a[:, k + 1:, k]), axis=1)
-        need = kp != k + 1
-        if np.any(need):
-            rows = a[bidx, kp, :].copy()
-            a[bidx[need], kp[need], :] = a[bidx[need], k + 1, :]
-            a[bidx[need], k + 1, :] = rows[need]
-            cols = a[bidx, :, kp].copy()
-            a[bidx[need], :, kp[need]] = a[bidx[need], :, k + 1]
-            a[bidx[need], :, k + 1] = cols[need]
-            sign[need] = -sign[need]
+        np.negative(sign, out=sign, where=kp != k + 1)
+        a[bidx, kp], a[bidx, k + 1] = a[bidx, k + 1], a[bidx, kp]
+        a[bidx, :, kp], a[bidx, :, k + 1] = a[bidx, :, k + 1], a[bidx, :, kp]
         piv = a[:, k, k + 1]
         dead = piv == 0.0
-        if np.any(dead):
-            sign[dead] = 0.0
-            log_abs[dead] = -np.inf
+        sign[dead] = 0.0
         safe = np.where(dead, 1.0, piv)
-        log_abs = log_abs + np.log(np.abs(safe))
-        sign = sign * np.sign(safe)
+        log_abs += np.log(np.abs(safe))
+        sign *= np.sign(safe)
+        log_abs[sign == 0.0] = -np.inf
         tau = a[:, k, k + 2:] / safe[:, None]
         vcol = a[:, k + 2:, k + 1]
         a[:, k + 2:, k + 2:] += tau[:, :, None] * vcol[:, None, :]
         a[:, k + 2:, k + 2:] -= vcol[:, :, None] * tau[:, None, :]
-    last = a[:, n - 2, n - 1]
-    dead = last == 0.0
-    if np.any(dead):
-        sign[dead] = 0.0
-        log_abs[dead] = -np.inf
-    safe = np.where(dead, 1.0, last)
-    log_abs = log_abs + np.log(np.abs(safe))
-    sign = sign * np.sign(safe)
-    log_abs[sign == 0.0] = -np.inf
     return log_abs, sign
 
 

@@ -2,21 +2,23 @@
 
 The iteration is the symmetric fixed point d_i <- d_i / sqrt(sum_j d_i
 A_ij d_j): both sides of the scaling are updated at once, so every iterate
-is exactly symmetric.  Convergence requires the support of A to contain a
-perfect matching; when it does not, the iteration stalls and the result is
-returned with ``converged=False`` instead of raising, because
-non-scalability is a legitimate verdict the CLI reports.  The iteration is
-sequential, so its cost is interpreter overhead per step: steps run in
-blocks into buffers allocated per block and the stopping rules are checked
-once per block, which gives bit for bit the result of checking after every
-step (see ``_fixed_point``).  It runs on A' = A / 4^k, with k chosen so
-that max A' lies in [1, 4) (or above, where that would push a positive
-entry below the normal range), and returns d = d' / 2^k: a power of two
-commutes with rounding, so every iterate is the one on A times 2^k, bit for
-bit, while the divergence rule bounds only the spread max d' / min d',
-so the verdict depends neither on the units of A nor on where its blocks
-sit.  The entry-size audit compares the scaled entries with the
-n^-theta / n^-2nu bounds of the concentration theorem.
+is exactly symmetric.  Convergence requires A to have total support: every
+edge of its support lies on a cycle cover (Sinkhorn-Knopp 1967, Csima-Datta
+1972).  A perfect matching in the support is not enough: the center-clique
+counterexample has one and does not scale.  When the iteration does not
+converge, the result is returned with ``converged=False`` instead of
+raising, because non-scalability is a legitimate verdict the CLI reports.
+The iteration is sequential, so its cost is interpreter overhead per step:
+steps run in blocks into buffers allocated per block and the stopping
+rules are checked once per block, which gives bit for bit the result of
+checking after every step (see ``_fixed_point``).  It runs on
+A' = A / 4^k, with k chosen so that max A' lies in [1, 4) (or above, where
+that would push a positive entry below the normal range), and returns
+d = d' / 2^k: a power of two commutes with rounding, so every iterate is
+the one on A times 2^k, bit for bit, while the divergence rule bounds only
+the spread max d' / min d', so the verdict depends neither on the units of
+A nor on where its blocks sit.  The entry-size audit compares the scaled
+entries with the n^-theta / n^-2nu bounds of the concentration theorem.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class ScalingResult:
     b: SymMatrix = field(repr=False)
 
     def __post_init__(self):
-        d = np.asarray(self.d, dtype=np.float64)
+        d = np.array(self.d, dtype=np.float64)
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
 

@@ -680,6 +680,7 @@ def test_scale_audit_bound_past_float64_is_inf(runner, files, given, verdict):
 EXTREME_FLOATS = ["1e308", "-1e308", "1e300", "-1e300", "0", "-4"]
 EXTREME_INTS = ["0", "-4", str(2**64)]
 HUGE = [str(10**30)]
+SIZES = [10**12, 10**30]  # numpy refuses an n x n float64 array of these at once
 K4_HYPOTHESES = ["hypotheses", "--matrix", "k4.mat", "--alpha", "0.5", "--kappa", "0.25", "--beta", "2",
                  "--theta", "0.5"]
 # (call, {option: values}): the call is run once with each value of each option appended
@@ -703,7 +704,8 @@ EXTREME_CALLS = [
      {"--alpha": EXTREME_FLOATS, "--kappa": EXTREME_FLOATS, "--beta": EXTREME_FLOATS,
       "--theta": EXTREME_FLOATS, "--budget": EXTREME_INTS + HUGE}),
     (["counterexample", "--n-center", "4", "--m-pairs", "1", "--samples", "10"],
-     {"--delta": EXTREME_FLOATS, "--n-center": EXTREME_INTS[:2], "--m-pairs": EXTREME_INTS[:2],
+     {"--delta": EXTREME_FLOATS, "--n-center": EXTREME_INTS[:2] + [str(n) for n in SIZES],
+      "--m-pairs": EXTREME_INTS[:2] + [str(n) for n in SIZES],
       "--samples": EXTREME_INTS[:2] + HUGE + [str(2**62), str(10**18)], "--seed": EXTREME_INTS + HUGE}),
 ]
 K4_SOURCE = {"kind": "complete", "n": 4, "scaled": True}
@@ -714,12 +716,16 @@ EXTREME_CONFIGS = [
     ("density", {"matrix": K4_SOURCE, "trials": 3}, "eta_grid", [[float(x)] for x in EXTREME_FLOATS]),
     ("density", {"matrix": K4_SOURCE, "trials": 3}, "trials", [0, -4]),
     ("density", {"matrix": K4_SOURCE, "trials": 3}, "seed", [-4, 2**64, 10**30]),
-    ("density", {"trials": 3}, "matrix", [{"kind": "complete", "n": n} for n in (0, -4)]
-     + [{"kind": "counterexample", "delta": float(x), "n_center": 4} for x in EXTREME_FLOATS]),
+    ("density", {"trials": 3}, "matrix", [{"kind": "complete", "n": n} for n in (0, -4, *SIZES)]
+     + [{"kind": "random_regular", "n": n, "d": 3} for n in SIZES]
+     + [{"kind": "counterexample", "delta": 0.12, "n_center": 4, "m_pairs": n} for n in SIZES]
+     + [{"kind": "counterexample", "delta": float(x), "n_center": 4} for x in EXTREME_FLOATS]
+     + [{"kind": "counterexample", "delta": 0.12, "n_center": n} for n in SIZES]),
     ("concentration", {"family": {"kind": "complete", "ns": [4]}, "samples_per_n": 10}, "samples_per_n",
      [0, -4]),
-    ("concentration", {"samples_per_n": 10}, "family", [{"kind": "complete", "ns": [n]} for n in (0, -4)]
-     + [{"kind": "counterexample", "n_centers": [4], "delta": float(x)} for x in EXTREME_FLOATS]),
+    ("concentration", {"samples_per_n": 10}, "family", [{"kind": "complete", "ns": [n]} for n in (0, -4, *SIZES)]
+     + [{"kind": "counterexample", "n_centers": [4], "delta": float(x)} for x in EXTREME_FLOATS]
+     + [{"kind": "counterexample", "n_centers": [n]} for n in SIZES]),
 ]
 
 

@@ -6,6 +6,7 @@ import pytest
 from hafkit import (
     InputError,
     SkewMatrix,
+    SpectrumReport,
     SymMatrix,
     pfaffian_log_stack,
     spectrum,
@@ -36,6 +37,11 @@ def test_pfaffian_zero_matrix_singular():
 def test_pfaffian_odd_dimension_degenerate():
     w = SkewMatrix([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]])
     assert pfaffian_one(w.entries) == (-math.inf, 0)
+
+
+def test_pfaffian_of_empty_matrix_is_one():
+    log_abs, sign = pfaffian_log_stack(np.zeros((3, 0, 0)))
+    assert log_abs.tolist() == [0.0] * 3 and sign.tolist() == [1.0] * 3
 
 
 def test_log_det_2x2():
@@ -138,6 +144,13 @@ def test_spectrum_zero_matrix():
     rep = spectrum(SkewMatrix(np.zeros((4, 4))))
     assert np.all(rep.eigenvalues_iw == 0)
     assert np.all(rep.singular_values == 0)
+
+
+def test_spectrum_report_freezes_a_copy():
+    ev, sv = np.array([2.0, -2.0]), np.array([2.0, 2.0])
+    rep = SpectrumReport(ev, sv, 2.0, 2.0)
+    assert ev.flags.writeable and sv.flags.writeable
+    assert not rep.eigenvalues_iw.flags.writeable and not rep.singular_values.flags.writeable
 
 
 def test_spectrum_trace_identity():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -30,6 +31,13 @@ def test_two_by_two():
     assert res.converged
     assert np.allclose(res.b.entries, [[0, 1], [1, 0]])
     assert np.allclose(res.d, [1 / math.sqrt(2)] * 2)
+
+
+def test_scaling_result_freezes_a_copy():
+    res = scale_symmetric(SymMatrix([[0, 2], [2, 0]]))
+    d = np.array(res.d)
+    assert not dataclasses.replace(res, d=d).d.flags.writeable
+    assert d.flags.writeable
 
 
 @pytest.mark.parametrize("n,d", [(8, 3), (10, 3), (8, 4), (12, 6)])
