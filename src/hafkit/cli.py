@@ -116,12 +116,14 @@ def _emit(body: dict, code: int = EXIT_OK, config: dict | None = None, **resolve
 
 
 def _subcommand(fn):
-    """Start the run's clock, and map input and numerical errors to their exit codes."""
+    """Start the run's clock, refuse --threads below 1, and map input and numerical errors to exit codes."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         click.get_current_context().meta[_STARTED] = time.monotonic()
         try:
+            if kwargs.get("threads", 1) < 1:  # from the flag or HAFKIT_THREADS, before any work
+                raise InputError("threads must be >= 1")
             return fn(*args, **kwargs)
         except InputError as exc:
             click.echo(f"input error: {exc}", err=True)

@@ -12,7 +12,3 @@ class InputError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical routine failed to converge or produced unusable output."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual

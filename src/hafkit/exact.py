@@ -11,7 +11,8 @@ grow with the states reached, not with 2^n.  These are found level by level
 as sorted int64 bit masks; values are then pulled up from the empty set,
 each state adding its terms in ascending ``j``.  Integer inputs are counted
 exactly: in int64 while no partial sum can reach 2^63, and in Python ints
-from the level where one could.  Other inputs are summed in float64.
+from the level where one could.  Other inputs are summed in float64, A and
+each level scaled by the power of two that puts its largest value in [0.5, 1).
 
 The one guard on the cost is the number of moves, the (state, partner)
 pairs the levels are built from: past 2^23 of them the DP stops and raises
@@ -32,6 +33,7 @@ which every determinant with that support factors.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -55,8 +57,6 @@ _MAX_MOVES = 2**23
 # float64 holds every integer below 2^53; int64 every integer below 2^63
 _FLOAT_EXACT = 2**53
 _INT64_LIMIT = 2**63
-# above ~1e300 exp overflows
-_MAX_EXACT_LOG = 700.0
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,10 @@ def _moves(masks: np.ndarray, nbrs: np.ndarray):
             yield j, parents, lowest[parents], masks[parents] ^ low[parents] ^ (1 << j)
 
 
-def _hafnian_dp(a: np.ndarray) -> float | int:
-    """Hafnian over the reachable states; int64 sums go on in Python ints near 2^63."""
+def _hafnian_dp(a: np.ndarray) -> tuple[float | int, int]:
+    """``(v, shift)`` with haf = v * 2^shift: a float v is 0 or in [0.5, 1), an integer one exact, shift 0."""
     n = a.shape[0]
+    shift = 0
     nbrs = np.array([sum(1 << int(j) for j in np.flatnonzero(row)) for row in a], dtype=np.int64)
     levels = [np.array([(1 << n) - 1], dtype=np.int64)]
     moves = 0
@@ -101,7 +102,7 @@ def _hafnian_dp(a: np.ndarray) -> float | int:
                 raise InputError(f"exact hafnian needs more than {_MAX_MOVES} DP moves at n={n}")
             children.append(kids)
         if not children:
-            return 0
+            return 0, 0
         level = np.concatenate(children)
         level.sort()  # then keep each mask that differs from its predecessor
         levels.append(level[np.insert(level[1:] != level[:-1], 0, True)])
@@ -113,8 +114,11 @@ def _hafnian_dp(a: np.ndarray) -> float | int:
         acc = np.zeros(masks.size, dtype=a.dtype)
         for j, parents, i, kids in _moves(masks, nbrs):
             acc[parents] += a[i, j] * val[np.searchsorted(below, kids)]
+        if acc.dtype == np.float64:  # the level's largest value into [0.5, 1)
+            e = math.frexp(acc.max())[1]
+            acc, shift = np.ldexp(acc, -e), shift + e
         val = acc
-    return val.tolist()[0]
+    return val.tolist()[0], shift
 
 
 def hafnian_exact(a: SymMatrix) -> HafnianValue:
@@ -124,29 +128,25 @@ def hafnian_exact(a: SymMatrix) -> HafnianValue:
     Dimensions above 62, and inputs whose DP would make more than 2^23
     moves (K_n for every n above 28), are refused.
     Integer inputs below 2^53 are counted exactly, past int64 too.
-    Otherwise, when entries are large enough that the float DP
-    could overflow, the matrix is normalized by its maximum entry and only
-    the log value is guaranteed; else the plain value is exact-in-float.
+    Other inputs give the plain float64 sum wherever that is a normal
+    float, and at any other unit of A the log value with value_if_small None.
     """
     a.require_even()
     n = a.n
     if n > _MAX_N:
         raise InputError(f"exact hafnian needs n <= {_MAX_N} (int64 vertex masks), got n={n}")
-    m = n // 2
     c = float(a.entries.max())
     if c < _FLOAT_EXACT and np.array_equal(a.entries, np.floor(a.entries)):
-        count = _hafnian_dp(a.entries.astype(np.int64))
+        count = _hafnian_dp(a.entries.astype(np.int64))[0]
         value = float(count) if count < _FLOAT_EXACT else count
         return HafnianValue(log_value=math.log(count) if count else -math.inf, value_if_small=value, n=n)
-    # (n-1)!! bounds the number of terms; worst-case magnitude c^m * (n-1)!!
-    log_worst = m * math.log(c) + math.lgamma(n) - math.lgamma(m) - (m - 1) * math.log(2.0)
-    if log_worst < _MAX_EXACT_LOG:
-        val = float(_hafnian_dp(a.entries))
-        return HafnianValue(log_value=math.log(val) if val else -math.inf, value_if_small=val, n=n)
-    scaled = float(_hafnian_dp(a.entries / c))
-    log_value = math.log(scaled) + m * math.log(c) if scaled else -math.inf
-    value = math.exp(log_value) if log_value < _MAX_EXACT_LOG else None
-    return HafnianValue(log_value=log_value, value_if_small=value, n=n)
+    e = math.frexp(c)[1]  # A times 2^-e has its largest entry in [0.5, 1)
+    scaled, shift = _hafnian_dp(np.ldexp(a.entries, -e))
+    shift += e * (n // 2)
+    if not scaled or sys.float_info.min_exp <= shift <= sys.float_info.max_exp:
+        value = math.ldexp(scaled, shift)
+        return HafnianValue(log_value=math.log(value) if value else -math.inf, value_if_small=value, n=n)
+    return HafnianValue(log_value=math.log(scaled) + shift * math.log(2.0), value_if_small=None, n=n)
 
 
 def count_perfect_matchings(g: GraphEdgeList) -> HafnianValue:

@@ -175,7 +175,7 @@ def matrix_from_source(source: dict) -> SymMatrix:
     if scaled:
         res = _scaling.scale_symmetric(a, residual_target=1e-10, max_iterations=100_000)
         if not res.converged:
-            raise NumericalError("matrix source did not scale", residual=res.residual)
+            raise NumericalError(f"matrix source did not scale (residual {res.residual:.3g})")
         a = res.b
     return a
 
@@ -340,7 +340,7 @@ def concentration_error(
 
     Each member reports |log haf - log det| quantiles and the signed median
     of log det - log haf.  The exponent is the log-log slope of median
-    error vs size.
+    error vs size (with R^2), None without two sizes of positive median error.
     """
     if samples_per_member < 1:
         raise InputError("samples_per_member must be >= 1")
@@ -358,7 +358,7 @@ def concentration_error(
             )
         )
     pos = [(s, med) for s, med, _, _ in rows if med > 0]
-    fitted, r2 = _loglog_fit(*zip(*pos)) if len(pos) >= 2 else (None, None)
+    fitted, r2 = _loglog_fit(*zip(*pos)) if len({s for s, _ in pos}) >= 2 else (None, None)
     return ConcentrationReport(
         family=family,
         samples_per_member=samples_per_member,

@@ -444,19 +444,22 @@ def _count_text(count: int) -> str:
     return str(count) if count < 10**30 else f"about 10^{math.log10(count):.0f}"
 
 
-def _check_expansion(g, kappa, delta, level, mode, budget, seed):
-    if level is None:
-        level = g.n // 2
-    level = int(level)
-    if level >= g.n:
-        raise InputError(f"level must be < n, got level={level}, n={g.n}")
-    if level < 1:
-        raise InputError("level must be >= 1")
+def _check_scan(mode, budget, seed) -> int:
+    """Refuse a mode, budget or seed that no expansion check accepts; returns the seed as an int."""
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
     if budget < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
-    seed = check_seed(seed)
+    return check_seed(seed)
+
+
+def _check_expansion(g, kappa, delta, level, mode, budget, seed):
+    level = g.n // 2 if level is None else int(level)
+    if level >= g.n:
+        raise InputError(f"level must be < n, got level={level}, n={g.n}")
+    if level < 1:
+        raise InputError("level must be >= 1")
+    seed = _check_scan(mode, budget, seed)
     # one running sum, C(n, k) = C(n, k-1) (n-k+1) / k, which sampled mode
     # needs only up to the budget
     total, term = 0, 1
@@ -566,14 +569,13 @@ def check_theorem_hypotheses(
         raise InputError(f"alpha, kappa, beta and theta must be finite, got {(alpha, kappa, beta, theta)}")
     if kappa <= -4:
         raise InputError(f"kappa must be > -4, where the level n(1-alpha)/(1+kappa/4) is defined, got {kappa}")
+    _check_scan(mode, budget, seed)  # before scaling, which can take seconds
     n = a.n
     if scale:
         res = _scaling.scale_symmetric(a)
         if not res.converged:
-            raise NumericalError(
-                "doubly stochastic scaling did not converge; hypotheses undefined",
-                residual=res.residual,
-            )
+            raise NumericalError(f"doubly stochastic scaling did not converge (residual {res.residual:.3g}); "
+                                 "hypotheses undefined")
         b = res.b
     else:
         b = a

@@ -112,7 +112,7 @@ def scale_symmetric(
         i, j = np.nonzero(np.triu(~np.isfinite(b_arr)))
         b_arr[i, j] = b_arr[j, i] = d[i] * arr[i, j] * d[j]
     if not np.all(np.isfinite(b_arr)):
-        raise NumericalError("D*A*D overflowed float64", residual=residual)
+        raise NumericalError(f"D*A*D overflowed float64 (residual {residual:.3g})")
     max_entry = float(b_arr.max())
     min_positive = float(b_arr.min(initial=math.inf, where=b_arr > 0))
     logn = math.log(a.n)

@@ -85,6 +85,22 @@ def test_threads_env_var_respected_and_harmless(runner, files):
     assert strip_timing(plain) == strip_timing(with_env)
 
 
+def test_exact_and_estimate_at_a_tiny_unit(runner, tmp_path):
+    # haf(K_8 1e-100) = 105e-400, below every float64 but with a finite log
+    io.write_matrix(tmp_path / "tiny.mat", complete_graph(8).sym_matrix().entries * 1e-100)
+    res = runner.invoke(main, ["exact", "--matrix", str(tmp_path / "tiny.mat")])
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert doc["value"] is None
+    assert math.isclose(doc["log_haf"], math.log(105) - 400 * math.log(10), rel_tol=1e-13)
+    res = runner.invoke(main, ["estimate", "--matrix", str(tmp_path / "tiny.mat"), "--samples", "2000", "--exact"])
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert doc["exact_log_haf"] == pytest.approx(math.log(105) - 400 * math.log(10), rel=1e-13)
+    assert doc["num_zero_det"] == 0
+    assert math.isfinite(doc["error_median"]) and math.isfinite(doc["error_max"])
+
+
 def test_exact_prints_counts_past_2_53_as_ints(runner, tmp_path):
     pairs = [(12 * c + i, 12 * c + j) for c in range(4) for i in range(12) for j in range(i + 1, 12)]
     io.write_edge_list(tmp_path / "k12x4.edges", hafkit.GraphEdgeList.from_pairs(48, pairs))
@@ -144,6 +160,28 @@ def test_estimate_with_exact(runner, files):
     assert math.isclose(doc["exact_log_haf"], math.log(105))
     assert "error_median" in doc
     assert "0.5" in doc["logdet_quantiles"]
+
+
+THREADS_CALLS = [
+    ["estimate", "--matrix", "k8.mat", "--samples", "10"],
+    ["counterexample", "--n-center", "4", "--samples", "10"],
+    ["experiment", "sv-tail", "--config", "sv-tail.json"],
+    ["experiment", "density", "--config", "density.json"],
+    ["experiment", "concentration", "--config", "concentration.json"],
+]
+
+
+@pytest.mark.parametrize("call", THREADS_CALLS, ids=lambda call: call[1] if call[0] == "experiment" else call[0])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_1_exit_2_from_flag_and_environment(runner, files, call, threads):
+    for kind, config in EXPERIMENT_CONFIGS.items():
+        (files / f"{kind}.json").write_text(json.dumps(config))
+    args = [str(files / a) if a.endswith((".mat", ".json")) else a for a in call]
+    for res in (runner.invoke(main, args + ["--threads", threads]),
+                runner.invoke(main, args, env={"HAFKIT_THREADS": threads})):
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "input error: threads must be >= 1\n"
 
 
 def test_estimate_threads_do_not_change_bytes(runner, files):
@@ -770,6 +808,32 @@ def test_counterexample_command(runner, tmp_path):
     g = io.read_edge_list(out)
     spec = CounterexampleSpec(delta=0.12, n_center=6, m_pairs=1)
     assert g.edges == build_counterexample(spec).edges
+
+
+@pytest.mark.parametrize(
+    "family",
+    [{"kind": "complete", "ns": [8, 8]}, {"kind": "counterexample", "n_centers": [10, 10]}],
+    ids=["complete", "counterexample"],
+)
+def test_concentration_fits_no_line_through_one_size(runner, tmp_path, family):
+    res = run_experiment(runner, tmp_path, "concentration", {"family": family, "samples_per_n": 50, "seed": 5})
+    assert res.exit_code == 0, res.stderr
+    assert res.stderr == ""
+    report = json.loads(res.output)["report"]
+    assert len(report["rows"]) == 2 and all(row["median_abs_error"] > 0 for row in report["rows"])
+    assert report["fitted_exponent"] is None and report["r_squared"] is None
+
+
+def test_numerical_errors_print_the_residual(runner, files, tmp_path):
+    res = run_experiment(runner, tmp_path, "density",
+                         {"matrix": {"kind": "file", "path": str(files / "star.mat"), "scaled": True}, "trials": 3})
+    assert res.exit_code == 3
+    assert re.fullmatch(r"numerical error: matrix source did not scale \(residual \S+\)\n", res.stderr)
+    res = runner.invoke(main, ["hypotheses", "--matrix", str(files / "star.mat"), "--alpha", "0.5", "--kappa",
+                               "0.25", "--beta", "2", "--theta", "0.5", "--scale"])
+    assert res.exit_code == 3
+    assert re.fullmatch(r"numerical error: doubly stochastic scaling did not converge \(residual \S+\); "
+                        r"hypotheses undefined\n", res.stderr)
 
 
 def test_experiment_commands(runner, tmp_path):

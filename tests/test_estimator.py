@@ -371,6 +371,22 @@ def test_estimate_against_exact_k8():
     assert s.error_max >= s.error_median
 
 
+def test_exact_zero_and_all_zero_determinants_agree_at_any_unit():
+    # the DP's zero and the matcher's: haf(A) = 0 exactly when every det(W) is 0
+    rng = np.random.default_rng(33)
+    zeros = 0
+    for _ in range(60):
+        n = 2 * int(rng.integers(1, 6))
+        a = np.triu(random_symmetric01(rng, n, p=rng.uniform(0.15, 0.8)) * rng.random((n, n)), 1)
+        a = SymMatrix(np.ldexp(a + a.T, int(rng.integers(-900, 1))))
+        exact = hafnian_exact(a).log_value
+        summary = estimate(a, 20, seed=1, exact_log_haf=exact)
+        assert (exact == -math.inf) == (summary.num_zero_det == summary.num_samples)
+        assert math.isfinite(summary.error_median) or exact == -math.inf
+        zeros += exact == -math.inf
+    assert 0 < zeros < 60
+
+
 def test_estimate_summary_is_the_plain_aggregate_of_the_samples():
     # estimate sums in index order, then sorts its array and takes the errors
     # in it, in place: bit for bit what plain numpy gives on the samples

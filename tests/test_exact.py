@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -161,6 +162,51 @@ def test_count_above_2_53_is_an_exact_int():
     assert float(10395**4) != 10395**4
     assert type(v.value_if_small) is int and v.value_if_small == 10395**4
     assert math.isclose(v.log_value, 4 * math.log(10395), rel_tol=1e-15)
+
+
+def fraction_log(x: Fraction) -> float:
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+@pytest.mark.parametrize("n, step", [(4, 1), (8, 1), (16, 5)])
+def test_complete_graphs_at_every_power_of_two(n, step):
+    # haf(K_n 2^k) = (n-1)!! 2^(k n/2): its log at any unit, its value wherever float64 holds it
+    entries = complete_graph(n).sym_matrix().entries
+    for k in range(-1000, 1001, step):
+        v = hafnian_exact(SymMatrix(np.ldexp(entries, k)))
+        exact = double_factorial(n - 1) * Fraction(2) ** (k * n // 2)
+        log_exact = math.log(double_factorial(n - 1)) + k * (n // 2) * math.log(2.0)
+        assert math.isclose(v.log_value, log_exact, rel_tol=1e-13)
+        normal = Fraction(2) ** -1022 <= exact < Fraction(2) ** 1024
+        assert v.value_if_small == (exact if normal else None)
+
+
+def test_one_heavy_edge_among_tiny_ones():
+    # haf = 3e-400 + 12e-600: A scaled once by a power of two still sums it to 0,
+    # the levels scaled one by one keep it
+    a = np.full((6, 6), 1e-200)
+    np.fill_diagonal(a, 0.0)
+    a[0, 1] = a[1, 0] = 1.0
+    v = hafnian_exact(SymMatrix(a))
+    exact = naive_hafnian(np.vectorize(Fraction, otypes=[object])(a))
+    assert v.value_if_small is None
+    assert math.isclose(v.log_value, fraction_log(exact), rel_tol=1e-15)
+
+
+def test_weighted_inputs_at_extreme_units_match_fractions():
+    rng = np.random.default_rng(2031)
+    for _ in range(150):
+        n = 2 * int(rng.integers(1, 5))
+        mask = np.triu(rng.random((n, n)) < rng.uniform(0.4, 1.0), 1)
+        w = rng.random((n, n)) * np.exp2(rng.uniform(-60, 60, size=(n, n)))
+        a = np.ldexp(np.triu(w * mask, 1), int(rng.integers(-900, 901)))
+        a += a.T
+        exact = naive_hafnian(np.vectorize(Fraction, otypes=[object])(a))
+        v = hafnian_exact(SymMatrix(a))
+        if exact == 0:
+            assert v.log_value == -math.inf and v.value_if_small == 0.0
+        else:
+            assert math.isclose(v.log_value, fraction_log(exact), rel_tol=1e-13)
 
 
 @pytest.mark.parametrize("n, seed", [(40, 1), (40, 2), (48, 3)])

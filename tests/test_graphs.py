@@ -22,6 +22,7 @@ from hafkit import (
     scale_symmetric,
 )
 
+from hafkit import graphs
 from hafkit.graphs import _adversarial_candidates
 
 from helpers import (
@@ -292,6 +293,18 @@ def test_expansion_input_errors():
         params[bad] = math.nan
         with pytest.raises(InputError, match="must be finite"):
             check_theorem_hypotheses(g.sym_matrix(), *params)
+
+
+@pytest.mark.parametrize("bad", [{"budget": -1}, {"seed": -1}, {"mode": "nope"}], ids=["budget", "seed", "mode"])
+def test_hypotheses_check_expansion_arguments_before_scaling(monkeypatch, bad):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hypotheses did work before checking its expansion arguments")
+
+    monkeypatch.setattr(graphs._scaling, "scale_symmetric", refuse)
+    monkeypatch.setattr(graphs, "large_entries_graph", refuse)
+    for scale in (True, False):
+        with pytest.raises(InputError):
+            check_theorem_hypotheses(complete_graph(600).sym_matrix(), 0.5, 0.25, 2.0, 0.5, scale=scale, **bad)
 
 
 def test_hypotheses_scaled_complete_graph_all_pass():
