@@ -11,8 +11,11 @@ grow with the states reached, not with 2^n.  These are found level by level
 as sorted int64 bit masks; values are then pulled up from the empty set,
 each state adding its terms in ascending ``j``.  Integer inputs are counted
 exactly: in int64 while no partial sum can reach 2^63, and in Python ints
-from the level where one could.  Other inputs are summed in float64, A and
-each level scaled by the power of two that puts its largest value in [0.5, 1).
+from the level where one could.  Other inputs are summed in float64 on
+D A D, each vertex scaled by its own power of two, taken from its row's
+largest entry, so that every entry lies below 1 whatever the units of the
+rows, and each level scaled by the power of two that puts its largest
+value in [0.5, 1).
 
 The one guard on the cost is the number of moves, the (state, partner)
 pairs the levels are built from: past 2^23 of them the DP stops and raises
@@ -36,12 +39,15 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError
-from .graphs import GraphEdgeList
 from .linalg import SymMatrix
+
+if TYPE_CHECKING:  # an annotation only, so that scaling can import this module
+    from .graphs import GraphEdgeList
 
 __all__ = [
     "HafnianValue",
@@ -140,9 +146,11 @@ def hafnian_exact(a: SymMatrix) -> HafnianValue:
         count = _hafnian_dp(a.entries.astype(np.int64))[0]
         value = float(count) if count < _FLOAT_EXACT else count
         return HafnianValue(log_value=math.log(count) if count else -math.inf, value_if_small=value, n=n)
-    e = math.frexp(c)[1]  # A times 2^-e has its largest entry in [0.5, 1)
-    scaled, shift = _hafnian_dp(np.ldexp(a.entries, -e))
-    shift += e * (n // 2)
+    # haf(DAD) = det(D) haf(A): vertex v times 2^t_v, t_v = -ceil(e_v / 2) with
+    # its row's largest entry below 2^e_v, puts every entry below 1
+    t = -((np.frexp(a.entries.max(axis=1))[1] + 1) // 2)
+    scaled, shift = _hafnian_dp(np.ldexp(a.entries, t[:, None] + t))
+    shift -= int(t.sum())
     if not scaled or sys.float_info.min_exp <= shift <= sys.float_info.max_exp:
         value = math.ldexp(scaled, shift)
         return HafnianValue(log_value=math.log(value) if value else -math.inf, value_if_small=value, n=n)
@@ -282,29 +290,38 @@ def _strong_components(succ: list[list[int]]) -> list[int]:
     return label
 
 
-def _blocks(adj, cover: list[int]) -> list[tuple[list[int], list[int], int]]:
-    """``(rows, cols, power)`` of every block of the total support.
+def _cover_components(adj, cover: list[int]) -> list[int]:
+    """Component label of every vertex: edge (i, k) lies on a cycle cover iff i and cover^-1(k) share one.
 
     ``adj`` lists the neighbours of every vertex and ``cover`` is one cycle
     cover, as a permutation with every ``(i, cover[i])`` an edge; a perfect
-    matching is one.  Edge (i, k) lies on a cycle cover iff i and
-    cover^-1(k) share a strongly connected component of the digraph
-    i -> cover^-1(k) over all edges (i, k) (Dulmage-Mendelsohn); any
-    determinant with this support factors over these components.  A
-    component R has columns cover(R), by symmetry R itself or another
-    component: ``(R, R, 1)`` is one skew block W[R, R], ``(R, cover(R), 2)``
-    a bipartite pair, det(W[R, cover(R)])^2, listed once, from the side of
-    its lowest vertex.  Blocks come in order of their lowest vertex, rows
-    and columns sorted.
+    matching is one.  The labels are the strongly connected components of
+    the digraph i -> cover^-1(k) over all edges (i, k) (Dulmage-Mendelsohn),
+    numbered in reverse topological order: an edge between two components
+    runs from the higher label to the lower.
     """
     n = len(adj)
     inverse = [0] * n
     for i, k in enumerate(cover):
         inverse[k] = i
-    label = _strong_components([[inverse[k] for k in adj[i]] for i in range(n)])
+    return _strong_components([[inverse[k] for k in adj[i]] for i in range(n)])
+
+
+def _blocks(adj, cover: list[int]) -> list[tuple[list[int], list[int], int]]:
+    """``(rows, cols, power)`` of every block of the total support.
+
+    The components of ``_cover_components(adj, cover)`` are the blocks over
+    which any determinant with this support factors.  A component R has
+    columns cover(R), by symmetry R itself or another component:
+    ``(R, R, 1)`` is one skew block W[R, R], ``(R, cover(R), 2)`` a
+    bipartite pair, det(W[R, cover(R)])^2, listed once, from the side of
+    its lowest vertex.  Blocks come in order of their lowest vertex, rows
+    and columns sorted.
+    """
+    label = _cover_components(adj, cover)
     members: dict[int, list[int]] = {}
-    for v in range(n):
-        members.setdefault(label[v], []).append(v)
+    for v, c in enumerate(label):
+        members.setdefault(c, []).append(v)
     blocks = []
     for rows in members.values():  # in order of lowest vertex
         cols = members[label[cover[rows[0]]]]

@@ -2,12 +2,19 @@
 
 The iteration is the symmetric fixed point d_i <- d_i / sqrt(sum_j d_i
 A_ij d_j): both sides of the scaling are updated at once, so every iterate
-is exactly symmetric.  Convergence requires A to have total support: every
-edge of its support lies on a cycle cover (Sinkhorn-Knopp 1967, Csima-Datta
-1972).  A perfect matching in the support is not enough: the center-clique
-counterexample has one and does not scale.  When the iteration does not
-converge, the result is returned with ``converged=False`` instead of
-raising, because non-scalability is a legitimate verdict the CLI reports.
+is exactly symmetric.  An exact scaling exists iff A has total support:
+every edge of its support lies on a cycle cover (Sinkhorn-Knopp 1967,
+Csima-Datta 1972).  A support with a cycle cover but without total support,
+such as the center-clique counterexample's, still has a scaling within any
+residual target, with the entries off the total support near 0, but the
+iteration approaches it only like 1/k.  So a run still going after 248
+steps decides total support once, and on such a support takes its result
+from the scaling of A restricted to its total support (see
+``_without_total_support``): B keeps the support of A, and ``iterations``
+counts the 248 steps plus those on the restriction.  A support without a
+cycle cover has no scaling.  When no scaling is found, the result is
+returned with ``converged=False`` instead of raising, because
+non-scalability is a legitimate verdict the CLI reports.
 The iteration is sequential, so its cost is interpreter overhead per step:
 steps run in blocks into buffers allocated per block and the stopping
 rules are checked once per block, which gives bit for bit the result of
@@ -23,12 +30,14 @@ entries with the n^-theta / n^-2nu bounds of the concentration theorem.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, NumericalError
+from .exact import _cover_components, _max_matching
 from .linalg import SymMatrix
 
 __all__ = [
@@ -104,13 +113,16 @@ def scale_symmetric(
     if np.any(row == 0):
         raise InputError("input has an all-zero row; scaling undefined")
     d, residual, iterations, converged = _fixed_point(
-        arr, 1.0 / np.sqrt(row), residual_target, max_iterations
+        arr, 1.0 / np.sqrt(row), residual_target, min(max_iterations, _SETTLED)
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        b_arr = np.outer(d, d) * arr
-        # where d_i d_j overflows, d_i A'_ij first can stay in range
-        i, j = np.nonzero(np.triu(~np.isfinite(b_arr)))
-        b_arr[i, j] = b_arr[j, i] = d[i] * arr[i, j] * d[j]
+    if not converged and iterations == _SETTLED < max_iterations:
+        # still going: decide total support once, else go on with the same steps
+        run = _without_total_support(arr, residual_target, max_iterations - _SETTLED)
+        d, residual, steps, converged = run or _fixed_point(
+            arr, d, residual_target, max_iterations - _SETTLED
+        )
+        iterations += steps
+    b_arr = _product(arr, d)
     if not np.all(np.isfinite(b_arr)):
         raise NumericalError(f"D*A*D overflowed float64 (residual {residual:.3g})")
     max_entry = float(b_arr.max())
@@ -134,7 +146,73 @@ def scale_symmetric(
 
 _FIRST_BLOCK = 8
 _MAX_BLOCK = 256
+# steps taken before the blocks reach _MAX_BLOCK: 8 + 16 + 32 + 64 + 128 = 248
+_SETTLED = _MAX_BLOCK - _FIRST_BLOCK
 _SPREAD = 1e200
+
+
+def _product(arr, d):
+    """B = (d d^T) * A, with (d_i A_ij) d_j where d_i d_j overflows; a non-finite entry is left for the caller."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_arr = np.outer(d, d) * arr
+        # where d_i d_j overflows, d_i A'_ij first can stay in range
+        i, j = np.nonzero(np.triu(~np.isfinite(b_arr)))
+        b_arr[i, j] = b_arr[j, i] = d[i] * arr[i, j] * d[j]
+    return b_arr
+
+
+def _without_total_support(arr, residual_target, max_iterations):
+    """``_fixed_point``'s result for a support with a cycle cover but no total support, else None.
+
+    The cycle cover is a perfect matching of the bipartite double cover
+    (row i joined to column k wherever A_ik > 0), and its components
+    (``exact._cover_components``) split A into R, the entries on some cycle
+    cover, and the rest.  R is scaled to half the target.  Each component
+    C is numbered depth(C) - height(C) in the DAG that the other entries
+    make between components; the transpose maps that DAG onto itself
+    reversed, so a row and a column of the same R entry get opposite
+    numbers, and every other entry gets a sum of at most -2.  Then d_R
+    times 2^(s * number) keeps every entry of R in B and scales the rest
+    by at most 4^-s: the least s >= 1 whose start meets the target at
+    step 0 of ``_fixed_point``, within the spread bound and keeping every
+    entry of B positive, gives the result, with R's steps as its
+    iterations.  None where R does not scale or no such s exists.
+    """
+    n = arr.shape[0]
+    support = arr > 0
+    adj = [np.flatnonzero(row).tolist() for row in support]
+    match = _max_matching(2 * n, [[n + k for k in row] for row in adj] + adj)
+    if -1 in match:
+        return None  # no cycle cover: no scaling exists
+    cover = [k - n for k in match[:n]]
+    label = np.array(_cover_components(adj, cover))
+    column = label[np.argsort(cover)]  # entry (i, k) lies on R iff label[i] == column[k]
+    off = support & (label[:, None] != column)
+    if not off.any():
+        return None  # total support: the plain iteration converges
+    i, k = np.nonzero(off)
+    edges = sorted(set(zip(label[i].tolist(), column[k].tolist())))
+    depth, height = [0] * n, [0] * n
+    for u, v in reversed(edges):  # labels fall along every edge, so sources come first
+        depth[v] = max(depth[v], depth[u] + 1)
+    for u, v in edges:
+        height[u] = max(height[u], height[v] + 1)
+    number = (np.array(depth) - np.array(height))[label]
+    restricted = np.where(off, 0.0, arr)
+    d, _, steps, converged = _fixed_point(
+        restricted, 1.0 / np.sqrt(restricted.sum(axis=1)), residual_target / 2, max_iterations
+    )
+    if not converged:
+        return None
+    for s in itertools.count(1):
+        start = np.ldexp(d, s * number)
+        if start.max() > _SPREAD * start.min():
+            return None
+        d_s, residual, _, converged = _fixed_point(arr, start, residual_target, 0)
+        if converged:
+            if not np.array_equal(_product(arr, d_s) > 0, support):
+                return None  # a larger s only makes the entries off R smaller
+            return d_s, residual, steps, True
 
 
 def _fixed_point(arr, d, residual_target, max_iterations):

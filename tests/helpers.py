@@ -377,7 +377,7 @@ def tutte_barrier_support(rng, n, s, p=0.7) -> np.ndarray:
     return a
 
 
-def _has_permutation(rows, cols, support) -> bool:
+def has_permutation(rows, cols, support) -> bool:
     """True iff rows can be matched one-to-one into cols through support."""
     masks = {0}
     for r in rows:
@@ -403,7 +403,7 @@ def brute_total_support(n, edges) -> set:
             continue
         rows = [r for r in range(n) if r != i]
         cols = [k for k in range(n) if k != j]
-        if _has_permutation(rows, cols, support):
+        if has_permutation(rows, cols, support):
             kept.add((i, j))
     return kept
 

@@ -85,20 +85,34 @@ def test_threads_env_var_respected_and_harmless(runner, files):
     assert strip_timing(plain) == strip_timing(with_env)
 
 
+def assert_exact_and_estimate(runner, path, value, log_haf):
+    res = runner.invoke(main, ["exact", "--matrix", str(path)])
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert doc["value"] == pytest.approx(value, rel=1e-15)
+    assert math.isclose(doc["log_haf"], log_haf, rel_tol=1e-13)
+    res = runner.invoke(main, ["estimate", "--matrix", str(path), "--samples", "2000", "--exact"])
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert doc["exact_log_haf"] == pytest.approx(log_haf, rel=1e-13)
+    assert doc["num_zero_det"] == 0
+    assert math.isfinite(doc["error_median"]) and math.isfinite(doc["error_max"])
+
+
 def test_exact_and_estimate_at_a_tiny_unit(runner, tmp_path):
     # haf(K_8 1e-100) = 105e-400, below every float64 but with a finite log
     io.write_matrix(tmp_path / "tiny.mat", complete_graph(8).sym_matrix().entries * 1e-100)
-    res = runner.invoke(main, ["exact", "--matrix", str(tmp_path / "tiny.mat")])
-    assert res.exit_code == 0
-    doc = json.loads(res.output)
-    assert doc["value"] is None
-    assert math.isclose(doc["log_haf"], math.log(105) - 400 * math.log(10), rel_tol=1e-13)
-    res = runner.invoke(main, ["estimate", "--matrix", str(tmp_path / "tiny.mat"), "--samples", "2000", "--exact"])
-    assert res.exit_code == 0
-    doc = json.loads(res.output)
-    assert doc["exact_log_haf"] == pytest.approx(math.log(105) - 400 * math.log(10), rel=1e-13)
-    assert doc["num_zero_det"] == 0
-    assert math.isfinite(doc["error_median"]) and math.isfinite(doc["error_max"])
+    assert_exact_and_estimate(runner, tmp_path / "tiny.mat", None, math.log(105) - 400 * math.log(10))
+
+
+def test_exact_and_estimate_on_entries_far_apart(runner, tmp_path):
+    # 1e300 and 1e-30 are 2^1096 apart: A times one power of two lost the
+    # small entry and gave haf 0; each vertex at its own unit keeps both
+    a = np.zeros((4, 4))
+    a[0, 1] = a[1, 0] = 1e300
+    a[2, 3] = a[3, 2] = 1e-30
+    io.write_matrix(tmp_path / "far.mat", a)
+    assert_exact_and_estimate(runner, tmp_path / "far.mat", 1e270, 270 * math.log(10))
 
 
 def test_exact_prints_counts_past_2_53_as_ints(runner, tmp_path):
@@ -656,12 +670,92 @@ PINNED_REPORTS = {
 }
 """,
     ),
+    # the counterexample scales in 81 plain steps at the default target 1/n
+    "hypotheses-counterexample": (
+        ["hypotheses", "--matrix", "cx24.mat", "--alpha", "0.4", "--kappa", "0.1", "--beta", "2", "--theta", "0.3",
+         "--scale", "--mode", "sampled", "--budget", "500"],
+        0,
+        """\
+{
+  "manifest": {
+    "tool_version": "0.1.0",
+    "subcommand": "hypotheses",
+    "full_config": {
+      "matrix": "{dir}/cx24.mat",
+      "alpha": 0.40000000000000002,
+      "kappa": 0.10000000000000001,
+      "beta": 2,
+      "theta": 0.29999999999999999,
+      "scale": true,
+      "mode": "sampled",
+      "budget": 500,
+      "seed": 0,
+      "strict": false
+    },
+    "seed": 0,
+    "timing_ms": 0
+  },
+  "n": 50,
+  "level": 29,
+  "conditions": {
+    "min_degree": {
+      "ok": true,
+      "observed": 24,
+      "required": 22
+    },
+    "strong_expansion": {
+      "kappa": 0.10000000000000001,
+      "level": 29,
+      "holds": false,
+      "witness": [
+        24,
+        25,
+        26,
+        27,
+        28,
+        29,
+        30,
+        31,
+        32,
+        33,
+        34,
+        35,
+        36,
+        37,
+        38,
+        39,
+        40,
+        41,
+        42,
+        43,
+        44,
+        45,
+        46,
+        47,
+        48,
+        49
+      ],
+      "checked_mode": "sampled",
+      "sets_checked": 466,
+      "delta": null
+    },
+    "max_entry": {
+      "ok": false,
+      "observed": 0.62490341750095291,
+      "bound": 0.30924949471099172
+    }
+  },
+  "all_ok": false
+}
+""",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", PINNED_REPORTS)
 def test_scale_and_hypotheses_reports_keep_their_bytes(runner, files, name):
     io.write_matrix(files / "k16.mat", complete_graph(16).sym_matrix())
+    io.write_matrix(files / "cx24.mat", build_counterexample(CounterexampleSpec(delta=0.12, n_center=24)).sym_matrix())
     args, code, text = PINNED_REPORTS[name]
     res = runner.invoke(main, [str(files / a) if a.endswith(".mat") else a for a in args])
     assert res.exit_code == code
@@ -930,6 +1024,16 @@ def test_matrix_source_scaled_must_be_a_boolean(runner, tmp_path, scaled):
     res = run_experiment(runner, tmp_path, "density", config)
     assert res.exit_code == 2
     assert res.stderr == f"input error: 'scaled' must be true or false, got {scaled!r}\n"
+
+
+def test_scaled_counterexample_source(runner, tmp_path):
+    # its support lacks total support: plain Sinkhorn stopped at 100,000 steps
+    # 1e-5 from the 1e-10 target, and the source raised after 3 s
+    cx = {"kind": "counterexample", "n_center": 10, "delta": 0.12, "scaled": True}
+    res = run_experiment(runner, tmp_path, "density", {"matrix": cx, "trials": 3})
+    assert res.exit_code == 0, res.stderr
+    # center-plain edges scale to 1 / n_center; the center clique, off the total support, to far less
+    assert json.loads(res.output)["report"]["max_entry"] == pytest.approx(0.1, rel=1e-12)
 
 
 def test_matrix_source_scaled_on_every_kind(runner, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -207,6 +208,30 @@ def test_weighted_inputs_at_extreme_units_match_fractions():
             assert v.log_value == -math.inf and v.value_if_small == 0.0
         else:
             assert math.isclose(v.log_value, fraction_log(exact), rel_tol=1e-13)
+
+
+def test_float_values_keep_their_bits_at_any_block_units():
+    # D A D, D a power of two on each of up to three blocks of A: the terms of
+    # one state share one power of two, so the DP sums the same mantissas in
+    # the same order as the plain recursion on A.  Blocks 2^1000 apart gave
+    # haf 0 on A times one power of two; with D = I these are the inputs on
+    # which that DP was exact
+    rng = np.random.default_rng(2032)
+    for trial in range(200):
+        sizes = 2 * rng.integers(1, 3, size=int(rng.integers(1, 4)))
+        units = rng.integers(-500, 501, size=sizes.size) if trial % 2 else np.zeros(sizes.size, dtype=np.int64)
+        n = int(sizes.sum())
+        t = np.repeat(units, sizes)
+        w = np.triu(rng.uniform(0.01, 3.0, size=(n, n)) * (rng.random((n, n)) < rng.uniform(0.4, 1.0)), 1)
+        w *= t[:, None] == t  # no entry between blocks
+        w += w.T
+        v = hafnian_exact(SymMatrix(np.ldexp(w, t[:, None] + t)))
+        plain, shift = naive_hafnian(w), int(t.sum())
+        if plain == 0 or sys.float_info.min_exp <= math.frexp(plain)[1] + shift <= sys.float_info.max_exp:
+            assert v.value_if_small == math.ldexp(plain, shift)
+        else:
+            assert v.value_if_small is None
+            assert math.isclose(v.log_value, math.log(plain) + shift * math.log(2.0), rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("n, seed", [(40, 1), (40, 2), (48, 3)])

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import warnings
@@ -16,7 +17,7 @@ from hafkit import (
     scale_symmetric,
 )
 
-from helpers import reference_scaling, scalable_graph
+from helpers import brute_total_support, has_permutation, reference_scaling, scalable_graph
 
 
 def adjacency(edges, n):
@@ -173,9 +174,18 @@ def test_counterexample_audit_regression_goldens():
     audit = audit_entry_bounds(res, theta=0.3, nu=1.0)
     assert audit.observed_exponents[0] == pytest.approx(0.12779712578604535, rel=1e-9)
     assert audit.observed_exponents[1] == pytest.approx(1.003724695079299, rel=1e-9)
-    # at a tight target the missing total support shows up as non-convergence
+    # at a tight target the scaling comes from the one on the total support
     tight = scale_symmetric(a, residual_target=1e-12, max_iterations=50_000)
-    assert not tight.converged
+    assert_scaled(a.entries, tight, 1e-12)
+
+
+def assert_scaled(a, res, residual_target):
+    """A converged scaling: within the target, on A's support, B = D A D, d within the spread bound."""
+    assert res.converged and res.residual <= residual_target
+    b = res.b.entries
+    assert np.array_equal(b > 0, a > 0)
+    assert np.allclose(b, np.outer(res.d, res.d) * a, rtol=1e-13, atol=0)
+    assert np.max(res.d) <= 1e200 * np.min(res.d)
 
 
 def assert_matches_reference(a, residual_target, max_iterations):
@@ -197,11 +207,79 @@ def weighted10():
 
 
 def test_counterexample_cap_bit_identical_to_step_loop():
+    # up to step 248 the plain steps are all there is; past it the support's
+    # missing total support is found and the scaling comes from its own
     from hafkit import CounterexampleSpec, build_counterexample
 
     a = build_counterexample(CounterexampleSpec(delta=0.12, n_center=24)).sym_matrix().entries
-    res = assert_matches_reference(a, 1e-6, 20_000)
-    assert res.iterations == 20_000 and not res.converged
+    for cap in (1, 100, 247, 248):
+        res = assert_matches_reference(a, 1e-6, cap)
+        assert res.iterations == cap and not res.converged
+    assert_scaled(a, scale_symmetric(SymMatrix(a), 1e-6, 20_000), 1e-6)
+
+
+@pytest.mark.parametrize("n_center", [10, 19, 24])
+@pytest.mark.parametrize("target", [1e-6, 1e-10, 1e-12])
+def test_counterexample_scales_from_its_total_support(n_center, target):
+    # plain Sinkhorn decays like 1/k here (n_center 24 at 1e-10: residual
+    # 2e-5 after 100,000 steps); both components of the total support are
+    # regular, so it scales at its start and the whole run is 248 steps
+    from hafkit import CounterexampleSpec, build_counterexample
+
+    a = build_counterexample(CounterexampleSpec(delta=0.12, n_center=n_center)).sym_matrix().entries
+    res = scale_symmetric(SymMatrix(a), target, 100_000)
+    assert_scaled(a, res, target)
+    assert res.iterations == 248
+
+
+def triangle_edge_edge():
+    # triangle 0-1-2, edge 3-4 and edge 2-3: a cycle cover (the triangle and
+    # 3-4) but no perfect matching, and 2-3 lies on no cycle cover
+    return adjacency([(0, 1), (1, 2), (0, 2), (3, 4), (2, 3)], 5).entries
+
+
+def chain_of_components():
+    # a weighted path on 8 vertices: its total support is the matching
+    # 0-1, 2-3, 4-5, 6-7, and its other edges chain the components
+    # {1} -> {3} -> {5} -> {7} and {6} -> {4} -> {2} -> {0}
+    a = np.zeros((8, 8))
+    w = np.random.default_rng(50).uniform(0.5, 2.0, size=7)
+    a[np.arange(7), np.arange(1, 8)] = w
+    return a + a.T
+
+
+@pytest.mark.parametrize("support", [triangle_edge_edge, chain_of_components])
+def test_supports_without_total_support_scale_at_tight_targets(support):
+    a = support()
+    for target in (1e-6, 1e-10, 1e-12):
+        res = scale_symmetric(SymMatrix(a), target, 20_000)
+        assert_scaled(a, res, target)
+        assert not reference_scaling(a, target, 20_000)[3]  # the plain steps do not get there
+
+
+def test_random_supports_scale_iff_they_have_a_cycle_cover():
+    # with a cover every draw scales; without one every draw ends as the plain steps do
+    rng = np.random.default_rng(51)
+    kinds = collections.Counter()
+    for _ in range(80):
+        n = int(rng.integers(3, 10))
+        a = np.triu(rng.uniform(0.05, 3.0, size=(n, n)) * (rng.random((n, n)) < rng.uniform(0.2, 0.6)), 1)
+        a += a.T
+        if np.any(a.sum(axis=1) == 0):
+            continue
+        target = float(10.0 ** rng.uniform(-12, -4))
+        res = scale_symmetric(SymMatrix(a), target, 20_000)
+        support = {(i, k) for i, k in zip(*np.nonzero(a))}
+        if has_permutation(range(n), range(n), support):
+            assert_scaled(a, res, target)
+            edges = {(i, k) for i, k in support if i < k}
+            kinds["without total support" if brute_total_support(n, edges) != edges else "total support"] += 1
+        else:
+            d, residual, iterations, converged = reference_scaling(a, target, 20_000)
+            assert np.array_equal(res.d, d) and (res.residual, res.iterations, res.converged) == (
+                residual, iterations, converged)
+            kinds["no cover"] += 1
+    assert min(kinds.values()) >= 10
 
 
 @pytest.mark.parametrize("cap", [1, 100, 500, 1000])
@@ -232,6 +310,18 @@ def test_weighted_and_explicit_start_bit_identical_to_step_loop():
         assert assert_matches_reference(a, target, 100_000).converged
 
 
+def test_grid_past_step_248_bit_identical_to_step_loop():
+    # the 20 x 20 grid has total support, so the plain steps go on past 248
+    n = 400
+    a = np.zeros((n, n))
+    v = np.arange(n)
+    right, down = v[v % 20 < 19], v[v < n - 20]
+    a[right, right + 1] = a[right + 1, right] = 1.0
+    a[down, down + 20] = a[down + 20, down] = 1.0
+    res = assert_matches_reference(a, 1e-10, 100_000)
+    assert res.converged and res.iterations == 2779
+
+
 def test_complete_graph_takes_zero_steps_bit_identical():
     a = complete_graph(8).sym_matrix().entries
     res = assert_matches_reference(a, 1e-10, 100)
@@ -246,13 +336,14 @@ def weighted6():
 
 @pytest.mark.parametrize("shift", [-800, 800])
 def test_power_of_two_units_scale_d_only(shift):
-    x = weighted6()
-    ref = scale_symmetric(SymMatrix(x), residual_target=1e-12)
-    res = scale_symmetric(SymMatrix(np.ldexp(x, shift)), residual_target=1e-12)
-    assert ref.converged and res.converged
-    assert res.iterations == ref.iterations
-    assert np.array_equal(res.b.entries, ref.b.entries)
-    assert np.array_equal(res.d, np.ldexp(ref.d, -shift // 2))
+    # the triangle with its two edges scales from its total support, past step 248
+    for x in (weighted6(), triangle_edge_edge()):
+        ref = scale_symmetric(SymMatrix(x), residual_target=1e-12)
+        res = scale_symmetric(SymMatrix(np.ldexp(x, shift)), residual_target=1e-12)
+        assert ref.converged and res.converged
+        assert res.iterations == ref.iterations
+        assert np.array_equal(res.b.entries, ref.b.entries)
+        assert np.array_equal(res.d, np.ldexp(ref.d, -shift // 2))
 
 
 @pytest.mark.parametrize("c", [1e-250, 1e-210, 1e250])
