@@ -200,10 +200,10 @@ def sample_w(a: SymMatrix, seed: int, index: int) -> SkewMatrix:
         raise InputError("sample index must fit in an unsigned 64-bit integer")
     plan = _plan(a)
     if plan is None:
-        return SkewMatrix(np.zeros((a.n, a.n)))
+        return SkewMatrix._adopt(np.zeros((a.n, a.n)))
     m, pos, weight, _ = plan
     *_, (_, part) = _draws(seed, index // _CHUNK, index % _CHUNK + 1, m)
-    return SkewMatrix(_gather(part[-1], pos, weight))
+    return SkewMatrix._adopt(_gather(part[-1], pos, weight))
 
 
 def _block_groups(pos: np.ndarray, weight: np.ndarray, blocks) -> list[tuple[np.ndarray, np.ndarray, int]]:
@@ -283,13 +283,52 @@ def sample_log_dets(a: SymMatrix, num_samples: int, seed: int, threads: int = 1)
     return log_dets
 
 
+# floats per leaf of ``_tree_sum`` (64 KiB of scratch)
+_LEAF = 1 << 13
+
+
+def _tree_sum(x: np.ndarray, f) -> np.float64:
+    """``np.sum(f(x))`` bit for bit, holding f of at most _LEAF entries of x at a time.
+
+    ``f(run, out)`` writes f of a run of x into ``out`` and returns it.
+    numpy adds a contiguous float64 array pairwise: it splits n entries at
+    n // 2 rounded down to a multiple of 8 and adds the two halves' sums.
+    Splitting x the same way down to runs of at most _LEAF entries, and
+    summing each run with ``np.sum``, builds the same tree.
+    """
+    return _subtree_sum(x, f, np.empty(min(x.size, _LEAF)))
+
+
+def _subtree_sum(x: np.ndarray, f, buf: np.ndarray) -> np.float64:
+    n = x.size
+    if n <= _LEAF:
+        return np.sum(f(x, buf[:n]))
+    half = n // 2
+    half -= half % 8
+    return _subtree_sum(x[:half], f, buf) + _subtree_sum(x[half:], f, buf)
+
+
 def _logsumexp(values: np.ndarray) -> float:
     m = float(np.max(values))
     if m == -math.inf:
         return -math.inf
-    t = np.subtract(values, m)
-    np.exp(t, out=t)
-    return m + math.log(float(np.sum(t)))
+
+    def shifted_exp(run, out):
+        np.subtract(run, m, out=out)
+        return np.exp(out, out=out)
+
+    return m + math.log(float(_tree_sum(values, shifted_exp)))
+
+
+def _std(values: np.ndarray) -> float:
+    """``np.std(values)``, bit for bit, without its scratch copy of the values."""
+    mean = np.mean(values)
+
+    def squared_deviation(run, out):
+        np.subtract(run, mean, out=out)
+        return np.multiply(out, out, out=out)
+
+    return float(np.sqrt(_tree_sum(values, squared_deviation) / values.size))
 
 
 def _quantiles(sorted_vals: np.ndarray, qs) -> dict:
@@ -327,17 +366,18 @@ def estimate(
     a.require_even()
     check_arguments(num_samples, seed, threads, quantiles)
     log_dets = sample_log_dets(a, num_samples, seed, threads=threads)
-    # the summary's bits depend on summing in index order, so the sums come
+    # the sums follow numpy's tree over the array in index order, so they come
     # first; then the array is sorted, and reused for the errors, in place
     num_zero = int(np.count_nonzero(log_dets == -np.inf))
     mean_det_log = _logsumexp(log_dets) - math.log(num_samples)
     if num_zero > 0:
         logdet_mean = -math.inf
+        # empty unless some draw's det is exactly zero on a support with a perfect matching
         finite = log_dets[np.isfinite(log_dets)]
     else:
         logdet_mean = float(np.mean(log_dets))
         finite = log_dets
-    logdet_std = float(np.std(finite)) if finite.size else 0.0
+    logdet_std = _std(finite) if finite.size else 0.0
     log_dets.sort()
     qmap = _quantiles(log_dets, quantiles)
     error_median = error_max = None

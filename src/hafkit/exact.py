@@ -13,9 +13,12 @@ each state adding its terms in ascending ``j``.  Integer inputs are counted
 exactly: in int64 while no partial sum can reach 2^63, and in Python ints
 from the level where one could.  Other inputs are summed in float64 on
 D A D, each vertex scaled by its own power of two, taken from its row's
-largest entry, so that every entry lies below 1 whatever the units of the
-rows, and each level scaled by the power of two that puts its largest
-value in [0.5, 1).
+largest entry, so that every entry lies below 1, and each level scaled by
+the power of two that puts its largest value in [0.5, 1).  An entry more
+than about 2^1074 below the largest entries of both its rows underflows
+in D A D and drops out of the support, so such an input can come back
+too small or zero; one power of two per DP state is the fix (ROADMAP.md,
+"A float hafnian exact to rounding at any units").
 
 The one guard on the cost is the number of moves, the (state, partner)
 pairs the levels are built from: past 2^23 of them the DP stops and raises
@@ -135,7 +138,11 @@ def hafnian_exact(a: SymMatrix) -> HafnianValue:
     moves (K_n for every n above 28), are refused.
     Integer inputs below 2^53 are counted exactly, past int64 too.
     Other inputs give the plain float64 sum wherever that is a normal
-    float, and at any other unit of A the log value with value_if_small None.
+    float, and the log value with value_if_small None where it is not.
+    An entry more than about 2^1074 below the largest entries of both its
+    rows drops out (see the module docstring): A[0,1] = A[2,3] = 1e300,
+    A[1,2] = 1e-30, A[0,4] = A[3,5] = 1 gives log_value -inf, not
+    log 1e-30.
     """
     a.require_even()
     n = a.n

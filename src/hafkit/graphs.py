@@ -111,7 +111,7 @@ class GraphEdgeList:
         a = np.zeros((self.n, self.n))
         u, v = self.pairs().T
         a[u, v] = a[v, u] = 1.0
-        return SymMatrix(a)
+        return SymMatrix._adopt(a)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ def read_symmetric_matrix(path) -> SymMatrix:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise InputError(f"{path}: row {k}: {exc}") from exc
-    return SymMatrix(np.array(rows))
+    return SymMatrix._adopt(np.array(rows))
 
 
 def write_matrix(path, matrix) -> None:

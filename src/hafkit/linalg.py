@@ -44,19 +44,41 @@ def allocate(shape, refusal: str) -> np.ndarray:
         raise InputError(refusal) from None
 
 
-def _as_square_float(entries, what: str) -> np.ndarray:
-    arr = np.asarray(entries, dtype=np.float64)
+def _check_square(arr: np.ndarray, what: str):
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError(f"{what} must be a square 2-d array, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise InputError(f"{what} must have dimension >= 1")
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{what} contains non-finite entries")
-    return arr
+
+
+class _Frozen:
+    """A matrix type over one float64 array that it checks and then makes read-only.
+
+    The constructor checks and freezes a copy of what it is given, so a
+    caller's array is never aliased.  ``_adopt`` takes a fresh float64
+    array that nothing else holds, as the package's own builders make
+    them, and checks and freezes it without a copy: a dense n x n matrix
+    is then held once, not twice.
+    """
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", self._checked(np.array(self.entries, dtype=np.float64)))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray):
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "entries", cls._checked(np.asarray(arr, dtype=np.float64)))
+        return matrix
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
-class SymMatrix:
+class SymMatrix(_Frozen):
     """Symmetric matrix with nonnegative entries and an exactly zero diagonal.
 
     The diagonal carries no information for matching-type quantities, so it
@@ -65,21 +87,17 @@ class SymMatrix:
 
     entries: np.ndarray
 
-    def __post_init__(self):
-        arr = _as_square_float(self.entries, "symmetric matrix")
+    @staticmethod
+    def _checked(arr: np.ndarray) -> np.ndarray:
+        _check_square(arr, "symmetric matrix")
         if np.any(arr < 0):
             raise InputError("symmetric matrix has negative entries")
         if not np.array_equal(arr, arr.T):
             raise InputError("matrix is not exactly symmetric")
         if np.any(np.diagonal(arr) != 0):
             raise InputError("diagonal entries must all be zero")
-        arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+        return arr
 
     def require_even(self):
         if self.n % 2 != 0:
@@ -87,22 +105,18 @@ class SymMatrix:
 
 
 @dataclass(frozen=True)
-class SkewMatrix:
+class SkewMatrix(_Frozen):
     """Real skew-symmetric matrix (entries[i, j] == -entries[j, i])."""
 
     entries: np.ndarray
 
-    def __post_init__(self):
-        arr = _as_square_float(self.entries, "skew-symmetric matrix")
+    @staticmethod
+    def _checked(arr: np.ndarray) -> np.ndarray:
+        _check_square(arr, "skew-symmetric matrix")
         if not np.array_equal(arr, -arr.T):
             raise InputError("matrix is not exactly skew-symmetric")
-        arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+        return arr
 
 
 @dataclass(frozen=True)

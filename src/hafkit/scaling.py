@@ -140,7 +140,7 @@ def scale_symmetric(
             -math.log(min_positive) / (2.0 * logn) if math.isfinite(min_positive) else None,
         ),
         d=np.ldexp(d, -k),
-        b=SymMatrix(b_arr),
+        b=SymMatrix._adopt(b_arr),
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from hafkit import (
     sample_log_dets,
     sample_w,
 )
-from hafkit.estimator import _CHUNK
+from hafkit.counterexample import DEFAULT_C_GRID
+from hafkit.estimator import _CHUNK, _LEAF, _quantiles
 from hafkit.linalg import pfaffian_log_stack
 
 from helpers import chunk_stream_ws, counterexample_edges, counterexample_log_det_law, counterexample_log_det_mean
@@ -222,3 +224,40 @@ def test_bias_report_identical_across_threads():
     one = run_bias_experiment(spec, num, seed=12, threads=1)
     two = run_bias_experiment(spec, num, seed=12, threads=2)
     assert one == two
+
+
+def test_bias_report_is_the_plain_aggregate_of_the_samples():
+    # the log-sum-exp follows numpy's summation tree in index order and every
+    # order statistic comes from the array sorted in place: bit for bit what
+    # plain numpy gives on the samples, also past two leaves of the tree
+    for spec in (CounterexampleSpec(delta=0.1, n_center=1, m_pairs=1), CounterexampleSpec(delta=0.12, n_center=10)):
+        a = build_counterexample(spec).sym_matrix()
+        for num in (1, 2, 999, 1000, 20001, 40000):
+            rep = run_bias_experiment(spec, num, seed=6)
+            x = sample_log_dets(a, num, seed=6)
+            top = float(np.max(x))
+            shifted = x - rep.log_haf
+            assert rep.mean_det_log == top + math.log(float(np.sum(np.exp(x - top)))) - math.log(num)
+            assert rep.logdet_quantiles == _quantiles(np.sort(x), (0.05, 0.25, 0.5, 0.75, 0.95))
+            assert rep.median_signed_error == float(np.median(shifted))
+            assert rep.fraction_below == {
+                c: float(np.mean(shifted <= -c * rep.total_vertices)) for c in DEFAULT_C_GRID
+            }
+
+
+def test_bias_report_aggregates_in_the_memory_of_one_sample_array():
+    # past sampling the report holds the log-dets, at most one byte per
+    # sample and the summation tree's leaf; a chunk is measured on its own
+    spec = CounterexampleSpec(delta=0.1, n_center=3, m_pairs=1)
+    a = build_counterexample(spec).sym_matrix()
+    num = 200_000
+    tracemalloc.start()
+    try:
+        sample_log_dets(a, _CHUNK, seed=3)
+        chunk = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        run_bias_experiment(spec, num, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * num + num + chunk + 8 * _LEAF

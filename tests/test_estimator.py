@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -394,7 +395,8 @@ def test_estimate_summary_is_the_plain_aggregate_of_the_samples():
     for i, j in [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]:
         six[i, j] = six[j, i] = 1.0
     for a, exact in ((complete_graph(8).sym_matrix(), math.log(105.0)), (SymMatrix(six), -math.inf)):
-        for num in (1, 2, 1999, 3000):
+        # 20001 and 40000 run past two leaves of the summation tree
+        for num in (1, 2, 1999, 3000, 20001, 40000):
             s = estimate(a, num, seed=4, exact_log_haf=exact)
             x = sample_log_dets(a, num, seed=4)
             top = float(np.max(x))
@@ -411,21 +413,44 @@ def test_estimate_summary_is_the_plain_aggregate_of_the_samples():
             assert (s.error_median, s.error_max) == (float(np.median(errs)), float(np.max(errs)))
 
 
-def test_estimate_aggregates_in_the_memory_of_two_sample_arrays():
-    # past sampling, estimate holds the log-dets and one scratch array of
-    # as many floats; a chunk's evaluation is measured on its own
+def test_tree_sum_is_numpys_sum_bit_for_bit():
+    # a numpy release that changes its summation tree fails here, on every
+    # length up to three leaves and on lengths of many leaves
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal(1_000_003) * 10.0 ** rng.integers(-8, 9, 1_000_003)
+
+    def copy(run, out):
+        out[...] = run
+        return out
+
+    leaf = estimator._LEAF
+    for n in range(1, 3 * leaf + 1):
+        assert estimator._tree_sum(x[:n], copy) == np.sum(x[:n]), n
+    for n in (3 * leaf + 1, 4 * leaf + 7, 100_001, 131_072, 262_147, 1_000_003):
+        assert estimator._tree_sum(x[:n], copy) == np.sum(x[:n]), n
+    assert estimator._tree_sum(x[:0], copy) == 0.0
+
+
+def test_estimate_aggregates_in_the_memory_of_one_sample_array():
+    # past sampling, estimate holds the log-dets, at most one byte per
+    # sample and the summation tree's leaf; a chunk's evaluation is
+    # measured on its own.  With the cyclic collector off, nothing of the
+    # array outlives the call: no reference cycle holds it
     k8 = complete_graph(8).sym_matrix()
     num = 200_000
+    gc.disable()
     tracemalloc.start()
     try:
         sample_log_dets(k8, estimator._CHUNK, seed=3)
         chunk = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         estimate(k8, num, seed=3, exact_log_haf=math.log(105.0))
-        peak = tracemalloc.get_traced_memory()[1]
+        left, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * num + chunk
+        gc.enable()
+    assert peak < 8 * num + num + chunk + 8 * estimator._LEAF
+    assert left < 8 * estimator._LEAF, left
 
 
 def test_no_matching_support_reports_minus_inf():

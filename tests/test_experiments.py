@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from hafkit import (
     eigenvalue_density,
     hafnian_exact,
     random_regular_graph,
+    sample_log_dets,
     scale_symmetric,
     smallest_sv_tail,
     spectrum,
 )
+from hafkit.estimator import _CHUNK, _LEAF
 from hafkit.experiments import (
     complete_family,
     concentration_error,
@@ -214,6 +217,48 @@ def test_concentration_counterexample_family_negative_medians():
     rep = concentration_error(members, samples_per_member=300, seed=9)
     for size, _, _, signed in rep.rows:
         assert signed is not None and signed < 0
+
+
+def test_concentration_rows_are_the_plain_aggregate_of_the_samples():
+    # each row is taken in place in its member's array of log-dets: bit for
+    # bit what plain numpy gives on the samples
+    members = complete_family([4, 8]) + counterexample_family([3], delta=0.12)
+    for num in (1, 2, 999, 1000, 20001):
+        rep = concentration_error(members, samples_per_member=num, seed=5)
+        for member, row in zip(members, rep.rows):
+            signed = sample_log_dets(member.matrix, num, seed=5) - member.exact_log_haf
+            err = np.abs(signed)
+            assert row == (member.size, float(np.median(err)), float(np.quantile(err, 0.9)), float(np.median(signed)))
+
+
+def test_concentration_aggregates_in_the_memory_of_one_sample_array():
+    # past sampling a row holds its member's log-dets, at most one byte per
+    # sample and 64 KiB; a chunk is measured on its own
+    members = complete_family([8])
+    num = 200_000
+    tracemalloc.start()
+    try:
+        sample_log_dets(members[0].matrix, _CHUNK, seed=3)
+        chunk = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        concentration_error(members, samples_per_member=num, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * num + num + chunk + 8 * _LEAF
+
+
+def test_matrix_sources_hold_their_matrix_once():
+    # the builders hand their fresh arrays to SymMatrix, which checks them
+    # without a copy: beyond the matrix, only the checks' boolean masks
+    for source in ({"kind": "random_regular", "n": 2000, "d": 3}, {"kind": "complete", "n": 2000}):
+        tracemalloc.start()
+        try:
+            a = matrix_from_source(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * a.entries.nbytes
 
 
 def test_experiments_deterministic():

@@ -146,6 +146,14 @@ def test_spectrum_zero_matrix():
     assert np.all(rep.singular_values == 0)
 
 
+def test_matrix_types_freeze_a_copy_of_a_callers_array():
+    for cls, arr in ((SymMatrix, np.array([[0.0, 2.0], [2.0, 0.0]])), (SkewMatrix, np.array([[0.0, 2.0], [-2.0, 0.0]]))):
+        m = cls(arr)
+        arr[0, 1] = 7.0
+        assert m.entries[0, 1] == 2.0
+        assert arr.flags.writeable and not m.entries.flags.writeable
+
+
 def test_spectrum_report_freezes_a_copy():
     ev, sv = np.array([2.0, -2.0]), np.array([2.0, 2.0])
     rep = SpectrumReport(ev, sv, 2.0, 2.0)
