@@ -11,14 +11,12 @@ grow with the states reached, not with 2^n.  These are found level by level
 as sorted int64 bit masks; values are then pulled up from the empty set,
 each state adding its terms in ascending ``j``.  Integer inputs are counted
 exactly: in int64 while no partial sum can reach 2^63, and in Python ints
-from the level where one could.  Other inputs are summed in float64 on
-D A D, each vertex scaled by its own power of two, taken from its row's
-largest entry, so that every entry lies below 1, and each level scaled by
-the power of two that puts its largest value in [0.5, 1).  An entry more
-than about 2^1074 below the largest entries of both its rows underflows
-in D A D and drops out of the support, so such an input can come back
-too small or zero; one power of two per DP state is the fix (ROADMAP.md,
-"A float hafnian exact to rounding at any units").
+from the level where one could.  Other inputs are summed in float64, each
+entry of A and each DP state held as a mantissa in [0.5, 1) (or 0) times
+its own power of two, and a state sums its terms at the unit of its
+largest one.  A power of two changes no rounding, so this is the plain
+float64 recursion wherever that stays normal, at any units of A; a term
+is lost only beside a term of the same state 2^1074 times larger.
 
 The one guard on the cost is the number of moves, the (state, partner)
 pairs the levels are built from: past 2^23 of them the DP stops and raises
@@ -66,6 +64,9 @@ _MAX_MOVES = 2**23
 # float64 holds every integer below 2^53; int64 every integer below 2^63
 _FLOAT_EXACT = 2**53
 _INT64_LIMIT = 2**63
+# the int32 exponent of a float DP state of value 0: every other state's
+# lies within 2^16 of 0, so it stays below every term's
+_ZERO_EXP = -(2**30)
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,6 @@ def _moves(masks: np.ndarray, nbrs: np.ndarray):
 def _hafnian_dp(a: np.ndarray) -> tuple[float | int, int]:
     """``(v, shift)`` with haf = v * 2^shift: a float v is 0 or in [0.5, 1), an integer one exact, shift 0."""
     n = a.shape[0]
-    shift = 0
     nbrs = np.array([sum(1 << int(j) for j in np.flatnonzero(row)) for row in a], dtype=np.int64)
     levels = [np.array([(1 << n) - 1], dtype=np.int64)]
     moves = 0
@@ -115,19 +115,34 @@ def _hafnian_dp(a: np.ndarray) -> tuple[float | int, int]:
         level = np.concatenate(children)
         level.sort()  # then keep each mask that differs from its predecessor
         levels.append(level[np.insert(level[1:] != level[:-1], 0, True)])
+    pulls = zip(levels[-2::-1], levels[:0:-1])
+    if a.dtype == np.float64:  # each state a mantissa, 0 or in [0.5, 1), times 2 to its own exponent
+        am, ae = np.frexp(a)
+        val, exp = np.frexp(np.ones(1))
+        for masks, below in pulls:
+            acc = np.zeros(masks.size)
+            # each parent's sum so far, scaled by 2^-top for the largest exponent top among its terms so far
+            top = np.full(masks.size, _ZERO_EXP, dtype=np.int32)
+            for j, parents, i, kids in _moves(masks, nbrs):
+                k = np.searchsorted(below, kids)
+                e = ae[i, j] + exp[k]
+                old = top[parents]
+                new = np.maximum(old, e)
+                acc[parents] = np.ldexp(acc[parents], old - new) + np.ldexp(am[i, j] * val[k], e - new)
+                top[parents] = new
+            val, exp = np.frexp(acc)
+            exp = np.where(acc != 0, top + exp, _ZERO_EXP)
+        return float(val[0]), int(exp[0])
     row_max = int(a.sum(axis=1).max())
     val = np.ones(1, dtype=a.dtype)
-    for masks, below in zip(levels[-2::-1], levels[:0:-1]):
+    for masks, below in pulls:
         if a.dtype == np.int64 and int(val.max()) * row_max >= _INT64_LIMIT:
             a, val = a.astype(object), val.astype(object)
         acc = np.zeros(masks.size, dtype=a.dtype)
         for j, parents, i, kids in _moves(masks, nbrs):
             acc[parents] += a[i, j] * val[np.searchsorted(below, kids)]
-        if acc.dtype == np.float64:  # the level's largest value into [0.5, 1)
-            e = math.frexp(acc.max())[1]
-            acc, shift = np.ldexp(acc, -e), shift + e
         val = acc
-    return val.tolist()[0], shift
+    return val.tolist()[0], 0
 
 
 def hafnian_exact(a: SymMatrix) -> HafnianValue:
@@ -139,10 +154,9 @@ def hafnian_exact(a: SymMatrix) -> HafnianValue:
     Integer inputs below 2^53 are counted exactly, past int64 too.
     Other inputs give the plain float64 sum wherever that is a normal
     float, and the log value with value_if_small None where it is not.
-    An entry more than about 2^1074 below the largest entries of both its
-    rows drops out (see the module docstring): A[0,1] = A[2,3] = 1e300,
-    A[1,2] = 1e-30, A[0,4] = A[3,5] = 1 gives log_value -inf, not
-    log 1e-30.
+    Every DP state carries its own power of two (see the module
+    docstring), so a positive hafnian never comes back 0, whatever the
+    units of A.
     """
     a.require_even()
     n = a.n
@@ -153,11 +167,7 @@ def hafnian_exact(a: SymMatrix) -> HafnianValue:
         count = _hafnian_dp(a.entries.astype(np.int64))[0]
         value = float(count) if count < _FLOAT_EXACT else count
         return HafnianValue(log_value=math.log(count) if count else -math.inf, value_if_small=value, n=n)
-    # haf(DAD) = det(D) haf(A): vertex v times 2^t_v, t_v = -ceil(e_v / 2) with
-    # its row's largest entry below 2^e_v, puts every entry below 1
-    t = -((np.frexp(a.entries.max(axis=1))[1] + 1) // 2)
-    scaled, shift = _hafnian_dp(np.ldexp(a.entries, t[:, None] + t))
-    shift -= int(t.sum())
+    scaled, shift = _hafnian_dp(a.entries)
     if not scaled or sys.float_info.min_exp <= shift <= sys.float_info.max_exp:
         value = math.ldexp(scaled, shift)
         return HafnianValue(log_value=math.log(value) if value else -math.inf, value_if_small=value, n=n)

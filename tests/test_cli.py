@@ -106,13 +106,23 @@ def test_exact_and_estimate_at_a_tiny_unit(runner, tmp_path):
 
 
 def test_exact_and_estimate_on_entries_far_apart(runner, tmp_path):
-    # 1e300 and 1e-30 are 2^1096 apart: A times one power of two lost the
-    # small entry and gave haf 0; each vertex at its own unit keeps both
+    # 1e300 and 1e-30 are 2^1096 apart, more than float64 spans; each DP
+    # state at its own unit keeps both
     a = np.zeros((4, 4))
     a[0, 1] = a[1, 0] = 1e300
     a[2, 3] = a[3, 2] = 1e-30
     io.write_matrix(tmp_path / "far.mat", a)
     assert_exact_and_estimate(runner, tmp_path / "far.mat", 1e270, 270 * math.log(10))
+
+
+def test_exact_and_estimate_on_an_entry_far_below_both_its_rows(runner, tmp_path):
+    # the one perfect matching {0-4, 1-2, 3-5} weighs 1e-30 and needs A[1, 2],
+    # 2^1096 below the largest entries of both its rows
+    a = np.zeros((6, 6))
+    for (i, j), x in {(0, 1): 1e300, (2, 3): 1e300, (1, 2): 1e-30, (0, 4): 1.0, (3, 5): 1.0}.items():
+        a[i, j] = a[j, i] = x
+    io.write_matrix(tmp_path / "below.mat", a)
+    assert_exact_and_estimate(runner, tmp_path / "below.mat", 1e-30, math.log(1e-30))
 
 
 def test_exact_prints_counts_past_2_53_as_ints(runner, tmp_path):

@@ -183,8 +183,8 @@ def test_complete_graphs_at_every_power_of_two(n, step):
 
 
 def test_one_heavy_edge_among_tiny_ones():
-    # haf = 3e-400 + 12e-600: A scaled once by a power of two still sums it to 0,
-    # the levels scaled one by one keep it
+    # haf = 3e-400 + 12e-600: each DP state is summed at the unit of its
+    # largest term, so the tiny terms are not lost beside the heavy edge
     a = np.full((6, 6), 1e-200)
     np.fill_diagonal(a, 0.0)
     a[0, 1] = a[1, 0] = 1.0
@@ -194,7 +194,23 @@ def test_one_heavy_edge_among_tiny_ones():
     assert math.isclose(v.log_value, fraction_log(exact), rel_tol=1e-15)
 
 
-def test_weighted_inputs_at_extreme_units_match_fractions():
+def extreme_unit_inputs(rng, count):
+    """Weighted symmetric matrices, n <= 10, one in two with a power of two per
+    entry up to 2^+-900, the other with one per vertex up to 2^+-400 (D W D)
+    and edges between vertices of different units."""
+    for trial in range(count):
+        n = 2 * int(rng.integers(1, 6))
+        mask = np.triu(rng.random((n, n)) < rng.uniform(0.4, 1.0), 1)
+        if trial % 2:
+            units = rng.integers(-900, 901, size=(n, n))
+        else:
+            t = rng.integers(-400, 401, size=n)
+            units = t[:, None] + t
+        a = np.ldexp(np.triu(rng.uniform(0.01, 3.0, size=(n, n)) * mask, 1), units)
+        yield a + a.T
+
+
+def weighted_inputs_at_extreme_units():
     rng = np.random.default_rng(2031)
     for _ in range(150):
         n = 2 * int(rng.integers(1, 5))
@@ -202,6 +218,12 @@ def test_weighted_inputs_at_extreme_units_match_fractions():
         w = rng.random((n, n)) * np.exp2(rng.uniform(-60, 60, size=(n, n)))
         a = np.ldexp(np.triu(w * mask, 1), int(rng.integers(-900, 901)))
         a += a.T
+        yield a
+    yield from extreme_unit_inputs(np.random.default_rng(2033), 150)
+
+
+def test_weighted_inputs_at_extreme_units_match_fractions():
+    for a in weighted_inputs_at_extreme_units():
         exact = naive_hafnian(np.vectorize(Fraction, otypes=[object])(a))
         v = hafnian_exact(SymMatrix(a))
         if exact == 0:
@@ -211,11 +233,9 @@ def test_weighted_inputs_at_extreme_units_match_fractions():
 
 
 def test_float_values_keep_their_bits_at_any_block_units():
-    # D A D, D a power of two on each of up to three blocks of A: the terms of
-    # one state share one power of two, so the DP sums the same mantissas in
-    # the same order as the plain recursion on A.  Blocks 2^1000 apart gave
-    # haf 0 on A times one power of two; with D = I these are the inputs on
-    # which that DP was exact
+    # D A D, D a power of two on each of up to three blocks of A: each state's
+    # terms share one unit, so the DP sums the plain recursion's mantissas in
+    # its order and the value keeps its bits at any block units
     rng = np.random.default_rng(2032)
     for trial in range(200):
         sizes = 2 * rng.integers(1, 3, size=int(rng.integers(1, 4)))
@@ -331,6 +351,8 @@ def test_matching_exists_agrees_with_hafnian():
         assert (support_blocks(SymMatrix(a01)) is None) == (count == 0)
         if -1 not in match:
             assert_perfect_matching(g, match)
+    for a in extreme_unit_inputs(np.random.default_rng(2034), 120):
+        assert (hafnian_exact(SymMatrix(a)).log_value > -math.inf) == (support_blocks(SymMatrix(a)) is not None)
 
 
 def test_matching_exists_needs_blossom_contraction():
